@@ -28,7 +28,6 @@ for odd i+j+k+l (parity); the critical power of the two-mode reduction is
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,11 +168,6 @@ def solve_double_delta_levels(strength: float, separation: float):
     else:
         kappa_odd = brentq(f_odd, lo, hi, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
     return float(kappa_even), float(kappa_odd)
-
-
-def double_delta_energies(strength: float, separation: float):
-    ke, ko = solve_double_delta_levels(strength, separation)
-    return -ke * ke, -ko * ko
 
 
 def build_potential(spec: PotentialSpec, grid: Grid):
@@ -467,7 +461,3 @@ def spectral_to_json(data: SpectralData) -> str:
     from .io_utils import dumps_17g
 
     return dumps_17g(data.to_json_dict())
-
-
-def spectral_from_json(text: str) -> dict:
-    return json.loads(text)

@@ -8,10 +8,18 @@ Two steppers:
   conserved to rounding.
 
 * Crank-Nicolson finite differences for delta wells (Dirichlet ends),
-  with the cubic term closed by fixed-point sweeps on the mass-symmetric
-  average rho = (|u_new|^2 + |u_old|^2)/2; the converged step conserves
-  the discrete mass exactly.  Delta wells enter the tridiagonal operator
-  as -s/dx at their nodes.
+  with the cubic term closed on the mass-symmetric average
+  rho = (|u_new|^2 + |u_old|^2)/2 (Delfour-Fortin-Payre); the converged
+  step conserves the discrete mass exactly.  Delta wells enter the
+  tridiagonal operator as -s/dx at their nodes.  The constant part
+  M0 = I + (i dt/2) H0 (node 0 pinned) is LU-factored once per stepper;
+  each step forms base = u - (i dt/2) H0 u once, and each fixed-point
+  sweep is one solve with those factors,
+
+      M0 z = base + (i dt/2) rho(z) (z + u),
+
+  which is the same discrete equation as
+  (I + (i dt/2)(H0 - rho)) z = (I - (i dt/2)(H0 - rho)) u.
 
 An optional tail filter zeroes |x| > cutoff_radius every trigger_steps
 steps (the truncate-and-continue device for radiation leaving the frame),
@@ -20,11 +28,13 @@ recording the discarded mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
+# zgtsv is not called here; it stays importable because
+# bench/tracer.py resolves dwnls.pde.zgtsv by name
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs  # noqa: F401
 
 from .errors import NonlinearIterationDiverged
 from .grids import Grid
@@ -144,12 +154,6 @@ class SplitStepper:
         return np.exp(-0.5j * self.dt * half) * u
 
 
-def step_splitstep(state: FieldState, dt: float, potential_samples_: np.ndarray,
-                   nonlinear: bool = True) -> FieldState:
-    stepper = SplitStepper(state.grid, potential_samples_, dt, nonlinear)
-    return FieldState(state.grid, stepper.step(state.values), state.time + dt)
-
-
 # ----------------------------------------------------------------------
 # Crank-Nicolson finite differences
 # ----------------------------------------------------------------------
@@ -168,60 +172,52 @@ class CrankNicolsonStepper:
         dx2 = grid.dx**2
         self.h_diag = 2.0 / dx2 + np.asarray(v_samples, dtype=float)
         self.h_off = -1.0 / dx2
+        self._c = 0.5j * dt
+        # M0 = I + (i dt/2) H0 on nodes 1..n-1: node 0 is the grid's
+        # Dirichlet pin (see hamiltonian_tridiagonal) and stays exactly zero
         n = grid.n_points
-        self._dl = np.full(n - 1, 0.5j * dt * self.h_off)
-        # node 0 is the grid's Dirichlet pin (see hamiltonian_tridiagonal)
-        self._du = self._dl.copy()
-        self._du[0] = 0.0
+        off = np.full(n - 2, self._c * self.h_off)
+        *self._lu, info = zgttrf(off, 1.0 + self._c * self.h_diag[1:], off)
+        if info != 0:
+            raise NonlinearIterationDiverged("tridiagonal factorization failed")
         self._prev = None          # previous state, used as predictor seed
 
     def reset_history(self) -> None:
         self._prev = None
 
-    def _apply_h(self, u, rho):
-        out = (self.h_diag - rho) * u
-        out[:-1] += self.h_off * u[1:]
-        out[1:] += self.h_off * u[:-1]
-        return out
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M0^{-1} rhs on the free nodes, zero at the pin (rhs is reused)."""
+        x, info = zgttrs(*self._lu, rhs[1:], overwrite_b=1)
+        if info != 0:
+            raise NonlinearIterationDiverged("tridiagonal solve failed")
+        rhs[0] = 0.0
+        rhs[1:] = x                # a no-op where LAPACK solved in place
+        return rhs
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        dt = self.dt
+        c = self._c
+        hu = self.h_diag * u
+        hu[:-1] += self.h_off * u[1:]
+        hu[1:] += self.h_off * u[:-1]
+        base = u - c * hu
         if not self.nonlinear:
-            rhs = u - 0.5j * dt * self._apply_h(u, 0.0)
-            rhs[0] = 0.0
-            d = 1.0 + 0.5j * dt * self.h_diag
-            d[0] = 1.0
-            _, _, _, z, info = zgtsv(self._dl, d, self._du, rhs)
-            if info != 0:
-                raise NonlinearIterationDiverged("tridiagonal solve failed")
-            return z
+            return self._solve(base)
         # extrapolated predictor cuts the typical sweep count to ~2
         z = 2.0 * u - self._prev if self._prev is not None else u
         abs_u2 = np.abs(u) ** 2
+        half_c = 0.5 * c
         for _ in range(self.max_sweeps):
-            rho = 0.5 * (np.abs(z) ** 2 + abs_u2)
-            rhs = u - 0.5j * dt * self._apply_h(u, rho)
-            rhs[0] = 0.0
-            d = 1.0 + 0.5j * dt * (self.h_diag - rho)
-            d[0] = 1.0
-            _, _, _, z_new, info = zgtsv(self._dl, d, self._du, rhs)
-            if info != 0:
-                raise NonlinearIterationDiverged("tridiagonal solve failed")
-            delta = float(np.max(np.abs(z_new - z)))
+            # (i dt/2) rho (z + u) with rho = (|z|^2 + |u|^2)/2
+            rhs = (half_c * (np.abs(z) ** 2 + abs_u2)) * (z + u)
+            rhs += base
+            z_new = self._solve(rhs)
+            delta = float(np.abs(z_new - z).max())
             z = z_new
             if delta <= self.tol:
                 self._prev = u
                 return z
         raise NonlinearIterationDiverged(
             f"CN fixed point not converged in {self.max_sweeps} sweeps")
-
-
-def step_crank_nicolson(state: FieldState, dt: float,
-                        potential: PotentialSpec, nonlinear: bool = True,
-                        tol: float = 1e-12, max_sweeps: int = 25) -> FieldState:
-    v = potential_samples(potential, state.grid)
-    stepper = CrankNicolsonStepper(state.grid, v, dt, nonlinear, tol, max_sweeps)
-    return FieldState(state.grid, stepper.step(state.values), state.time + dt)
 
 
 def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,

@@ -87,10 +87,6 @@ class ReducedParams:
         return self.omega1 - self.omega0
 
     @property
-    def coefficient_mode(self) -> str:
-        return "unit" if self.a is None else "tensor"
-
-    @property
     def n_cr_fd(self) -> float:
         if self.a is None:
             return self.omega10 / (2.0 * abs(self.g))
@@ -125,55 +121,82 @@ def _require_unit(params: ReducedParams, chart: str) -> None:
 # vector fields
 # ----------------------------------------------------------------------
 
+def chart_field(chart: str, params: ReducedParams):
+    """The chart's vector field as a function of the four packed float
+    coordinates, returning a 4-tuple of floats.  Build it once per
+    integration: each call makes no dataclass and no array."""
+    # plain floats: numpy scalars would make every operation below slow
+    om0, om1, g = float(params.omega0), float(params.omega1), float(params.g)
+    if chart == MODES:
+        if params.a is None:
+            a0000 = a0011 = a1111 = 1.0
+            a0001 = a0111 = 0.0
+        else:
+            a = params.a
+            a0000, a0011, a1111 = float(a[0, 0, 0, 0]), float(a[0, 0, 1, 1]), \
+                float(a[1, 1, 1, 1])
+            a0001, a0111 = float(a[0, 0, 0, 1]), float(a[0, 1, 1, 1])
+
+        def modes(x0, y0, x1, y1):
+            r0, r1 = complex(x0, y0), complex(x1, y1)
+            n0, n1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+            p0, p1 = n0 * r0, n1 * r1
+            m01 = r1 * r1 * r0.conjugate() + 2.0 * n1 * r0
+            m10 = r0 * r0 * r1.conjugate() + 2.0 * n0 * r1
+            d0 = om0 * r0 + g * (a0000 * p0 + a0011 * m01 + a0001 * m10
+                                 + a0111 * p1)
+            d1 = om1 * r1 + g * (a1111 * p1 + a0011 * m10 + a0111 * m01
+                                 + a0001 * p0)
+            # rho' = -i d
+            return d0.imag, -d0.real, d1.imag, -d1.real
+
+        return modes
+    if chart == CARTESIAN:
+        _require_unit(params, CARTESIAN)
+        om10 = om1 - om0
+
+        def cartesian(a, al, be, _theta):
+            if a <= _A_FLOOR:
+                raise ChartBreakdown(f"cartesian chart needs A > {_A_FLOOR}")
+            return (-2.0 * al * be * a,
+                    (om10 + 2.0 * al * al) * be,
+                    -(om10 - 2.0 * a * a + 2.0 * al * al) * al,
+                    -om0 + a * a + 3.0 * al * al + be * be)
+
+        return cartesian
+    if chart == POLAR:
+        _require_unit(params, POLAR)
+        om10 = om1 - om0
+
+        def polar(r0, r1, dth, _theta0):
+            s2 = math.sin(2.0 * dth)
+            c2 = math.cos(2.0 * dth)
+            return (-r1 * r1 * r0 * s2,
+                    r0 * r0 * r1 * s2,
+                    -om10 + (r0 * r0 - r1 * r1) * (1.0 + c2),
+                    -om0 + r0 * r0 + 2.0 * r1 * r1 + r1 * r1 * c2)
+
+        return polar
+    raise ValueError(f"unknown chart {chart!r}")
+
+
 def vf_modes(state: ModeAmplitudes, params: ReducedParams):
     """(rho0', rho1') of the reduction; tensor coefficients if configured."""
     r0, r1 = state.rho0, state.rho1
-    g = params.g
-    if params.a is None:
-        cubic0 = g * (abs(r0) ** 2 * r0 + r1 * r1 * r0.conjugate()
-                      + 2.0 * abs(r1) ** 2 * r0)
-        cubic1 = g * (abs(r1) ** 2 * r1 + r0 * r0 * r1.conjugate()
-                      + 2.0 * abs(r0) ** 2 * r1)
-    else:
-        a = params.a
-        p0 = abs(r0) ** 2 * r0
-        p1 = abs(r1) ** 2 * r1
-        m01 = r1 * r1 * r0.conjugate() + 2.0 * abs(r1) ** 2 * r0
-        m10 = r0 * r0 * r1.conjugate() + 2.0 * abs(r0) ** 2 * r1
-        cubic0 = g * (a[0, 0, 0, 0] * p0 + a[0, 0, 1, 1] * m01
-                      + a[0, 0, 0, 1] * m10 + a[0, 1, 1, 1] * p1)
-        cubic1 = g * (a[1, 1, 1, 1] * p1 + a[0, 0, 1, 1] * m10
-                      + a[0, 1, 1, 1] * m01 + a[0, 0, 0, 1] * p0)
-    d0 = -1j * (params.omega0 * r0 + cubic0)
-    d1 = -1j * (params.omega1 * r1 + cubic1)
-    return d0, d1
+    d = chart_field(MODES, params)(r0.real, r0.imag, r1.real, r1.imag)
+    return complex(d[0], d[1]), complex(d[2], d[3])
 
 
 def vf_cartesian(state: CartesianChart, params: ReducedParams):
     """(A', alpha', beta', theta'); requires A > 0 (unit coefficients)."""
-    _require_unit(params, CARTESIAN)
-    if state.A <= _A_FLOOR:
-        raise ChartBreakdown(f"cartesian chart needs A > {_A_FLOOR}")
-    a, al, be = state.A, state.alpha, state.beta
-    om10 = params.omega10
-    d_alpha = (om10 + 2.0 * al * al) * be
-    d_beta = -(om10 - 2.0 * a * a + 2.0 * al * al) * al
-    d_a = -2.0 * al * be * a
-    d_theta = -params.omega0 + a * a + 3.0 * al * al + be * be
-    return d_a, d_alpha, d_beta, d_theta
+    return chart_field(CARTESIAN, params)(state.A, state.alpha, state.beta,
+                                          state.theta)
 
 
 def vf_polar(state: PolarChart, params: ReducedParams):
     """(r0', r1', dtheta', theta0') in the three-field polar chart."""
-    _require_unit(params, POLAR)
-    r0, r1, dth = state.r0, state.r1, state.dtheta
-    s2 = math.sin(2.0 * dth)
-    c2 = math.cos(2.0 * dth)
-    d_r0 = -r1 * r1 * r0 * s2
-    d_r1 = r0 * r0 * r1 * s2
-    d_dth = -params.omega10 + (r0 * r0 - r1 * r1) * (1.0 + c2)
-    d_th0 = -params.omega0 + r0 * r0 + 2.0 * r1 * r1 + r1 * r1 * c2
-    return d_r0, d_r1, d_dth, d_th0
+    return chart_field(POLAR, params)(state.r0, state.r1, state.dtheta,
+                                      state.theta0)
 
 
 def vf_polar_reduced(eps1: float, dtheta: float, n: float, n_cr: float):
@@ -296,18 +319,7 @@ def unpack(chart: str, y) -> object:
 
 
 def vf_packed(chart: str, y, params: ReducedParams) -> np.ndarray:
-    if chart == MODES:
-        d0, d1 = vf_modes(ModeAmplitudes(complex(y[0], y[1]),
-                                         complex(y[2], y[3])), params)
-        return np.array([d0.real, d0.imag, d1.real, d1.imag])
-    if chart == CARTESIAN:
-        da, dal, dbe, dth = vf_cartesian(
-            CartesianChart(float(y[0]), float(y[1]), float(y[2]), float(y[3])),
-            params)
-        return np.array([da, dal, dbe, dth])
-    dr0, dr1, ddth, dth0 = vf_polar(
-        PolarChart(float(y[0]), float(y[1]), float(y[2]), float(y[3])), params)
-    return np.array([dr0, dr1, ddth, dth0])
+    return np.array(chart_field(chart, params)(*map(float, y)))
 
 
 # ----------------------------------------------------------------------
@@ -362,30 +374,36 @@ def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every):
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
         raise ValueError("t_span shorter than one step")
+    f = chart_field(chart, params)
+    # the four packed coordinates as Python floats
+    y_0, y_1, y_2, y_3 = map(float, y0)
     times = [t0]
-    states = [y0.copy()]
-    y = y0.copy()
+    states = [(y_0, y_1, y_2, y_3)]
     t = t0
     for k in range(n_steps):
         # tolerance tracks the current state: winding phase coordinates
         # grow secularly and would otherwise sink below the roundoff floor
-        scale = max(1.0, float(np.max(np.abs(y))))
-        z = y + dt * vf_packed(chart, y, params)
-        converged = False
+        tol = 1e-13 * max(1.0, abs(y_0), abs(y_1), abs(y_2), abs(y_3))
+        f_0, f_1, f_2, f_3 = f(y_0, y_1, y_2, y_3)
+        z_0, z_1, z_2, z_3 = y_0 + dt * f_0, y_1 + dt * f_1, \
+            y_2 + dt * f_2, y_3 + dt * f_3
         for _ in range(50):
-            z_new = y + dt * vf_packed(chart, 0.5 * (y + z), params)
-            if np.max(np.abs(z_new - z)) <= 1e-13 * scale:
-                z = z_new
-                converged = True
+            f_0, f_1, f_2, f_3 = f(0.5 * (y_0 + z_0), 0.5 * (y_1 + z_1),
+                                   0.5 * (y_2 + z_2), 0.5 * (y_3 + z_3))
+            n_0, n_1, n_2, n_3 = y_0 + dt * f_0, y_1 + dt * f_1, \
+                y_2 + dt * f_2, y_3 + dt * f_3
+            delta = max(abs(n_0 - z_0), abs(n_1 - z_1), abs(n_2 - z_2),
+                        abs(n_3 - z_3))
+            z_0, z_1, z_2, z_3 = n_0, n_1, n_2, n_3
+            if delta <= tol:
                 break
-            z = z_new
-        if not converged:
+        else:
             raise StepFailure(f"implicit midpoint stalled at t = {t:.6g}")
-        y = z
+        y_0, y_1, y_2, y_3 = z_0, z_1, z_2, z_3
         t = t0 + (k + 1) * dt
         if (k + 1) % record_every == 0 or k == n_steps - 1:
             times.append(t)
-            states.append(y.copy())
+            states.append((y_0, y_1, y_2, y_3))
     return np.array(times), np.array(states)
 
 
@@ -406,8 +424,10 @@ def integrate(state0, params: ReducedParams, t_span, dt,
             times, states = _implicit_midpoint_path(
                 chart, y0, params, t_span, dt, record_every)
         elif method == "adaptive_rk":
-            t_eval = np.arange(t_span[0], t_span[1] + 0.5 * dt * record_every,
-                               dt * record_every)
+            # the last grid point may overshoot t_span[1] by roundoff
+            t_eval = np.minimum(
+                np.arange(t_span[0], t_span[1] + 0.5 * dt * record_every,
+                          dt * record_every), t_span[1])
             sol = solve_ivp(
                 lambda t, y: vf_packed(chart, y, params),
                 t_span, y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval,

@@ -30,10 +30,11 @@ Pipeline per run:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import zgtsv
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -43,7 +44,11 @@ from .errors import (
     NoCrossing,
 )
 from .grids import Grid, same_grid
-from .linear_spectrum import SpectralData
+from .linear_spectrum import (
+    SpectralData,
+    hamiltonian_tridiagonal,
+    potential_samples,
+)
 from .pde import (
     CrankNicolsonStepper,
     FieldState,
@@ -113,17 +118,18 @@ def build_initial_data(point, spectral: SpectralData,
 # ----------------------------------------------------------------------
 
 class _Basis:
-    """Cached mode products and the continuous-spectrum projector."""
+    """The modes and the continuous-spectrum parts of the four cubic mode
+    products, projected once (P_c is linear)."""
 
     def __init__(self, spectral: SpectralData):
         p0 = spectral.psi0.eigenfunction
         p1 = spectral.psi1.eigenfunction
         self.psi0, self.psi1 = p0, p1
-        self.p03 = p0**3
-        self.p13 = p1**3
-        self.p0p12 = p0 * p1**2
-        self.p02p1 = p0**2 * p1
         self.w = spectral.grid.quad_weights()
+        self.pc_p03 = self.project_c(p0**3)
+        self.pc_p13 = self.project_c(p1**3)
+        self.pc_p0p12 = self.project_c(p0 * p1**2)
+        self.pc_p02p1 = self.project_c(p0**2 * p1)
 
     def project_c(self, f: np.ndarray) -> np.ndarray:
         f = f - np.sum(self.w * self.psi0 * f) * self.psi0
@@ -132,14 +138,19 @@ class _Basis:
 
 def mode_source(a_amp: float, alpha: float, beta: float, basis: _Basis,
                 g: float = -1.0) -> np.ndarray:
-    """P_c F_b(sigma): the continuous-spectrum part of the two-mode cubic."""
+    """P_c F_b(sigma): the continuous-spectrum part of the two-mode cubic
+
+        F_b = g (A^3 p0^3 + |z|^2 z p1^3 + (A z^2 + 2 A |z|^2) p0 p1^2
+                 + (A^2 conj(z) + 2 A^2 z) p0^2 p1),   z = alpha + i beta,
+
+    combined from the projected products of the basis."""
     z = complex(alpha, beta)
     p = alpha * alpha + beta * beta
-    bracket = (a_amp**3 * basis.p03
-               + p * z * basis.p13
-               + (a_amp * z * z + 2.0 * a_amp * p) * basis.p0p12
-               + (a_amp**2 * z.conjugate() + 2.0 * a_amp**2 * z) * basis.p02p1)
-    return g * basis.project_c(bracket)
+    a2 = a_amp * a_amp
+    return ((g * a2 * a_amp) * basis.pc_p03
+            + (g * p * z) * basis.pc_p13
+            + (g * a_amp * (z * z + 2.0 * p)) * basis.pc_p0p12
+            + (g * a2 * (z.conjugate() + 2.0 * z)) * basis.pc_p02p1)
 
 
 def _phase_shift_coeff(params: ReducedParams):
@@ -212,8 +223,6 @@ def tilde_r_evolve(orbit: _ReferenceOrbit | Trajectory, spectral: SpectralData,
 
 class _TildeREvolver:
     def __init__(self, spectral: SpectralData, dt: float, scheme: str = None):
-        from .linear_spectrum import hamiltonian_tridiagonal
-
         self.spectral = spectral
         self.grid = spectral.grid
         self.basis = _Basis(spectral)
@@ -226,14 +235,13 @@ class _TildeREvolver:
         self.scheme = scheme
         if scheme == "crank_nicolson":
             d, e = hamiltonian_tridiagonal(spectral.spec, self.grid)
-            self.h_diag = d - spectral.omega0
-            self.h_off = float(e[0])
-            self.dl = np.full(self.grid.n_points - 1, 0.5j * dt * self.h_off)
+            # 1 + (i dt/2)(H - Omega0) on the diagonal; m(t) shifts it per step
+            self.d_lin = 1.0 + 0.5j * dt * (d - spectral.omega0)
+            self.c_off = 0.5j * dt * float(e[0])
+            self.dl = np.full(self.grid.n_points - 1, self.c_off)
             self.du = self.dl.copy()
             self.du[0] = 0.0       # node-0 Dirichlet pin
         else:
-            from .linear_spectrum import potential_samples
-
             self.v = potential_samples(spectral.spec, self.grid) - spectral.omega0
             k = 2.0 * np.pi * np.fft.fftfreq(self.grid.n_points, d=self.grid.dx)
             self.kin_full = np.exp(-1j * dt * k * k)
@@ -249,16 +257,16 @@ class _TildeREvolver:
         m = self.shift(a_amp, alpha, beta)
         dt = self.dt
         if self.scheme == "crank_nicolson":
-            from scipy.linalg.lapack import zgtsv
-
-            hd = self.h_diag + m
-            rhs = r - 0.5j * dt * (hd * r) - 1j * dt * src
-            rhs[:-1] -= 0.5j * dt * self.h_off * r[1:]
-            rhs[1:] -= 0.5j * dt * self.h_off * r[:-1]
+            # (1 + e) R_new = (1 - e) R - i dt src, e = (i dt/2)(H - Omega0 + m)
+            d = self.d_lin + 0.5j * dt * m
+            rhs = (2.0 - d) * r
+            rhs -= 1j * dt * src
+            rhs[:-1] -= self.c_off * r[1:]
+            rhs[1:] -= self.c_off * r[:-1]
             rhs[0] = 0.0
-            d = 1.0 + 0.5j * dt * hd
             d[0] = 1.0
-            _, _, _, out, info = zgtsv(self.dl, d, self.du, rhs)
+            _, _, _, out, info = zgtsv(self.dl, d, self.du, rhs,
+                                       overwrite_d=1, overwrite_b=1)
             if info != 0:
                 raise DwnlsError("tilde-R tridiagonal solve failed")
             return out
@@ -418,8 +426,14 @@ class ShadowReport:
     energy_drift: float
     removed_mass: float
     coupling_sup: tuple
-    horizon_truncated: bool
     orbit_amplitude: float
+    # why the run stopped early: error type, message, the step being taken
+    # (1-based) and the time that step reaches; None for a full run
+    truncation: Optional[dict]
+
+    @property
+    def horizon_truncated(self) -> bool:
+        return self.truncation is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -446,6 +460,7 @@ class ShadowReport:
             "removed_mass": self.removed_mass,
             "coupling_sup": list(self.coupling_sup),
             "horizon_truncated": self.horizon_truncated,
+            "truncation": self.truncation,
         }
 
     def series_csv(self) -> str:
@@ -572,7 +587,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     parseval = 0.0
     mass_drift = 0.0
     energy_drift = 0.0
-    truncated = False
+    truncation = None
 
     def take_sample(t, u, r_t):
         nonlocal parseval, sup_tr, mass_drift, energy_drift
@@ -615,8 +630,9 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
                     stepper.reset_history()
             if (k + 1) % sample_every == 0 or k == n_steps - 1:
                 take_sample((k + 1) * dt, u, r_t)
-    except DwnlsError:
-        truncated = True
+    except DwnlsError as exc:
+        truncation = {"error": type(exc).__name__, "message": str(exc),
+                      "step": k + 1, "time": (k + 1) * dt}
 
     times = np.array(times)
     etas = np.array(etas)
@@ -646,8 +662,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         w_sup_h1=w_h1, w_l4_linf=w_l4, tilde_r_sup=sup_tr,
         parseval_defect=parseval, mass_drift=mass_drift,
         energy_drift=energy_drift, removed_mass=removed,
-        coupling_sup=tuple(coupling_max), horizon_truncated=truncated,
-        orbit_amplitude=orbit_amp,
+        coupling_sup=tuple(coupling_max), orbit_amplitude=orbit_amp,
+        truncation=truncation,
     )
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from dwnls.errors import NonlinearIterationDiverged
@@ -114,6 +115,40 @@ class TestCrankNicolson:
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme="crank_nicolson")
         final, _ = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
         assert np.max(np.abs(final.values - ls.reflect(final.values))) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(amp=st.floats(0.05, 1.0), mix=st.floats(0.0, np.pi / 2),
+           phase0=st.floats(-np.pi, np.pi), phase1=st.floats(-np.pi, np.pi),
+           dt=st.floats(1e-4, 5e-3))
+    def test_step_solves_dfp_equation_and_conserves_mass(
+            self, shadow_well, amp, mix, phase0, phase1, dt):
+        # one step z = CN(u) must satisfy the Delfour-Fortin-Payre equation
+        #   (I + (i dt/2)(H0 - rho)) z = (I - (i dt/2)(H0 - rho)) u,
+        #   rho = (|z|^2 + |u|^2)/2,
+        # on the unpinned rows, to the level the fixed-point tolerance
+        # allows, and keep the discrete mass
+        sd = shadow_well
+        u = amp * (np.cos(mix) * np.exp(1j * phase0) * sd.psi0.eigenfunction
+                   + np.sin(mix) * np.exp(1j * phase1) * sd.psi1.eigenfunction)
+        u[0] = 0.0                        # the pinned node
+        v = ls.potential_samples(sd.spec, sd.grid)
+        stepper = pde.CrankNicolsonStepper(sd.grid, v, dt)
+        z = stepper.step(u)
+        assert z[0] == 0.0
+
+        def h(f):
+            return ls.apply_hamiltonian(sd.spec, sd.grid, f)
+
+        rho = 0.5 * (np.abs(z) ** 2 + np.abs(u) ** 2)
+        c = 0.5j * dt
+        res = (z + c * (h(z) - rho * z)) - (u - c * (h(u) - rho * u))
+        # the sweep stops within tol of the fixed point; the operator
+        # magnifies that by at most 1 + dt/2 (4/dx^2 + max|V| + max rho)
+        op_norm = 1.0 + 0.5 * dt * (4.0 / sd.grid.dx**2 + np.max(np.abs(v))
+                                    + np.max(rho))
+        assert np.max(np.abs(res[1:])) <= 10.0 * stepper.tol * op_norm
+        m0 = np.sum(np.abs(u) ** 2)
+        assert abs(np.sum(np.abs(z) ** 2) - m0) <= 1e-12 * m0
 
     def test_iteration_divergence_guard(self, delta_s1_L10):
         sd = delta_s1_L10

@@ -303,6 +303,23 @@ class TestIntegration:
         assert traj.chart == rd.MODES
         assert np.all(np.isfinite(traj.states))
 
+    def test_cartesian_breakdown_retried_in_modes(self):
+        # the A floor trips inside the cartesian integration, which
+        # integrate catches and repeats in the modes chart
+        ic = rd.CartesianChart(A=1e-9, alpha=0.2, beta=0.0)
+        traj = rd.integrate(ic, PARAMS, (0.0, 1.0), 0.01)
+        assert traj.chart == rd.MODES
+        assert np.all(np.isfinite(traj.states))
+
+    def test_adaptive_rk_samples_stay_inside_span(self):
+        # arange over the dt grid lands at 2.3000000000000003 here, which
+        # solve_ivp rejects as outside t_span
+        traj = rd.integrate(rd.CartesianChart(A=0.3, alpha=0.1, beta=0.0),
+                            rd.ReducedParams.from_ncr(0.1, omega0=-1.0),
+                            (0.0, 2.3), 0.01, method="adaptive_rk")
+        assert traj.times[-1] == 2.3
+        assert len(traj.times) == 231
+
 
 class TestDetectPeriod:
     def test_small_orbit_period_below(self):

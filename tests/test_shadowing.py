@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dwnls.errors import BelowThreshold, ChartBreakdown
+from dwnls.errors import (
+    BelowThreshold,
+    ChartBreakdown,
+    NonlinearIterationDiverged,
+)
+from dwnls.io_utils import dumps_17g
 from dwnls.grids import Grid, norm2
 from dwnls import linear_spectrum as ls
 from dwnls import pde
@@ -114,6 +122,26 @@ class TestModeSource:
             src = sh.mode_source(abs(a_amp), al, be, basis)
             assert abs(np.sum(w * sd.psi0.eigenfunction * src)) < 1e-10
             assert abs(np.sum(w * sd.psi1.eigenfunction * src)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(a_amp=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),
+           beta=st.floats(-1.0, 1.0))
+    def test_matches_projected_bracket(self, shadow_well, a_amp, alpha, beta):
+        # mode_source combines the products projected once; it must equal
+        # g P_c(bracket) with the bracket assembled on the grid first
+        sd = shadow_well
+        basis = sh._Basis(sd)
+        p0, p1 = sd.psi0.eigenfunction, sd.psi1.eigenfunction
+        z = complex(alpha, beta)
+        p = alpha * alpha + beta * beta
+        bracket = (a_amp**3 * p0**3 + p * z * p1**3
+                   + (a_amp * z * z + 2.0 * a_amp * p) * p0 * p1**2
+                   + (a_amp**2 * z.conjugate() + 2.0 * a_amp**2 * z)
+                   * p0**2 * p1)
+        old = sd.g * basis.project_c(bracket)
+        new = sh.mode_source(a_amp, alpha, beta, basis, sd.g)
+        assert np.max(np.abs(new - old)) <= 1e-13 * max(np.max(np.abs(old)),
+                                                         1e-300)
 
     def test_zero_orbit_zero_source(self, shadow_well):
         basis = sh._Basis(shadow_well)
@@ -345,6 +373,39 @@ class TestReportSerialization:
         lines = rep.series_csv().strip().split("\n")
         assert lines[0].startswith("t,eta_A")
         assert len(lines) == len(rep.times) + 1
+
+
+    def test_truncation_keeps_its_cause(self, shadow_well, monkeypatch):
+        original = pde.CrankNicolsonStepper.step
+        calls = []
+
+        def failing_step(self, u):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NonlinearIterationDiverged("injected at the third step")
+            return original(self, u)
+
+        monkeypatch.setattr(pde.CrankNicolsonStepper, "step", failing_step)
+        sd = shadow_well
+        sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
+        orb = sh.OrbitSpec(side="below", horizon_periods=0.1, dt_pde=4e-3)
+        rep = sh.run_shadow_experiment(sp, sd, orb)
+        assert rep.horizon_truncated
+        cause = {"error": "NonlinearIterationDiverged",
+                 "message": "injected at the third step",
+                 "step": 3, "time": pytest.approx(3 * 4e-3, rel=1e-15)}
+        assert rep.truncation == cause
+        assert json.loads(dumps_17g(rep.to_json_dict()))["truncation"] == cause
+
+    def test_full_run_has_no_truncation(self, shadow_well):
+        sd = shadow_well
+        sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
+        orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3,
+                           compute_w=False)
+        rep = sh.run_shadow_experiment(sp, sd, orb)
+        assert not rep.horizon_truncated
+        assert rep.truncation is None
+        assert rep.to_json_dict()["truncation"] is None
 
 
 class TestReferencePeriod:
