@@ -10,10 +10,12 @@ below the ground state of the well),
     S      = <L psi, psi> / <psi^2 psi, psi>,
     psi   <- (1 - mix) psi + mix * S^{3/2} M[psi],
 
-iterated until the profile stops moving.  From a symmetric seed the
-iteration stays symmetric; an asymmetric seed converges to the symmetric
-state below the bifurcation and to a symmetry-broken state above it,
-which is what the threshold detector exploits.
+iterated until the profile stops moving.  L is factored once per Omega,
+LDL^T on the free nodes 1..n-1 (node 0 is the Dirichlet pin), so each
+sweep is one tridiagonal solve plus in-place updates.  From a symmetric
+seed the iteration stays symmetric; an asymmetric seed converges to the
+symmetric state below the bifurcation and to a symmetry-broken state
+above it, which is what the threshold detector exploits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     BranchLost,
@@ -83,57 +85,59 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     """Converge the bound state at frequency omega from seed_profile.
 
     omega must lie below the linear ground state so that H - omega is
-    positive definite.  With symmetrize the iterate is projected onto even
-    functions every sweep, which pins the symmetric branch even where it
-    is an unstable fixed point of the plain iteration (above threshold
-    roundoff asymmetry would otherwise be amplified).  best_effort returns
-    the final iterate instead of raising when max_iter runs out.  Raises
+    positive definite; otherwise IterationDiverged is raised before any
+    sweep.  With symmetrize the iterate is projected onto even functions
+    every sweep, which pins the symmetric branch even where it is an
+    unstable fixed point of the plain iteration (above threshold roundoff
+    asymmetry would otherwise be amplified).  best_effort returns the
+    final iterate instead of raising when max_iter runs out.  Raises
     IterationDiverged / ConvergedToZero.
     """
+    # LDL^T of L on the free nodes 1..n-1; the pinned node 0 keeps m[0] = 0
     d, e = hamiltonian_tridiagonal(potential, grid)
-    d = d - omega
-    d[0] = 1.0                  # node-0 Dirichlet pin
-    du = e.copy()
-    du[0] = 0.0
+    d -= omega
+    ld, le, info = dpttrf(d[1:], e[1:])
+    if info != 0:
+        raise IterationDiverged(
+            f"H - Omega is not positive definite at Omega = {omega:.17g}")
     w = grid.quad_weights()
-
-    def apply_l(v):
-        out = d * v
-        out[:-1] += du * v[1:]
-        out[1:] += e * v[:-1]
-        out[0] = 0.0
-        return out
-
-    psi = np.asarray(seed_profile, dtype=float).copy()
+    psi = np.array(seed_profile, dtype=float)
     psi[0] = 0.0
     if not np.any(psi):
         raise ConvergedToZero("seed profile is identically zero")
+    # buffers for all sweeps; cube holds psi^3, then m = L^{-1} psi^3
+    cube, lpsi, wpsi, new = (np.empty_like(psi) for _ in range(4))
+    tmp = np.empty_like(e)
     it = 0
-    converged = False
     for it in range(1, max_iter + 1):
-        cube = psi**3
-        num = float(np.sum(w * psi * apply_l(psi)))
-        den = float(np.sum(w * psi * cube))
+        np.multiply(psi, psi, out=cube)
+        cube *= psi
+        # L psi; row 0 is not pinned here, but wpsi[0] = 0 drops it
+        np.multiply(d, psi, out=lpsi)
+        lpsi[:-1] += np.multiply(e, psi[1:], out=tmp)
+        lpsi[1:] += np.multiply(e, psi[:-1], out=tmp)
+        np.multiply(w, psi, out=wpsi)
+        num, den = float(wpsi @ lpsi), float(wpsi @ cube)
         if not np.isfinite(num) or not np.isfinite(den):
             raise IterationDiverged("non-finite renormalization ratio")
         if den <= 0 or num <= 0:
             raise ConvergedToZero("renormalization ratio lost positivity")
-        s = num / den
-        rhs = cube.copy()
-        rhs[0] = 0.0
-        _, _, _, m, info = dgtsv(e, d, du, rhs)
+        m, info = dpttrs(ld, le, cube[1:], overwrite_b=1)
         if info != 0:
             raise IterationDiverged("resolvent solve failed")
-        new = (1.0 - mixing) * psi + mixing * s**1.5 * m
+        cube[1:] = m               # a no-op where LAPACK solved in place
+        # new = (1 - mixing) psi + mixing S^{3/2} m
+        np.multiply(cube, mixing * (num / den)**1.5, out=new)
+        new += np.multiply(psi, 1.0 - mixing, out=lpsi)
         if symmetrize:
-            new = 0.5 * (new + reflect(new))
-        change = float(np.max(np.abs(new - psi)))
-        psi = new
-        if change <= tol * max(1.0, float(np.max(np.abs(psi)))):
-            converged = True
+            new[1:] = 0.5 * (new[1:] + new[:0:-1])
+        change = float(np.abs(np.subtract(new, psi, out=lpsi), out=lpsi).max())
+        psi, new = new, psi
+        if change <= tol * max(1.0, float(psi.max()), -float(psi.min())):
             break
-    if not converged and not best_effort:
-        raise IterationDiverged(f"no convergence in {max_iter} sweeps")
+    else:
+        if not best_effort:
+            raise IterationDiverged(f"no convergence in {max_iter} sweeps")
     nrm2 = float(np.sum(w * psi * psi))
     if nrm2 < 1e-20:
         raise ConvergedToZero("iterate collapsed to zero")
@@ -259,14 +263,14 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
                                   max_iter=2000, best_effort=True)
         return abs(st.asymmetry) > floor, st
 
+    lo_state = None                        # the solve at om_lo, once made
     while om_hi - om_lo > bisect_tol * max(1.0, abs(om_lo)):
         mid = 0.5 * (om_lo + om_hi)
-        asym, _ = is_asym(mid)
+        asym, st = is_asym(mid)
         if asym:
-            om_lo = mid
+            om_lo, lo_state = mid, st
         else:
             om_hi = mid
-    st = spectral_renormalize(potential, grid, om_lo,
-                              np.asarray(seeds["asymmetric"], float),
-                              max_iter=2000, best_effort=True)
-    return float(st.n)
+    if lo_state is None:
+        _, lo_state = is_asym(om_lo)
+    return float(lo_state.n)

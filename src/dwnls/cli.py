@@ -109,25 +109,26 @@ def cmd_phaseplane(opts) -> int:
         y = np.empty((len(ts), 2))
         y[0] = (eps1, dth)
         dt = float(opts["dt"])
-        state = np.array([eps1, dth])
+        vf = rd.vf_polar_reduced
+        e, th = float(eps1), float(dth)     # implicit midpoint on floats
         tcur = 0.0
         row = 1
         nsteps = int(round(t_end / dt))
         for k in range(nsteps):
-            z = state + dt * np.array(
-                rd.vf_polar_reduced(state[0], state[1], n_offset, ncr))
+            f_e, f_th = vf(e, th, n_offset, ncr)
+            z_e, z_th = e + dt * f_e, th + dt * f_th
             for _ in range(30):
-                mid = 0.5 * (state + z)
-                znew = state + dt * np.array(
-                    rd.vf_polar_reduced(mid[0], mid[1], n_offset, ncr))
-                if np.max(np.abs(znew - z)) < 1e-13:
-                    z = znew
+                f_e, f_th = vf(0.5 * (e + z_e), 0.5 * (th + z_th),
+                               n_offset, ncr)
+                n_e, n_th = e + dt * f_e, th + dt * f_th
+                delta = max(abs(n_e - z_e), abs(n_th - z_th))
+                z_e, z_th = n_e, n_th
+                if delta < 1e-13:
                     break
-                z = znew
-            state = z
+            e, th = z_e, z_th
             tcur += dt
             while row < len(ts) and ts[row] <= tcur + 1e-12:
-                y[row] = state
+                y[row] = (e, th)
                 row += 1
         name = f"orbit_{idx:03d}.csv"
         write_csv(out / name, ["t", "eps1", "dtheta"],

@@ -71,7 +71,3 @@ class NoBifurcationFound(DwnlsError):
 
 class NonlinearIterationDiverged(DwnlsError):
     """Nonlinear closure of the implicit PDE step failed to converge."""
-
-
-class HorizonTruncated(DwnlsError):
-    """PDE run aborted before the requested horizon (report is partial)."""

@@ -3,6 +3,7 @@ CSV with '.' decimals, and gnuplot script stubs paired with CSV files."""
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -24,7 +25,8 @@ def dumps_17g(obj, indent: int = 0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
-            f'{pad}  "{k}": {dumps_17g(obj[k], indent + 2).lstrip()}'
+            f'{pad}  {json.dumps(str(k), ensure_ascii=False)}: '
+            f'{dumps_17g(obj[k], indent + 2).lstrip()}'
             for k in sorted(obj)
         )
         return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
@@ -38,9 +40,8 @@ def dumps_17g(obj, indent: int = 0) -> str:
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return pad + _fmt_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'{pad}"{escaped}"'
+    if isinstance(obj, str):       # json escapes quotes and control chars
+        return pad + json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

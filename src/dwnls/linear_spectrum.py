@@ -65,11 +65,6 @@ class PotentialSpec:
         if self.strength <= 0 or self.separation <= 0:
             raise ValueError("strength and separation must be positive")
 
-    @property
-    def well_centers(self) -> tuple[float, float]:
-        half = self.separation / 2 if self.kind == "delta" else self.separation
-        return (-half, half)
-
 
 @dataclass(frozen=True)
 class DeltaDescriptor:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dwnls.errors import ConvergedToZero, NoBifurcationFound
+from dwnls.errors import (
+    BranchLost,
+    ConvergedToZero,
+    IterationDiverged,
+    NoBifurcationFound,
+)
 from dwnls.grids import Grid
 from dwnls import bound_states as bs
 from dwnls import linear_spectrum as ls
@@ -68,6 +74,52 @@ class TestSpectralRenormalize:
                                      -0.05 * sd.psi0.eigenfunction)
         assert st.profile[np.argmax(np.abs(st.profile))] > 0
 
+    @settings(max_examples=30, deadline=None)
+    @given(shift=st.floats(1e-4, 1.0), a0=st.floats(-1.0, 1.0),
+           a1=st.floats(-1.0, 1.0), bump=st.floats(0.05, 1.0),
+           x0=st.floats(-10.0, 10.0))
+    def test_resolvent_solves_on_free_nodes(self, delta_s1_L10, shift, a0,
+                                            a1, bump, x0):
+        # one sweep with mixing 1 returns s^{3/2} m, with m the resolvent
+        # solution of (H - omega) m = psi^3 on nodes 1..n-1 and m[0] = 0;
+        # the phase fix may flip its sign
+        sd = delta_s1_L10
+        grid = sd.grid
+        om = sd.omega0 - shift
+        psi = (a0 * sd.psi0.eigenfunction + a1 * sd.psi1.eigenfunction
+               + bump * np.exp(-(grid.x - x0) ** 2))
+        psi[0] = 0.0
+        state = bs.spectral_renormalize(sd.spec, grid, om, psi, max_iter=1,
+                                        mixing=1.0, best_effort=True)
+        p = state.profile
+        assert p[0] == 0.0
+
+        def l_op(f):
+            return ls.apply_hamiltonian(sd.spec, grid, f) - om * f
+
+        w = grid.quad_weights()
+        s = np.sum(w * psi * l_op(psi)) / np.sum(w * psi**4)
+        target = s**1.5 * psi**3
+        sign = 1.0 if np.dot(p, target) > 0 else -1.0
+        res = (l_op(p) - sign * target)[1:]
+        # roundoff of a backward-stable tridiagonal solve: eps |L| |p|
+        d, e = ls.hamiltonian_tridiagonal(sd.spec, grid)
+        abs_lp = np.abs(d - om) * np.abs(p)
+        abs_lp[:-1] += np.abs(e) * np.abs(p[1:])
+        abs_lp[1:] += np.abs(e) * np.abs(p[:-1])
+        assert np.max(np.abs(res)) <= 64 * np.finfo(float).eps * (
+            np.max(abs_lp) + np.max(np.abs(target)))
+
+    @pytest.mark.parametrize("above", [1e-6, 0.05, 1.0])
+    def test_omega_above_ground_state_raises(self, delta_s1_L10, above):
+        # H - omega has a negative eigenvalue: the LDL^T factorization
+        # meets a non-positive pivot and the solve must not go ahead
+        sd = delta_s1_L10
+        with pytest.raises(IterationDiverged,
+                           match="H - Omega is not positive definite"):
+            bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 + above,
+                                    0.05 * sd.psi0.eigenfunction)
+
     def test_profile_csv(self, delta_s1_L10):
         sd = delta_s1_L10
         st = bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 - 1e-3,
@@ -108,6 +160,17 @@ class TestContinuation:
         omegas = sorted(sym, reverse=True)
         n_vals = [sym[o] for o in omegas[:len(omegas) // 2]]
         assert all(a < b for a, b in zip(n_vals, n_vals[1:]))
+
+    def test_indefinite_resolvent_loses_branch_with_cause(self,
+                                                           delta_s1_L10):
+        sd = delta_s1_L10
+        step = 0.01
+        with pytest.raises(BranchLost) as info:
+            bs.continue_in_omega(sd.spec, sd.grid, sd.omega0 + 1.5 * step,
+                                 sd.omega0 - step, step,
+                                 {"symmetric": 0.05 * sd.psi0.eigenfunction})
+        assert isinstance(info.value.__cause__, IterationDiverged)
+        assert "not positive definite" in str(info.value.__cause__)
 
     def test_csv_layout(self, delta_s1_L10):
         curve, _ = trace_and_detect(delta_s1_L10, n_steps=10)
