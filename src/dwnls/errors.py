@@ -4,6 +4,8 @@
 class DwnlsError(Exception):
     """Base class for all numerical/validation failures in this package."""
 
+    step = None    # 1-based time step that raised it, set by pde.march
+
 
 class OddStateAbsent(DwnlsError):
     """The well supports no odd bound state (two-mode reduction invalid)."""

@@ -7,10 +7,10 @@ Two steppers:
   step exp(-i dt k^2) in Fourier space, half pointwise step.  Mass is
   conserved to rounding.
 
-* Crank-Nicolson finite differences for delta wells (Dirichlet ends),
-  with the cubic term closed on the mass-symmetric average
-  rho = (|u_new|^2 + |u_old|^2)/2 (Delfour-Fortin-Payre); the converged
-  step conserves the discrete mass exactly.  Delta wells enter the
+* Crank-Nicolson finite differences (Dirichlet ends) for delta wells and
+  every shadowing run, with the cubic term closed on the mass-symmetric
+  average rho = (|u_new|^2 + |u_old|^2)/2 (Delfour-Fortin-Payre); the
+  converged step conserves the discrete mass exactly.  Delta wells enter the
   tridiagonal operator as -s/dx at their nodes.  The constant part
   M0 = I + (i dt/2) H0 (node 0 pinned) is LU-factored once per stepper;
   each step forms base = u - (i dt/2) H0 u once, and each fixed-point
@@ -21,9 +21,12 @@ Two steppers:
   which is the same discrete equation as
   (I + (i dt/2)(H0 - rho)) z = (I - (i dt/2)(H0 - rho)) u.
 
-An optional tail filter zeroes |x| > cutoff_radius every trigger_steps
-steps (the truncate-and-continue device for radiation leaving the frame),
-recording the discarded mass.
+One driver, march, advances one or more fields in lockstep, one stepper
+each, with a callback after every record_every-th step and the last.  Its
+optional tail filter zeroes |x| > cutoff_radius in every field every
+trigger_steps steps (truncate-and-continue for radiation leaving the
+frame), counts the mass removed from the first field, and resets every
+stepper's history (a CN predictor must not extrapolate across the cut).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 # bench/tracer.py resolves dwnls.pde.zgtsv by name
 from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs  # noqa: F401
 
-from .errors import NonlinearIterationDiverged
+from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
 from .linear_spectrum import PotentialSpec, potential_samples
 
@@ -56,6 +59,12 @@ class TailFilter:
     trigger_steps: int
     cutoff_radius: float
 
+    def __post_init__(self):
+        if self.trigger_steps < 1:
+            raise ValueError("tail filter trigger_steps must be at least 1")
+        if not self.cutoff_radius > 0:
+            raise ValueError("tail filter cutoff_radius must be positive")
+
 
 @dataclass
 class EvolveParams:
@@ -73,6 +82,10 @@ class EvolveParams:
             raise ValueError("dt and t_end must be positive")
         if self.scheme not in ("split_step", "crank_nicolson"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.record_every < 1:
+            raise ValueError("record_every must be at least 1")
+        if round(self.t_end / self.dt) < 1:
+            raise ValueError("t_end shorter than one step")
 
 
 @dataclass
@@ -145,6 +158,9 @@ class SplitStepper:
         self.nonlinear = nonlinear
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
         self.kinetic_phase = np.exp(-1j * dt * k * k)
+
+    def reset_history(self) -> None:
+        """No-op: a split step depends on the current field only."""
 
     def step(self, u: np.ndarray) -> np.ndarray:
         half = self.v - (np.abs(u) ** 2 if self.nonlinear else 0.0)
@@ -238,6 +254,40 @@ def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,
 # evolution driver
 # ----------------------------------------------------------------------
 
+def march(fields: list, steppers: list, n_steps: int, record_every: int,
+          on_record, tail_filter: Optional[TailFilter] = None) -> float:
+    """Advance fields[i] with steppers[i].step in lockstep for n_steps steps.
+
+    on_record(k, fields, removed) is called after every record_every-th
+    step k (1-based) and after the last, with the mass the tail filter has
+    removed from fields[0] so far; that total is also returned.  The
+    filter acts on the grid of steppers[0].  A DwnlsError raised during
+    step k, by a stepper or by on_record, leaves with k in its .step.
+    """
+    removed = 0.0
+    if tail_filter is not None:
+        grid = steppers[0].grid
+        if tail_filter.cutoff_radius >= grid.x_max:
+            raise ValueError("cutoff_radius must lie inside the domain")
+        keep = np.abs(grid.x) <= tail_filter.cutoff_radius
+        w_out = grid.quad_weights()[~keep]
+    try:
+        for k in range(1, n_steps + 1):
+            for i, stepper in enumerate(steppers):
+                fields[i] = stepper.step(fields[i])
+            if tail_filter is not None and k % tail_filter.trigger_steps == 0:
+                removed += float(np.sum(w_out * np.abs(fields[0][~keep]) ** 2))
+                for i, stepper in enumerate(steppers):
+                    fields[i] = np.where(keep, fields[i], 0.0)
+                    stepper.reset_history()
+            if k % record_every == 0 or k == n_steps:
+                on_record(k, fields, removed)
+    except DwnlsError as exc:
+        exc.step = k
+        raise
+    return removed
+
+
 def evolve(state0: FieldState, params: EvolveParams,
            potential: PotentialSpec | np.ndarray | None,
            keep_fields: bool = False):
@@ -247,52 +297,28 @@ def evolve(state0: FieldState, params: EvolveParams,
     list of recorded FieldState snapshots when keep_fields is set.
     """
     grid = state0.grid
-    stepper = make_stepper(grid, potential, params)
-    n_steps = int(round(params.t_end / params.dt))
-    u = state0.values.astype(complex).copy()
-    t = state0.time
-    w = grid.quad_weights()
-    filt = params.tail_filter
-    if filt is not None:
-        keep_mask = np.abs(grid.x) <= filt.cutoff_radius
-        if filt.cutoff_radius >= grid.x_max:
-            raise ValueError("cutoff_radius must lie inside the domain")
-    removed = 0.0
+    t0, dt = state0.time, params.dt
+    rows, fields = [], []
 
-    times, m_, h_, com_, amp_, xm_, rem_ = [], [], [], [], [], [], []
-    fields = []
-
-    def record(u, t):
+    def record(u, t, removed):
         st = FieldState(grid, u, t)
-        times.append(t)
-        m_.append(mass(st))
-        h_.append(hamiltonian(st, potential))
-        com_.append(center_of_mass(st))
         i = int(np.argmax(np.abs(u)))
-        amp_.append(float(np.abs(u[i])))
-        xm_.append(float(grid.x[i]) if amp_[-1] > 0.0 else 0.0)
-        rem_.append(removed)
+        amp = float(np.abs(u[i]))
+        rows.append((t, mass(st), hamiltonian(st, potential),
+                     center_of_mass(st), amp,
+                     float(grid.x[i]) if amp > 0.0 else 0.0, removed))
         if keep_fields:
             fields.append(st.copy())
 
-    record(u, t)
-    for k in range(n_steps):
-        u = stepper.step(u)
-        t = state0.time + (k + 1) * params.dt
-        if filt is not None and (k + 1) % filt.trigger_steps == 0:
-            removed += float(np.sum(w[~keep_mask] * np.abs(u[~keep_mask]) ** 2))
-            u = np.where(keep_mask, u, 0.0)
-            if isinstance(stepper, CrankNicolsonStepper):
-                stepper.reset_history()
-        if (k + 1) % params.record_every == 0 or k == n_steps - 1:
-            record(u, t)
-
-    diags = PdeDiagnostics(
-        times=np.array(times), mass=np.array(m_), hamiltonian=np.array(h_),
-        x_com=np.array(com_), max_amp=np.array(amp_), x_max=np.array(xm_),
-        removed_mass=np.array(rem_),
-    )
-    final = FieldState(grid, u, t)
+    us = [state0.values.astype(complex).copy()]
+    n_steps = int(round(params.t_end / dt))
+    record(us[0], t0, 0.0)
+    march(us, [make_stepper(grid, potential, params)], n_steps,
+          params.record_every,
+          lambda k, fs, removed: record(fs[0], t0 + k * dt, removed),
+          params.tail_filter)
+    diags = PdeDiagnostics(*np.array(rows).T)
+    final = FieldState(grid, us[0], t0 + n_steps * dt)
     if keep_fields:
         return final, diags, fields
     return final, diags

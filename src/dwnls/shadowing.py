@@ -22,7 +22,11 @@ Pipeline per run:
        i Rt~ = (H - Omega0) R~ + m(t) R~ + P_c F_b(sigma*(t)),
 
    m(t) = a0000 A~^2 + a0011 (3 alpha~^2 + beta~^2), and monitor
-   w = R - R~ in H^1 and L^4_t L^infty_x;
+   w = R - R~ in H^1 and L^4_t L^infty_x.  On every well the PDE and R~
+   both take Crank-Nicolson steps of the pinned finite-difference H whose
+   eigenvectors are psi0, psi1 (so R~ stays in its continuous spectrum to
+   rounding and is exactly zero at the pinned node), marched in lockstep
+   by pde.march with one tail filter;
 5. report sup|eta|, the annulus verdict around the reference orbit, the
    center-of-mass well count, and invariant drifts.
 """
@@ -52,8 +56,10 @@ from .linear_spectrum import (
 from .pde import (
     CrankNicolsonStepper,
     FieldState,
+    TailFilter,
     center_of_mass,
     hamiltonian,
+    march,
 )
 from .reduced_dynamics import (
     CARTESIAN,
@@ -153,25 +159,15 @@ def mode_source(a_amp: float, alpha: float, beta: float, basis: _Basis,
             + (g * a2 * (z.conjugate() + 2.0 * z)) * basis.pc_p02p1)
 
 
-def _phase_shift_coeff(params: ReducedParams):
-    """(c_a, c_b) of the scalar shift m = c_a A^2 + c_b (3 alpha^2 + beta^2),
-    the rotating-frame phase velocity of the reference orbit."""
-    if params.a is None:
-        return 1.0, 1.0
-    return float(params.a[0, 0, 0, 0]), float(params.a[0, 0, 1, 1])
-
-
 class _ReferenceOrbit:
     """Fine-grained reduced reference with linear interpolation in time."""
 
     def __init__(self, traj: Trajectory):
         self.times = traj.times
-        if not np.any(traj.states):
-            zero = np.zeros(len(traj.times))
-            a, al, be, th = zero, zero, zero, zero
+        if np.any(traj.states):
+            self.a, self.alpha, self.beta, _ = traj.cartesian_series()
         else:
-            a, al, be, th = traj.cartesian_series()
-        self.a, self.alpha, self.beta, self.theta = a, al, be, th
+            self.a = self.alpha = self.beta = np.zeros(len(traj.times))
 
     def sample(self, t):
         return (np.interp(t, self.times, self.a),
@@ -186,98 +182,90 @@ def reduced_reference(state0: ModeAmplitudes, params: ReducedParams,
     return _ReferenceOrbit(traj)
 
 
+def _tail_filter(every: Optional[float], cutoff_fraction: float,
+                 grid: Grid, dt: float) -> Optional[TailFilter]:
+    """The filter that acts every `every` time units (None: no filter)."""
+    return None if every is None else TailFilter(
+        max(1, int(round(every / dt))), cutoff_fraction * grid.x_max)
+
+
 def tilde_r_evolve(orbit: _ReferenceOrbit | Trajectory, spectral: SpectralData,
-                   horizon: float, dt: float, scheme: str = None,
-                   record_every: int = 50, tail_filter_every: float = None,
+                   horizon: float, dt: float, record_every: int = 50,
+                   tail_filter_every: float = None,
                    cutoff_fraction: float = 0.75):
     """Evolve the orbit-driven linear radiation equation from R~(0) = 0.
 
-    Returns (times, fields, sup_abs_series); the stepper matches the PDE
-    scheme for the well (CN for delta wells, split-step otherwise).  The
-    optional tail filter zeroes |x| beyond the cutoff every
+    Returns (times, fields, sup_abs_series).  The stepper is Crank-Nicolson
+    on the pinned finite-difference H, the operator that defines psi0 and
+    psi1.  The optional tail filter zeroes |x| beyond the cutoff every
     tail_filter_every time units, the same truncate-and-continue device
     the PDE runs use to stop outgoing radiation from re-entering.
     """
     if isinstance(orbit, Trajectory):
         orbit = _ReferenceOrbit(orbit)
-    ev = _TildeREvolver(spectral, dt, scheme)
     grid = spectral.grid
     n_steps = int(round(horizon / dt))
-    filt_steps = (None if tail_filter_every is None
-                  else max(1, int(round(tail_filter_every / dt))))
-    keep = np.abs(grid.x) <= cutoff_fraction * grid.x_max
     times, fields, sups = [0.0], [np.zeros(grid.n_points, complex)], [0.0]
-    r = np.zeros(grid.n_points, dtype=complex)
-    t_mids = (np.arange(n_steps) + 0.5) * dt
-    a_m, al_m, be_m = orbit.sample(t_mids)
-    for k in range(n_steps):
-        r = ev.step(r, a_m[k], al_m[k], be_m[k])
-        if filt_steps is not None and (k + 1) % filt_steps == 0:
-            r = np.where(keep, r, 0.0)
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
-            fields.append(r.copy())
-            sups.append(float(np.max(np.abs(r))))
+
+    def record(k, rs, _removed):
+        times.append(k * dt)
+        fields.append(rs[0].copy())
+        sups.append(float(np.max(np.abs(rs[0]))))
+
+    march([np.zeros(grid.n_points, complex)],
+          [_TildeREvolver(spectral, dt, orbit, n_steps)], n_steps,
+          record_every, record,
+          _tail_filter(tail_filter_every, cutoff_fraction, grid, dt))
     return np.array(times), fields, np.array(sups)
 
 
 class _TildeREvolver:
-    def __init__(self, spectral: SpectralData, dt: float, scheme: str = None):
-        self.spectral = spectral
+    """Crank-Nicolson stepper of the orbit-driven radiation field: step k
+    solves (1 + e) R_new = (1 - e) R - i dt P_c F_b(sigma*(t)), with
+    e = (i dt/2)(H - Omega0 + m(t)) at the midpoint t = (k + 1/2) dt, on
+    the free nodes 1..n-1 of the pinned H as CrankNicolsonStepper does;
+    node 0 stays exactly zero."""
+
+    def __init__(self, spectral: SpectralData, dt: float,
+                 orbit: _ReferenceOrbit, n_steps: int):
         self.grid = spectral.grid
         self.basis = _Basis(spectral)
-        self.params = ReducedParams.from_spectral(spectral)
-        self.ca, self.cb = _phase_shift_coeff(self.params)
+        self.g = spectral.g
         self.dt = dt
-        if scheme is None:
-            scheme = ("crank_nicolson" if spectral.spec.kind == "delta"
-                      else "split_step")
-        self.scheme = scheme
-        if scheme == "crank_nicolson":
-            d, e = hamiltonian_tridiagonal(spectral.spec, self.grid)
-            # 1 + (i dt/2)(H - Omega0) on the diagonal; m(t) shifts it per step
-            self.d_lin = 1.0 + 0.5j * dt * (d - spectral.omega0)
-            self.c_off = 0.5j * dt * float(e[0])
-            self.dl = np.full(self.grid.n_points - 1, self.c_off)
-            self.du = self.dl.copy()
-            self.du[0] = 0.0       # node-0 Dirichlet pin
-        else:
-            self.v = potential_samples(spectral.spec, self.grid) - spectral.omega0
-            k = 2.0 * np.pi * np.fft.fftfreq(self.grid.n_points, d=self.grid.dx)
-            self.kin_full = np.exp(-1j * dt * k * k)
-            self.kin_half = np.exp(-0.5j * dt * k * k)
+        d, e = hamiltonian_tridiagonal(spectral.spec, self.grid)
+        # 1 + (i dt/2)(H - Omega0) on the diagonal; m(t) shifts it per step
+        self.d_lin = 1.0 + 0.5j * dt * (d - spectral.omega0)
+        self.c_off = 0.5j * dt * float(e[0])
+        self.off = np.full(self.grid.n_points - 2, self.c_off)
+        a, al, be = orbit.sample((np.arange(n_steps) + 0.5) * dt)
+        self.a, self.alpha, self.beta = a, al, be
+        # m = a0000 A^2 + a0011 (3 alpha^2 + beta^2), the rotating-frame
+        # phase velocity of the reference orbit
+        ca, cb = float(spectral.a[0, 0, 0, 0]), float(spectral.a[0, 0, 1, 1])
+        self.m = ca * a * a + cb * (3.0 * al * al + be * be)
+        self.k = 0
 
-    def shift(self, a_amp, alpha, beta) -> float:
-        return (self.ca * a_amp * a_amp
-                + self.cb * (3.0 * alpha * alpha + beta * beta))
+    def reset_history(self) -> None:
+        """No-op: the step depends on the current field only."""
 
-    def step(self, r: np.ndarray, a_amp: float, alpha: float,
-             beta: float) -> np.ndarray:
-        src = mode_source(a_amp, alpha, beta, self.basis, self.params.g)
-        m = self.shift(a_amp, alpha, beta)
+    def step(self, r: np.ndarray) -> np.ndarray:
+        k = self.k
+        self.k = k + 1
+        src = mode_source(self.a[k], self.alpha[k], self.beta[k], self.basis,
+                          self.g)
         dt = self.dt
-        if self.scheme == "crank_nicolson":
-            # (1 + e) R_new = (1 - e) R - i dt src, e = (i dt/2)(H - Omega0 + m)
-            d = self.d_lin + 0.5j * dt * m
-            rhs = (2.0 - d) * r
-            rhs -= 1j * dt * src
-            rhs[:-1] -= self.c_off * r[1:]
-            rhs[1:] -= self.c_off * r[:-1]
-            rhs[0] = 0.0
-            d[0] = 1.0
-            _, _, _, out, info = zgtsv(self.dl, d, self.du, rhs,
-                                       overwrite_d=1, overwrite_b=1)
-            if info != 0:
-                raise DwnlsError("tilde-R tridiagonal solve failed")
-            return out
-        # split-step with midpoint Duhamel source
-        phase = np.exp(-0.5j * dt * (self.v + m))
-        out = phase * r
-        out = np.fft.ifft(self.kin_full * np.fft.fft(out))
-        out = phase * out
-        half = np.exp(-0.25j * dt * (self.v + m)) * (-1j * dt * src)
-        half = np.fft.ifft(self.kin_half * np.fft.fft(half))
-        return out + np.exp(-0.25j * dt * (self.v + m)) * half
+        d = self.d_lin + 0.5j * dt * self.m[k]
+        rhs = (2.0 - d) * r
+        rhs -= 1j * dt * src
+        rhs[:-1] -= self.c_off * r[1:]
+        rhs[1:] -= self.c_off * r[:-1]
+        _, _, _, x, info = zgtsv(self.off, d[1:], self.off, rhs[1:],
+                                 overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise DwnlsError("tilde-R tridiagonal solve failed")
+        rhs[0] = 0.0
+        rhs[1:] = x                # a no-op where LAPACK solved in place
+        return rhs
 
 
 # ----------------------------------------------------------------------
@@ -558,40 +546,31 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     dt = orbit.dt_pde
     n_steps = int(round(horizon / dt))
     sample_every = max(1, int(round(period / (orbit.record_per_period * dt))))
-    from .pde import make_stepper, EvolveParams, mass as field_mass
+    # looked up per run, so that bench/tracer.py's wrapper of pde.mass is seen
+    from .pde import mass as field_mass
 
-    scheme = "crank_nicolson" if spectral.spec.kind == "delta" else "split_step"
-    stepper = make_stepper(grid, spectral.spec,
-                           EvolveParams(dt=dt, t_end=horizon, scheme=scheme))
-    rad = _TildeREvolver(spectral, dt, scheme) if orbit.compute_w else None
-
-    filt_steps = (None if orbit.tail_filter_every is None
-                  else max(1, int(round(orbit.tail_filter_every / dt))))
-    cutoff = orbit.cutoff_fraction * grid.x_max
-    keep = np.abs(grid.x) <= cutoff
+    # CN on every well: psi0, psi1, Omega0, Omega1 and the overlap tensor
+    # all come from the pinned finite-difference H
+    fields = [u0.values.copy()]
+    v = potential_samples(spectral.spec, grid)
+    steppers = [CrankNicolsonStepper(grid, v, dt)]
+    if orbit.compute_w:
+        fields.append(np.zeros(grid.n_points, dtype=complex))
+        steppers.append(_TildeREvolver(spectral, dt, ref, n_steps))
     wq = grid.quad_weights()
+    mass0 = field_mass(u0)
+    energy0 = hamiltonian(u0, spectral.spec)
 
-    t_mids = (np.arange(n_steps) + 0.5) * dt
-    a_m, al_m, be_m = ref.sample(t_mids)
-
-    u = u0.values.copy()
-    r_t = np.zeros(grid.n_points, dtype=complex)
-    removed = 0.0
-    mass0 = field_mass(FieldState(grid, u))
-    energy0 = hamiltonian(FieldState(grid, u), spectral.spec)
-    psi0 = spectral.psi0.eigenfunction
-    psi1 = spectral.psi1.eigenfunction
-
-    times, etas, albe, coms, w_fields, sup_tr = [], [], [], [], [], 0.0
+    times, etas, albe, coms, w_fields = [], [], [], [], []
     coupling_max = [0.0, 0.0, 0.0, 0.0]
-    parseval = 0.0
-    mass_drift = 0.0
-    energy_drift = 0.0
+    sup_tr = parseval = mass_drift = energy_drift = removed = 0.0
     truncation = None
 
-    def take_sample(t, u, r_t):
-        nonlocal parseval, sup_tr, mass_drift, energy_drift
-        st = FieldState(grid, u, t)
+    def take_sample(k, fs, removed_now):
+        nonlocal parseval, sup_tr, mass_drift, energy_drift, removed
+        removed = removed_now
+        t = k * dt
+        st = FieldState(grid, fs[0], t)
         pr = project(st, spectral)
         a_p, al_p, be_p, th_p = to_moving_frame(pr.c0, pr.c1)
         a_r, al_r, be_r = ref.sample(t)
@@ -611,28 +590,19 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
                                FieldState(grid, r_rot, t), spectral)
         for j in range(4):
             coupling_max[j] = max(coupling_max[j], abs(errs[j]))
-        if rad is not None:
+        if orbit.compute_w:
+            r_t = fs[1]
             w_fields.append(r_rot - r_t)
             sup_tr = max(sup_tr, float(np.max(np.abs(r_t))))
 
-    take_sample(0.0, u, r_t)
+    take_sample(0, fields, 0.0)
     try:
-        for k in range(n_steps):
-            u = stepper.step(u)
-            if rad is not None:
-                r_t = rad.step(r_t, a_m[k], al_m[k], be_m[k])
-            if filt_steps is not None and (k + 1) % filt_steps == 0:
-                removed += float(np.sum(wq[~keep] * np.abs(u[~keep]) ** 2))
-                u = np.where(keep, u, 0.0)
-                if rad is not None:
-                    r_t = np.where(keep, r_t, 0.0)
-                if isinstance(stepper, CrankNicolsonStepper):
-                    stepper.reset_history()
-            if (k + 1) % sample_every == 0 or k == n_steps - 1:
-                take_sample((k + 1) * dt, u, r_t)
+        march(fields, steppers, n_steps, sample_every, take_sample,
+              _tail_filter(orbit.tail_filter_every, orbit.cutoff_fraction,
+                           grid, dt))
     except DwnlsError as exc:
         truncation = {"error": type(exc).__name__, "message": str(exc),
-                      "step": k + 1, "time": (k + 1) * dt}
+                      "step": exc.step, "time": exc.step * dt}
 
     times = np.array(times)
     etas = np.array(etas)
@@ -648,7 +618,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     eta_bound = sparams.verdict_constant * sparams.tau ** (0.5 + sparams.delta1)
     com = np.array(coms)
     w_h1, w_l4 = (strichartz_monitor(times, w_fields, grid)
-                  if rad is not None else (0.0, 0.0))
+                  if orbit.compute_w else (0.0, 0.0))
 
     return ShadowReport(
         params=sparams, orbit=orbit, n_level=n_level, n_cr=n_cr_target,

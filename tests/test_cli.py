@@ -155,6 +155,16 @@ class TestEvolveCommand:
             vals = [float(v) for v in row.split(",")[1:]]
             assert all(v == 0.0 for v in vals)
 
+    @pytest.mark.parametrize("extra", [
+        ["--cutoff", "30", "--filter-steps", "0"],
+        ["--cutoff", "30", "--record-every", "0"],
+        ["--dt", "0.02"],                     # t_end shorter than one step
+    ], ids=["filter_steps_0", "record_every_0", "t_end_below_dt"])
+    def test_zero_cadence_exit_code(self, tmp_path, extra):
+        assert run(["evolve", "--well", "gauss", "--points", "1024",
+                    "--t-end", "0.01", *extra,
+                    "--out", str(tmp_path / "ev")]) == 2
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):

@@ -243,13 +243,16 @@ class TestGridConvergence:
 
 
 class TestTailFilter:
-    def test_filter_bookkeeping(self, delta_s1_L10):
-        sd = delta_s1_L10
+    @pytest.mark.parametrize("scheme,well", [
+        ("crank_nicolson", "delta_s1_L10"), ("split_step", "gauss_sigma1_L3")],
+        ids=["crank_nicolson", "split_step"])
+    def test_filter_bookkeeping(self, scheme, well, request):
+        sd = request.getfixturevalue(well)
         # seed mass outside the cutoff so the filter has something to remove
         bump = np.exp(-((sd.grid.x - 33.0) ** 2)).astype(complex)
         u0 = 0.3 * sd.psi0.eigenfunction.astype(complex) + 0.1 * bump
         filt = pde.TailFilter(trigger_steps=100, cutoff_radius=30.0)
-        params = pde.EvolveParams(dt=1e-3, t_end=0.5, scheme="crank_nicolson",
+        params = pde.EvolveParams(dt=1e-3, t_end=0.5, scheme=scheme,
                                   tail_filter=filt, record_every=100)
         _, diags = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
         assert diags.removed_mass[-1] > 1e-4

@@ -158,8 +158,11 @@ class TestTildeR:
                                                 dt=0.01)
         assert np.all(sups == 0.0)
 
-    def test_driven_field_small_and_continuum(self, shadow_well):
-        sd = shadow_well
+    # the Gaussian well checks that R~ uses the pinned finite-difference H
+    # of psi0, psi1 on smooth wells too
+    @pytest.mark.parametrize("well", ["shadow_well", "gauss_sigma1_L3"])
+    def test_driven_field_small_and_continuum(self, well, request):
+        sd = request.getfixturevalue(well)
         params = rd.ReducedParams.from_spectral(sd)
         n_level = 0.05
         ic = rd.ModeAmplitudes(complex(np.sqrt(n_level - 1e-4), 0.0),
@@ -172,6 +175,7 @@ class TestTildeR:
         for f in fields[::5]:
             assert abs(np.sum(w * sd.psi0.eigenfunction * f)) < 1e-8
             assert abs(np.sum(w * sd.psi1.eigenfunction * f)) < 1e-8
+        assert all(f[0] == 0.0 for f in fields)    # the pinned node
 
 
 @pytest.mark.slow
