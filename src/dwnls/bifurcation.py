@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     BelowThreshold,
@@ -207,6 +206,8 @@ def linear_flow(eq: Equilibrium, t: float, n_level: float, n_cr: float,
     if np.max(np.abs(lams.real)) > 1e-10:
         if closed_only:
             raise SaddleCase("oscillatory closed form invalid at a saddle")
+        from scipy.linalg import expm
+
         return expm(b_full(eq.alpha, eq.beta, eq.A, n_cr) * t)
     vals, vecs = np.linalg.eig(bt)
     vinv = np.linalg.inv(vecs)

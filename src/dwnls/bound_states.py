@@ -1,6 +1,6 @@
 """Nonlinear bound states (-u'' + V u - |u|^2 u = Omega u) by normalized
 fixed-point iteration, natural-parameter continuation in Omega, and
-detection of the symmetry-breaking threshold on the soliton curve.
+location of the symmetry-breaking threshold on the soliton curve.
 
 The iteration is the classic power-renormalized map for a cubic
 nonlinearity: with L = -d^2/dx^2 + V - Omega (positive definite for Omega
@@ -15,14 +15,21 @@ LDL^T on the free nodes 1..n-1 (node 0 is the Dirichlet pin), so each
 sweep is one tridiagonal solve plus in-place updates.  From a symmetric
 seed the iteration stays symmetric; an asymmetric seed converges to the
 symmetric state below the bifurcation and to a symmetry-broken state
-above it, which is what the threshold detector exploits.
+above it, which labels the branches of the continued curve.  Near the
+bifurcation that convergence slows down critically, so the threshold is
+not read from it: it is the Omega where the odd eigenvalue of the
+linearization L+ = H - Omega - 3 psi^2 about the symmetric state crosses
+zero (Kirr, Kevrekidis, Shlizerman and Weinstein, SIAM J. Math. Anal. 40,
+2008).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
@@ -225,15 +232,41 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
     )
 
 
+def lplus_tridiagonal(potential: PotentialSpec, grid: Grid,
+                      state: BoundState):
+    """(diagonal, off-diagonal) of L+ = H - Omega - 3 psi^2 on the free
+    nodes 1..n-1, the linearization of the real bound-state equation."""
+    d, e = hamiltonian_tridiagonal(potential, grid)
+    return d[1:] - state.omega - 3.0 * state.profile[1:] ** 2, e[1:]
+
+
+@dataclass
+class Threshold:
+    """Symmetry-breaking point.  odd_eigenvalue is L+'s at omega_star, the
+    root's residual; both are None when n_star is read off the curve."""
+
+    n_star: Optional[float]
+    omega_star: Optional[float] = None
+    odd_eigenvalue: Optional[float] = None
+
+
 def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
                      grid: Grid = None, seeds: dict = None,
-                     bisect_tol: float = 1e-7) -> float:
+                     bisect_tol: float = 1e-12, full_output: bool = False):
     """Power at which the asymmetric branch separates from the symmetric one.
 
-    The crossing is located between the last symmetric-labelled and first
-    asymmetric-labelled point of the asymmetric-seeded family; when the
-    potential and seeds are supplied the omega location is refined by
-    bisection on the asymmetry classification.
+    The first asymmetric-labelled point of the asymmetric-seeded family
+    and the next omega above it bracket the crossing; without the
+    potential, grid and seeds, n at that point is returned.  With them,
+    omega* is the root of L+'s odd eigenvalue on the symmetric branch (the
+    second-lowest; the lowest is even and negative): the bracket steps
+    along the curve's omega grid until that eigenvalue changes sign, and
+    brentq closes it to bisect_tol relative in omega.  Each symmetric
+    state is warm-started from the previous one, the first from the even
+    part of seeds['symmetric'] (or seeds['asymmetric']).  Returns n of the
+    symmetric state at omega*, or with full_output a Threshold.  Raises
+    NoBifurcationFound when the curve shows no asymmetric point or the
+    eigenvalue keeps its sign over the grid.
     """
     sym_pts = [i for i, b in enumerate(curve.branch) if b == SYMMETRIC]
     asym_pts = [i for i, b in enumerate(curve.branch) if b != SYMMETRIC]
@@ -247,30 +280,49 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     if not flagged:
         raise NoBifurcationFound("asymmetry never exceeds the noise floor")
     first = min(flagged, key=lambda i: curve.n[i])
-    # bracket in omega: the nearest asym-seeded symmetric point above
-    om_hi_cands = [curve.omega[i] for i in range(len(curve.omega))
-                   if curve.omega[i] > curve.omega[first]]
-    if potential is None or grid is None or seeds is None or not om_hi_cands:
-        return float(curve.n[first])
-    om_lo = float(curve.omega[first])      # asymmetric side (lower omega)
-    om_hi = float(min(om_hi_cands))        # symmetric side
+    omegas = np.unique(curve.omega)        # ascending
+    lo = int(np.searchsorted(omegas, curve.omega[first]))
+    if potential is None or grid is None or seeds is None \
+            or lo + 1 == len(omegas):
+        n_first = float(curve.n[first])
+        return Threshold(n_first) if full_output else n_first
 
-    def is_asym(om):
-        # critical slowing down stalls full convergence right at the
-        # pitchfork; a fixed sweep budget still classifies the two sides
-        st = spectral_renormalize(potential, grid, om,
-                                  np.asarray(seeds["asymmetric"], float),
-                                  max_iter=2000, best_effort=True)
-        return abs(st.asymmetry) > floor, st
+    from scipy.optimize import brentq
 
-    lo_state = None                        # the solve at om_lo, once made
-    while om_hi - om_lo > bisect_tol * max(1.0, abs(om_lo)):
-        mid = 0.5 * (om_lo + om_hi)
-        asym, st = is_asym(mid)
-        if asym:
-            om_lo, lo_state = mid, st
-        else:
-            om_hi = mid
-    if lo_state is None:
-        _, lo_state = is_asym(om_lo)
-    return float(lo_state.n)
+    seed = np.asarray(seeds["symmetric" if "symmetric" in seeds
+                            else "asymmetric"], float)
+    profile = 0.5 * (seed + reflect(seed))
+    solved = {}                            # omega -> (state, odd eigenvalue)
+
+    def odd_eigenvalue(om):
+        nonlocal profile
+        om = float(om)
+        if om not in solved:
+            st = spectral_renormalize(potential, grid, om, profile,
+                                      symmetrize=True)
+            profile = st.profile
+            d, e = lplus_tridiagonal(potential, grid, st)
+            lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                   select_range=(0, 1))[1]
+            solved[om] = (st, float(lam))
+        return solved[om][1]
+
+    hi = lo + 1                            # symmetric side (higher omega)
+    while odd_eigenvalue(omegas[hi]) < 0:
+        if hi + 1 == len(omegas):
+            raise NoBifurcationFound(
+                "odd eigenvalue of L+ is negative up to the top of the curve")
+        lo, hi = hi, hi + 1
+    while odd_eigenvalue(omegas[lo]) > 0:
+        if lo == 0:
+            raise NoBifurcationFound(
+                "odd eigenvalue of L+ is positive down to the end of the curve")
+        lo, hi = lo - 1, lo
+    om_lo, om_hi = float(omegas[lo]), float(omegas[hi])
+    om_star = brentq(odd_eigenvalue, om_lo, om_hi,
+                     xtol=bisect_tol * max(1.0, abs(om_lo)))
+    odd_eigenvalue(om_star)
+    state, lam = solved[float(om_star)]
+    if not full_output:
+        return float(state.n)
+    return Threshold(float(state.n), float(om_star), lam)

@@ -10,6 +10,8 @@ directory.
     dwnls shadow     --side above --tau 0.05 --gamma 0.8 --periods 5 ...
 
 Options may come from a JSON config (--config); explicit flags win.
+phaseplane accepts --jobs for old configs and ignores it: its orbits run
+one after another (threads gave no speed-up under the GIL).
 Exit codes: 2 config error, 3 numeric/solver error, 4 verdict failed.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +104,7 @@ def cmd_phaseplane(opts) -> int:
         for dth in (0.0, 1.0, 2.0):
             ics.append((eps1, dth))
 
-    def run_one(job):
-        idx, (eps1, dth) = job
+    def run_one(idx, eps1, dth):
         ts = np.arange(0.0, t_end, float(opts["dt_record"]))
         y = np.empty((len(ts), 2))
         y[0] = (eps1, dth)
@@ -137,13 +137,7 @@ def cmd_phaseplane(opts) -> int:
                 "eps1_max": float(np.max(y[:row, 0])),
                 "eps1_min": float(np.min(y[:row, 0]))}
 
-    jobs = list(enumerate(ics))
-    workers = max(1, int(opts["jobs"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            index = list(ex.map(run_one, jobs))
-    else:
-        index = [run_one(j) for j in jobs]
+    index = [run_one(idx, eps1, dth) for idx, (eps1, dth) in enumerate(ics)]
     write_json(out / "index.json",
                {"ncr": ncr, "n": n_offset, "orbits": index})
     write_gnuplot(out / "phaseplane.gp", "orbit_000.csv",
@@ -196,13 +190,15 @@ def cmd_groundstate(opts) -> int:
     curve = bst.continue_in_omega(potential, grid, data.omega0 - 0.25 * step,
                                   data.omega0 - count * step, step, seeds)
     (out / "soliton_curve.csv").write_text(curve.to_csv(), encoding="utf-8")
-    threshold = None
+    threshold = bst.Threshold(n_star=None)
     try:
-        threshold = bst.detect_threshold(curve, potential, grid, seeds)
+        threshold = bst.detect_threshold(curve, potential, grid, seeds,
+                                         full_output=True)
     except DwnlsError:
         pass
     write_json(out / "threshold.json", {
-        "n_star": threshold, "n_cr_fd": data.n_cr_fd,
+        "n_star": threshold.n_star, "omega_star": threshold.omega_star,
+        "odd_eigenvalue": threshold.odd_eigenvalue, "n_cr_fd": data.n_cr_fd,
         "omega0": data.omega0, "omega1": data.omega1,
     })
     write_gnuplot(out / "soliton_curve.gp", "soliton_curve.csv",
@@ -294,7 +290,8 @@ _DEFAULTS = {
                  "force": False},
     "phaseplane": {"ncr": 0.2, "n": 0.05, "t_end": 400.0, "dt": 0.05,
                    "dt_record": 0.5, "orbits": 6, "eps1_max": None,
-                   "jobs": 1, "out": "runs/phaseplane", "force": False},
+                   "jobs": 1,  # accepted, no effect
+                   "out": "runs/phaseplane", "force": False},
     "bifurcate": {"ncr": 0.1, "n_min": 0.01, "n_max": 0.3, "count": 60,
                   "out": "runs/bifurcate", "force": False},
     "groundstate": {"well": "gauss", "strength": 1.0, "sigma": 1.0, "sep": 3.0,

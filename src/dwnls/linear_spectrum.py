@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceFailure,
@@ -131,6 +130,8 @@ def solve_double_delta_levels(strength: float, separation: float):
 
     Raises OddStateAbsent when s L <= 2 (no odd root).
     """
+    from scipy.optimize import brentq
+
     s, L = float(strength), float(separation)
     if s <= 0 or L <= 0:
         raise ValueError("strength and separation must be positive")
@@ -379,6 +380,8 @@ def tune_delta_strength_for_ncr(
     The general critical power decreases with s at fixed separation
     (exponential splitting), so a sign-changing bracket suffices.
     """
+    from scipy.optimize import brentq
+
     half = grid.snap(separation / 2.0)
     sep = 2.0 * half
 

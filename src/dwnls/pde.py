@@ -264,6 +264,8 @@ def march(fields: list, steppers: list, n_steps: int, record_every: int,
     filter acts on the grid of steppers[0].  A DwnlsError raised during
     step k, by a stepper or by on_record, leaves with k in its .step.
     """
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     removed = 0.0
     if tail_filter is not None:
         grid = steppers[0].grid

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ChartBreakdown, NoCrossing, StepFailure
 
@@ -424,6 +423,8 @@ def integrate(state0, params: ReducedParams, t_span, dt,
             times, states = _implicit_midpoint_path(
                 chart, y0, params, t_span, dt, record_every)
         elif method == "adaptive_rk":
+            from scipy.integrate import solve_ivp
+
             # the last grid point may overshoot t_span[1] by roundoff
             t_eval = np.minimum(
                 np.arange(t_span[0], t_span[1] + 0.5 * dt * record_every,

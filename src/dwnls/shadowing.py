@@ -39,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import zgtsv
-from scipy.spatial import cKDTree
 
 from .errors import (
     BelowThreshold,
@@ -385,6 +384,8 @@ class OrbitSpec:
     def __post_init__(self):
         if self.side not in ("above", "below"):
             raise ValueError("side must be 'above' or 'below'")
+        if self.record_per_period < 1:
+            raise ValueError("record_per_period must be at least 1")
 
 
 @dataclass
@@ -667,6 +668,8 @@ def annulus_width_ratio(ref_curve: np.ndarray, points: np.ndarray) -> float:
         dev = r_p - np.interp(phi_p, phi_ext, r_ext)
         width = float(max(np.max(dev), 0.0) - min(np.min(dev), 0.0))
     else:
+        from scipy.spatial import cKDTree
+
         dists, _ = cKDTree(ref_curve).query(points)
         width = float(2.0 * np.max(dists))
     return width / mean_r

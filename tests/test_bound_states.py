@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from dwnls.errors import (
     BranchLost,
@@ -19,6 +20,15 @@ def trace_and_detect(sd, n_steps=60):
     curve = bs.continue_in_omega(sd.spec, sd.grid, sd.omega0 - 0.25 * step,
                                  sd.omega0 - n_steps * step, step, seeds)
     return curve, seeds
+
+
+@pytest.fixture(scope="module")
+def gauss_threshold(gauss_sigma1_L3):
+    sd = gauss_sigma1_L3
+    curve, seeds = trace_and_detect(sd)
+    thr = bs.detect_threshold(curve, sd.spec, sd.grid, seeds,
+                              full_output=True)
+    return thr, seeds
 
 
 class TestSpectralRenormalize:
@@ -221,3 +231,40 @@ class TestThreshold:
                                      pair.eigenvalue - 20 * step, step, seeds)
         with pytest.raises(NoBifurcationFound):
             bs.detect_threshold(curve)
+
+    def test_odd_lplus_eigenvalue_vanishes_at_root(self, gauss_sigma1_L3,
+                                                   gauss_threshold):
+        sd = gauss_sigma1_L3
+        thr, _ = gauss_threshold
+        state = bs.spectral_renormalize(sd.spec, sd.grid, thr.omega_star,
+                                        0.1 * sd.psi0.eigenfunction,
+                                        symmetrize=True)
+        assert state.n == pytest.approx(thr.n_star, rel=1e-8)
+        d, e = bs.lplus_tridiagonal(sd.spec, sd.grid, state)
+        lam, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
+        # roundoff of the eigenvalue: eps times the operator's row-sum norm
+        norm = np.max(np.abs(d) + 2.0 * np.abs(e[0]))
+        tol = 32 * np.finfo(float).eps * norm
+        assert abs(lam[1]) <= tol
+        assert abs(thr.odd_eigenvalue) <= tol
+        assert lam[0] < -1e-3                  # the even direction, L+ psi
+        # free node j (1..n-1) reflects to n - j: reversed order
+        even, odd = vec[:, 0], vec[:, 1]
+        assert np.max(np.abs(even - even[::-1])) <= 1e-10
+        assert np.max(np.abs(odd + odd[::-1])) <= 1e-10
+
+    # 0.5% of the way from the root to the linear level: closer than the
+    # bias that a 2,000-sweep classification leaves; no sweep budget, so
+    # the solve must converge (or raise)
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_unbudgeted_asymmetric_seed_flips_at_root(self, gauss_sigma1_L3,
+                                                      gauss_threshold, side):
+        sd = gauss_sigma1_L3
+        thr, seeds = gauss_threshold
+        om = thr.omega_star + side * 0.005 * (sd.omega0 - thr.omega_star)
+        st = bs.spectral_renormalize(sd.spec, sd.grid, om, seeds["asymmetric"],
+                                     max_iter=1_000_000)
+        if side < 0:
+            assert abs(st.asymmetry) > 1e-2 * st.n
+        else:
+            assert abs(st.asymmetry) < 1e-6 * st.n

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,8 @@ class TestHeavyCommands:
         th = json.loads((out / "threshold.json").read_text())
         assert th["n_star"] is not None
         assert abs(th["n_star"] - th["n_cr_fd"]) / th["n_cr_fd"] <= 0.5
+        assert th["omega_star"] < th["omega0"]
+        assert abs(th["odd_eigenvalue"]) < 1e-9
 
     def test_shadow_smoke(self, tmp_path):
         out = tmp_path / "sh"
@@ -212,3 +218,17 @@ class TestHeavyCommands:
         assert rep["side"] == "above"
         assert rep["annulus_ok"] is True
         assert (out / "eta_series.csv").exists()
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # scipy.optimize, .integrate and .spatial are imported where used
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, dwnls.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'optimize'], "
+            "['scipy', 'integrate'], ['scipy', 'spatial'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -177,6 +177,14 @@ class TestTildeR:
             assert abs(np.sum(w * sd.psi1.eigenfunction * f)) < 1e-8
         assert all(f[0] == 0.0 for f in fields)    # the pinned node
 
+    def test_zero_record_cadence_refused(self, shadow_well):
+        sd = shadow_well
+        zero = rd.integrate(rd.ModeAmplitudes(0j, 0j),
+                            rd.ReducedParams.from_spectral(sd),
+                            (0.0, 1.0), 0.01)
+        with pytest.raises(ValueError, match="record_every"):
+            sh.tilde_r_evolve(zero, sd, horizon=1.0, dt=0.01, record_every=0)
+
 
 @pytest.mark.slow
 class TestTildeRLadder:
@@ -339,6 +347,10 @@ class TestShadowParams:
     def test_tau_window(self):
         with pytest.raises(ValueError):
             sh.ShadowParams(tau=0.5, gamma=0.8)
+
+    def test_zero_samples_per_period_refused(self):
+        with pytest.raises(ValueError, match="record_per_period"):
+            sh.OrbitSpec(record_per_period=0)
 
 
 class TestGaugeInsensitivity:
