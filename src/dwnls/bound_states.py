@@ -45,6 +45,7 @@ from .linear_spectrum import (
     hamiltonian_tridiagonal,
     reflect,
 )
+from .roots import brentq
 
 SYMMETRIC = "symmetric"
 ASYM_PLUS = "asym_plus"
@@ -286,8 +287,6 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
             or lo + 1 == len(omegas):
         n_first = float(curve.n[first])
         return Threshold(n_first) if full_output else n_first
-
-    from scipy.optimize import brentq
 
     seed = np.asarray(seeds["symmetric" if "symmetric" in seeds
                             else "asymmetric"], float)

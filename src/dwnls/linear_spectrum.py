@@ -40,6 +40,7 @@ from .errors import (
     OddStateAbsent,
 )
 from .grids import Grid, inner, same_grid
+from .roots import RTOL_MIN, brentq
 
 _ROOT_TOL = 1e-14
 _ORTHO_TOL = 1e-10
@@ -130,8 +131,6 @@ def solve_double_delta_levels(strength: float, separation: float):
 
     Raises OddStateAbsent when s L <= 2 (no odd root).
     """
-    from scipy.optimize import brentq
-
     s, L = float(strength), float(separation)
     if s <= 0 or L <= 0:
         raise ValueError("strength and separation must be positive")
@@ -144,7 +143,7 @@ def solve_double_delta_levels(strength: float, separation: float):
     if f_even(lo) == 0.0:               # exp underflow: decoupled wells
         kappa_even = lo
     else:
-        kappa_even = brentq(f_even, lo, hi, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
+        kappa_even = brentq(f_even, lo, hi, xtol=_ROOT_TOL, rtol=RTOL_MIN)
 
     if s * L <= 2.0:
         raise OddStateAbsent(
@@ -162,7 +161,7 @@ def solve_double_delta_levels(strength: float, separation: float):
     if f_odd(hi) == 0.0:
         kappa_odd = hi
     else:
-        kappa_odd = brentq(f_odd, lo, hi, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
+        kappa_odd = brentq(f_odd, lo, hi, xtol=_ROOT_TOL, rtol=RTOL_MIN)
     return float(kappa_even), float(kappa_odd)
 
 
@@ -380,8 +379,6 @@ def tune_delta_strength_for_ncr(
     The general critical power decreases with s at fixed separation
     (exponential splitting), so a sign-changing bracket suffices.
     """
-    from scipy.optimize import brentq
-
     half = grid.snap(separation / 2.0)
     sep = 2.0 * half
 

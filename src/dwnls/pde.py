@@ -25,8 +25,12 @@ One driver, march, advances one or more fields in lockstep, one stepper
 each, with a callback after every record_every-th step and the last.  Its
 optional tail filter zeroes |x| > cutoff_radius in every field every
 trigger_steps steps (truncate-and-continue for radiation leaving the
-frame), counts the mass removed from the first field, and resets every
-stepper's history (a CN predictor must not extrapolate across the cut).
+frame) through each stepper's cut, which also drops a CN predictor's
+history and lets a stepper that carries its field in its own basis cut
+it there, and counts the mass removed from the first field.
+
+The reported energy is the one each scheme conserves, a discretization
+of H[u] = int |u_x|^2 + V |u|^2 - |u|^4 / 2 (see hamiltonian).
 """
 
 from __future__ import annotations
@@ -113,26 +117,35 @@ def mass(state: FieldState) -> float:
     return float(np.sum(w * np.abs(state.values) ** 2))
 
 
-def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None) -> float:
-    """H[u] = int(|u_x|^2 + V |u|^2 - |u|^4/4); delta wells contribute
-    -s (|u(-L/2)|^2 + |u(L/2)|^2)."""
-    grid, u = state.grid, state.values
-    w = grid.quad_weights()
-    du = np.gradient(u, grid.dx)
-    h = float(np.sum(w * (np.abs(du) ** 2 - 0.25 * np.abs(u) ** 4)))
-    if potential is None:
-        return h
-    if isinstance(potential, np.ndarray):
-        return h + float(np.sum(w * potential * np.abs(u) ** 2))
-    if potential.kind == "gauss":
-        from .linear_spectrum import potential_value
+def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
+                scheme: str = "crank_nicolson") -> float:
+    """The energy that `scheme` conserves, H[u] = int(|u_x|^2 + V |u|^2
+    - |u|^4/2), with V sampled as the steppers sample it (delta wells as
+    -s/dx at their nodes) and rectangle sums of step dx.
 
-        return h + float(np.sum(w * potential_value(potential, grid.x)
-                                * np.abs(u) ** 2))
-    half = potential.separation / 2.0
-    for x0 in (-half, half):
-        h -= potential.strength * abs(u[grid.node_index(x0)]) ** 2
-    return h
+    Crank-Nicolson: the quadratic form of the pinned tridiagonal H on the
+    free nodes 1..n-1 (u[0] is the Dirichlet pin and is not read), which
+    the closure on rho = (|u_new|^2 + |u_old|^2)/2 conserves to the
+    fixed point's tolerance.  Split-step: the spectral kinetic energy of
+    the periodic grid, conserved by the Strang step to O(dt^2).
+    """
+    grid, u = state.grid, state.values
+    dx = grid.dx
+    v = _samples(grid, potential)
+    if scheme == "split_step":
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dx)
+        kinetic = dx / grid.n_points * float(
+            np.sum(k * k * np.abs(np.fft.fft(u)) ** 2))
+        a2 = np.abs(u) ** 2
+    else:
+        # sum over the free nodes of |u_{i+1} - u_i|^2 / dx^2, with the
+        # pinned zero on both sides (node n wraps to node 0)
+        free = u[1:]
+        kinetic = float(np.sum(np.abs(np.diff(free)) ** 2)
+                        + abs(free[0]) ** 2 + abs(free[-1]) ** 2) / dx
+        a2 = np.abs(free) ** 2
+        v = v[1:]
+    return kinetic + dx * float(np.sum((v - 0.5 * a2) * a2))
 
 
 def center_of_mass(state: FieldState) -> float:
@@ -159,8 +172,9 @@ class SplitStepper:
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
         self.kinetic_phase = np.exp(-1j * dt * k * k)
 
-    def reset_history(self) -> None:
-        """No-op: a split step depends on the current field only."""
+    def cut(self, u: np.ndarray, keep: np.ndarray):
+        """(u zeroed where keep is False, the mass removed)."""
+        return cut_on_grid(self.grid, u, keep)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         half = self.v - (np.abs(u) ** 2 if self.nonlinear else 0.0)
@@ -198,8 +212,11 @@ class CrankNicolsonStepper:
             raise NonlinearIterationDiverged("tridiagonal factorization failed")
         self._prev = None          # previous state, used as predictor seed
 
-    def reset_history(self) -> None:
+    def cut(self, u: np.ndarray, keep: np.ndarray):
+        """(u zeroed where keep is False, the mass removed); the predictor
+        must not extrapolate across the cut, so the history is dropped."""
         self._prev = None
+        return cut_on_grid(self.grid, u, keep)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """M0^{-1} rhs on the free nodes, zero at the pin (rhs is reused)."""
@@ -236,14 +253,25 @@ class CrankNicolsonStepper:
             f"CN fixed point not converged in {self.max_sweeps} sweeps")
 
 
+def cut_on_grid(grid: Grid, u: np.ndarray, keep: np.ndarray):
+    """(u zeroed where keep is False, the mass removed from it)."""
+    out = ~keep
+    removed = float(np.sum(grid.quad_weights()[out] * np.abs(u[out]) ** 2))
+    return np.where(keep, u, 0.0), removed
+
+
+def _samples(grid: Grid, potential: PotentialSpec | np.ndarray | None) -> np.ndarray:
+    """Grid samples of V (zero without a potential)."""
+    if isinstance(potential, np.ndarray):
+        return potential
+    if potential is None:
+        return np.zeros(grid.n_points)
+    return potential_samples(potential, grid)
+
+
 def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,
                  params: EvolveParams):
-    if isinstance(potential, np.ndarray):
-        v = potential
-    elif potential is None:
-        v = np.zeros(grid.n_points)
-    else:
-        v = potential_samples(potential, grid)
+    v = _samples(grid, potential)
     if params.scheme == "split_step":
         return SplitStepper(grid, v, params.dt, params.nonlinear)
     return CrankNicolsonStepper(grid, v, params.dt, params.nonlinear,
@@ -261,8 +289,11 @@ def march(fields: list, steppers: list, n_steps: int, record_every: int,
     on_record(k, fields, removed) is called after every record_every-th
     step k (1-based) and after the last, with the mass the tail filter has
     removed from fields[0] so far; that total is also returned.  The
-    filter acts on the grid of steppers[0].  A DwnlsError raised during
-    step k, by a stepper or by on_record, leaves with k in its .step.
+    filter acts on the grid of steppers[0]: every field is cut by its own
+    stepper's cut(field, keep), which returns the cut field and the mass
+    it removed, so a stepper may carry its field in another basis.  A
+    DwnlsError raised during step k, by a stepper or by on_record, leaves
+    with k in its .step.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -272,16 +303,14 @@ def march(fields: list, steppers: list, n_steps: int, record_every: int,
         if tail_filter.cutoff_radius >= grid.x_max:
             raise ValueError("cutoff_radius must lie inside the domain")
         keep = np.abs(grid.x) <= tail_filter.cutoff_radius
-        w_out = grid.quad_weights()[~keep]
     try:
         for k in range(1, n_steps + 1):
             for i, stepper in enumerate(steppers):
                 fields[i] = stepper.step(fields[i])
             if tail_filter is not None and k % tail_filter.trigger_steps == 0:
-                removed += float(np.sum(w_out * np.abs(fields[0][~keep]) ** 2))
-                for i, stepper in enumerate(steppers):
-                    fields[i] = np.where(keep, fields[i], 0.0)
-                    stepper.reset_history()
+                cuts = [st.cut(f, keep) for st, f in zip(steppers, fields)]
+                fields[:] = [f for f, _ in cuts]
+                removed += cuts[0][1]
             if k % record_every == 0 or k == n_steps:
                 on_record(k, fields, removed)
     except DwnlsError as exc:
@@ -306,7 +335,7 @@ def evolve(state0: FieldState, params: EvolveParams,
         st = FieldState(grid, u, t)
         i = int(np.argmax(np.abs(u)))
         amp = float(np.abs(u[i]))
-        rows.append((t, mass(st), hamiltonian(st, potential),
+        rows.append((t, mass(st), hamiltonian(st, potential, params.scheme),
                      center_of_mass(st), amp,
                      float(grid.x[i]) if amp > 0.0 else 0.0, removed))
         if keep_fields:

@@ -220,15 +220,37 @@ class TestHeavyCommands:
         assert (out / "eta_series.csv").exists()
 
 
-def test_import_leaves_heavy_scipy_unloaded():
-    # scipy.optimize, .integrate and .spatial are imported where used
+def _python(code, *args):
+    """stdout of `python -c code args` with this package importable."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         check=True, capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    # scipy.optimize, .integrate and .spatial are imported where used
     code = ("import sys, dwnls.cli; print(sorted(m for m in sys.modules if "
             "m.split('.')[:2] in (['scipy', 'optimize'], "
             "['scipy', 'integrate'], ['scipy', 'spatial'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert _python(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
+     "--amplitude-factor", "0.7", "--periods", "1", "--points", "256",
+     "--dt", "1.6e-2"],
+    ["groundstate", "--points", "1024", "--omega-step", "0.01",
+     "--count", "8"]], ids=["shadow", "groundstate"])
+def test_runs_leave_scipy_optimize_unloaded(argv, tmp_path):
+    # every root find goes through dwnls.roots.brentq, so a whole run
+    # never pays for importing scipy.optimize
+    code = ("import sys\nfrom dwnls import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'optimize']))")
+    out = _python(code, *argv, "--out", str(tmp_path / "run"))
+    assert out.splitlines()[-1] == "0 []"

@@ -166,15 +166,18 @@ class TestHamiltonian:
         assert pde.hamiltonian(st, None) == 0.0
 
     def test_sech_value_vs_quadrature(self, sech_grid):
-        # H[sqrt(2) sech] = int(2 sech^2 tanh^2 - sech^4) dx, which the
-        # adaptive quadrature oracle evaluates as zero
+        # H[sqrt(2) sech] = int(2 sech^2 tanh^2 - 2 sech^4) dx, the
+        # conserved functional with |u|^4/2, which is -4/3
         oracle = quad(lambda x: 2 * np.cosh(x) ** -2 * np.tanh(x) ** 2
-                      - np.cosh(x) ** -4, -50, 50)[0]
-        assert oracle == pytest.approx(0.0, abs=1e-10)
+                      - 2 * np.cosh(x) ** -4, -50, 50)[0]
+        assert oracle == pytest.approx(-4.0 / 3.0, abs=1e-10)
         st = pde.FieldState(sech_grid, sech_soliton(sech_grid))
-        # centered-difference gradient quadrature carries O(dx^2) error
+        # the finite-difference kinetic energy carries O(dx^2) error, the
+        # spectral one is exact to rounding for this resolved profile
         assert pde.hamiltonian(st, None) == pytest.approx(
             oracle, abs=5.0 * sech_grid.dx**2)
+        assert pde.hamiltonian(st, None, "split_step") == pytest.approx(
+            oracle, abs=1e-12)
 
     def test_delta_contribution(self, delta_s1_L10):
         sd = delta_s1_L10
@@ -204,6 +207,22 @@ class TestHamiltonian:
                                   np.zeros(sech_grid.n_points))
             drifts.append(abs(conserved(final.values) - conserved(u0)))
         assert 3.0 < drifts[0] / drifts[1] < 5.0
+
+    @pytest.mark.parametrize("scheme,well", [
+        ("crank_nicolson", "delta_s1_L10"), ("split_step", "gauss_sigma1_L3")],
+        ids=["crank_nicolson", "split_step"])
+    def test_reported_energy_drift(self, scheme, well, request):
+        # the H column is each scheme's own energy: the CN closure
+        # conserves it to the fixed point's tolerance (1e-15 here), the
+        # Strang step to O(dt^2) (1e-10 here)
+        sd = request.getfixturevalue(well)
+        u0 = (0.6 * sd.psi0.eigenfunction
+              + 0.3 * sd.psi1.eigenfunction).astype(complex)
+        params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme=scheme,
+                                  record_every=250)
+        _, diags = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
+        drift = float(np.max(np.abs(diags.hamiltonian - diags.hamiltonian[0])))
+        assert drift <= 1e-8
 
     def test_discrete_energy_conserved_cn(self, delta_s1_L10):
         # the CN closure conserves the scheme-consistent discrete energy
