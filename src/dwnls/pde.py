@@ -3,9 +3,18 @@
 Two steppers:
 
 * split-step Fourier (Strang) for smooth potentials on the periodic grid:
-  half step of the pointwise flow exp(-i dt/2 (V - |u|^2)), full kinetic
-  step exp(-i dt k^2) in Fourier space, half pointwise step.  Mass is
-  conserved to rounding.
+  half step P_1/2 of the pointwise flow exp(-i dt/2 (V - |u|^2)), full
+  kinetic step K = exp(-i dt k^2) in Fourier space, half pointwise step.
+  P_1/2 keeps |u|, so one step's closing half and the next step's opening
+  half are the same phase, and a march runs as
+
+      P_1/2 K P_1 K ... K P_1/2,
+
+  where P_1 is that phase applied twice: each step builds it once, from
+  the post-kinetic field, as its closing half, and the next step reuses it
+  as its opening half.  A field the step did not itself return (the first,
+  or one cut by the tail filter) gets its own opening phase.  Every step
+  still returns the full Strang step.  Mass is conserved to rounding.
 
 * Crank-Nicolson finite differences (Dirichlet ends) for delta wells and
   every shadowing run, with the cubic term closed on the mass-symmetric
@@ -90,6 +99,10 @@ class EvolveParams:
             raise ValueError("record_every must be at least 1")
         if round(self.t_end / self.dt) < 1:
             raise ValueError("t_end shorter than one step")
+        if self.cn_max_sweeps < 1:
+            raise ValueError("cn_max_sweeps must be at least 1")
+        if not self.cn_tol > 0:
+            raise ValueError("cn_tol must be positive")
 
 
 @dataclass
@@ -161,7 +174,17 @@ def center_of_mass(state: FieldState) -> float:
 # ----------------------------------------------------------------------
 
 class SplitStepper:
-    """Strang split-step on the periodic grid for a sampled smooth V."""
+    """Strang split-step on the periodic grid for a sampled smooth V.
+
+    The pointwise half step exp(-i dt/2 (V - |u|^2)) leaves |u| unchanged,
+    so the closing half of one step and the opening half of the next are
+    the same phase.  step builds it once, from the post-kinetic field, and
+    keeps it with the array it returns: when the next call gets that very
+    array back, its opening half reuses the phase.  Any other array (the
+    first step, a field cut by the tail filter, a copy) gets its own.  The
+    returned array is read-only, so a caller cannot change the field
+    behind the kept phase; a changed field is a new array.
+    """
 
     def __init__(self, grid: Grid, v_samples: np.ndarray, dt: float,
                  nonlinear: bool = True):
@@ -171,17 +194,32 @@ class SplitStepper:
         self.nonlinear = nonlinear
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
         self.kinetic_phase = np.exp(-1j * dt * k * k)
+        # without the cubic term the half step is a constant phase
+        self._phase = None if nonlinear else np.exp(-0.5j * dt * self.v)
+        self._last = None          # the array the last step returned
+
+    def _half_phase(self, u):
+        """exp(-i dt/2 (V - |u|^2)), the pointwise half step at u."""
+        return np.exp(-0.5j * self.dt * (self.v - np.abs(u) ** 2))
 
     def cut(self, u: np.ndarray, keep: np.ndarray):
-        """(u zeroed where keep is False, the mass removed)."""
+        """(u zeroed where keep is False, the mass removed); the next step
+        builds its opening phase from the cut field."""
+        self._last = None
         return cut_on_grid(self.grid, u, keep)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        half = self.v - (np.abs(u) ** 2 if self.nonlinear else 0.0)
-        u = np.exp(-0.5j * self.dt * half) * u
-        u = np.fft.ifft(self.kinetic_phase * np.fft.fft(u))
-        half = self.v - (np.abs(u) ** 2 if self.nonlinear else 0.0)
-        return np.exp(-0.5j * self.dt * half) * u
+        if not self.nonlinear or u is self._last:
+            opening = self._phase
+        else:
+            opening = self._half_phase(u)
+        w = np.fft.ifft(self.kinetic_phase * np.fft.fft(opening * u))
+        if self.nonlinear:
+            self._phase = self._half_phase(w)
+        out = self._phase * w
+        out.flags.writeable = False
+        self._last = out
+        return out
 
 
 # ----------------------------------------------------------------------

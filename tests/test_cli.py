@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dwnls import cli
+from dwnls import pde
 from dwnls import reduced_dynamics as rd
 
 
@@ -168,6 +169,16 @@ class TestEvolveCommand:
         assert run(["evolve", "--well", "gauss", "--points", "1024",
                     "--t-end", "0.01", *extra,
                     "--out", str(tmp_path / "ev")]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"cn_max_sweeps": 0}, {"cn_max_sweeps": -1}, {"cn_tol": 0.0},
+        {"cn_tol": -1e-12}, {"cn_tol": float("nan")},
+    ], ids=["sweeps_0", "sweeps_negative", "tol_0", "tol_negative", "tol_nan"])
+    def test_cn_iteration_settings_refused(self, bad):
+        # a config error, not a NonlinearIterationDiverged at step 1
+        with pytest.raises(ValueError, match="cn_"):
+            pde.EvolveParams(dt=1e-3, t_end=0.01, scheme="crank_nicolson",
+                             **bad)
 
 
 class TestConfigHandling:
