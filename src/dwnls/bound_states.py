@@ -1,26 +1,18 @@
-"""Nonlinear bound states (-u'' + V u - |u|^2 u = Omega u) by normalized
-fixed-point iteration, natural-parameter continuation in Omega, and
-location of the symmetry-breaking threshold on the soliton curve.
+"""Nonlinear bound states (-u'' + V u - |u|^2 u = Omega u) by Newton's
+method, natural-parameter continuation in Omega, and location of the
+symmetry-breaking threshold on the soliton curve.
 
-The iteration is the classic power-renormalized map for a cubic
-nonlinearity: with L = -d^2/dx^2 + V - Omega (positive definite for Omega
-below the ground state of the well),
-
-    M[psi] = L^{-1}(psi^2 psi),
-    S      = <L psi, psi> / <psi^2 psi, psi>,
-    psi   <- (1 - mix) psi + mix * S^{3/2} M[psi],
-
-iterated until the profile stops moving.  L is factored once per Omega,
-LDL^T on the free nodes 1..n-1 (node 0 is the Dirichlet pin), so each
-sweep is one tridiagonal solve plus in-place updates.  From a symmetric
-seed the iteration stays symmetric; an asymmetric seed converges to the
-symmetric state below the bifurcation and to a symmetry-broken state
-above it, which labels the branches of the continued curve.  Near the
-bifurcation that convergence slows down critically, so the threshold is
-not read from it: it is the Omega where the odd eigenvalue of the
-linearization L+ = H - Omega - 3 psi^2 about the symmetric state crosses
-zero (Kirr, Kevrekidis, Shlizerman and Weinstein, SIAM J. Math. Anal. 40,
-2008).
+A real bound state is a root of F(psi) = (H - Omega) psi - psi^3 on the
+free nodes 1..n-1 (node 0 is the Dirichlet pin).  The Jacobian is the
+linearization L+ = H - Omega - 3 psi^2, tridiagonal like H, so a Newton
+step is one pivoted tridiagonal solve (J. Yang, J. Comput. Phys. 228,
+2009).  Newton converges to the root in whose basin the seed lies, so the
+branches of the continued curve are told apart by warm starts: each point
+starts from the last, and the asymmetric family gets an odd kick so it
+can leave the symmetric state once it may.  The labels place the
+pitchfork only to within a grid step, so the threshold is the Omega where
+the odd eigenvalue of L+ about the symmetric state crosses zero (Kirr,
+Kevrekidis, Shlizerman and Weinstein, SIAM J. Math. Anal. 40, 2008).
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .errors import (
     BranchLost,
@@ -51,6 +43,12 @@ SYMMETRIC = "symmetric"
 ASYM_PLUS = "asym_plus"
 ASYM_MINUS = "asym_minus"
 
+# Newton stops once max|F| is within this many eps of (|L| + max|psi|^2)
+# max|psi|, the roundoff of forming F on the grid (|L| the row-sum norm);
+# a step is halved at most down to _MIN_STEP
+_STOP_EPS = 16 * np.finfo(float).eps
+_MIN_STEP = 2.0**-10
+
 
 @dataclass
 class BoundState:
@@ -65,10 +63,14 @@ class BoundState:
 
 @dataclass
 class SolitonCurve:
+    """Continued points; iterations holds each point's Newton steps (None
+    for a curve not built by continue_in_omega)."""
+
     omega: np.ndarray
     n: np.ndarray
     asymmetry: np.ndarray
     branch: list[str]
+    iterations: Optional[np.ndarray] = None
 
     def to_csv(self) -> str:
         rows = ["omega,n,asymmetry,branch"]
@@ -85,67 +87,99 @@ def _asymmetry(profile: np.ndarray, grid: Grid) -> float:
     return float(np.sum(w[grid.x > 0]) - np.sum(w[grid.x < 0]))
 
 
+def _tridiagonal_times(d: np.ndarray, e: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (d, e) times v."""
+    out = d * v
+    out[:-1] += e * v[1:]
+    out[1:] += e * v[:-1]
+    return out
+
+
 def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
-                         seed_profile: np.ndarray, tol: float = 1e-12,
-                         max_iter: int = 5000, mixing: float = 0.5,
+                         seed_profile: np.ndarray, max_iter: int = 50,
                          symmetrize: bool = False,
                          best_effort: bool = False) -> BoundState:
     """Converge the bound state at frequency omega from seed_profile.
 
-    omega must lie below the linear ground state so that H - omega is
-    positive definite; otherwise IterationDiverged is raised before any
-    sweep.  With symmetrize the iterate is projected onto even functions
-    every sweep, which pins the symmetric branch even where it is an
-    unstable fixed point of the plain iteration (above threshold roundoff
-    asymmetry would otherwise be amplified).  best_effort returns the
-    final iterate instead of raising when max_iter runs out.  Raises
-    IterationDiverged / ConvergedToZero.
+    Newton's method on F(psi) = (H - omega) psi - psi^3 over the free nodes
+    1..n-1: each step solves L+ delta = F, with L+ = H - omega - 3 psi^2
+    the Jacobian, and sets psi <- psi - delta.  From a seed far from the
+    root the step is halved until |F|_2 decreases, at most 10 times, and
+    taken whole if that fails.  The seed is first scaled by S^{1/2},
+    S = <L psi, psi> / <psi^3, psi>, so that a small seed does not fall
+    into the root psi = 0.  Newton reaches the root in whose basin the
+    seed lies.  The iteration stops when max|F| is down to the roundoff of
+    forming F.  omega must lie below the linear ground state so that
+    H - omega is positive definite; otherwise IterationDiverged is raised
+    before any step.  With symmetrize the iterate is projected onto even
+    functions after every update, which pins the symmetric branch where
+    the asymmetric one leaves it.  best_effort returns the last iterate
+    instead of raising when max_iter Newton steps run out.  Raises
+    IterationDiverged (naming omega) / ConvergedToZero.
     """
-    # LDL^T of L on the free nodes 1..n-1; the pinned node 0 keeps m[0] = 0
+    # L = H - omega on the free nodes 1..n-1; node 0 is the Dirichlet pin
     d, e = hamiltonian_tridiagonal(potential, grid)
-    d -= omega
-    ld, le, info = dpttrf(d[1:], e[1:])
-    if info != 0:
+    d, e = d[1:] - omega, e[1:]
+    if dpttrf(d, e)[2] != 0:
         raise IterationDiverged(
             f"H - Omega is not positive definite at Omega = {omega:.17g}")
     w = grid.quad_weights()
     psi = np.array(seed_profile, dtype=float)
     psi[0] = 0.0
-    if not np.any(psi):
+    v = psi[1:]                            # view: the free nodes
+    if symmetrize:
+        v[:] = 0.5 * (v + v[::-1])
+    if not np.any(v):
         raise ConvergedToZero("seed profile is identically zero")
-    # buffers for all sweeps; cube holds psi^3, then m = L^{-1} psi^3
-    cube, lpsi, wpsi, new = (np.empty_like(psi) for _ in range(4))
-    tmp = np.empty_like(e)
+    num = float(w[1:] @ (v * _tridiagonal_times(d, e, v)))
+    den = float(w[1:] @ (v * v * v * v))
+    if not np.isfinite(num) or not np.isfinite(den):
+        raise IterationDiverged(f"non-finite seed at Omega = {omega:.17g}")
+    if den <= 0 or num <= 0:
+        raise ConvergedToZero("renormalization ratio lost positivity")
+    v *= (num / den) ** 0.5
+    l_norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    f = _tridiagonal_times(d, e, v) - v * v * v
+    f2 = float(f @ f)
     it = 0
-    for it in range(1, max_iter + 1):
-        np.multiply(psi, psi, out=cube)
-        cube *= psi
-        # L psi; row 0 is not pinned here, but wpsi[0] = 0 drops it
-        np.multiply(d, psi, out=lpsi)
-        lpsi[:-1] += np.multiply(e, psi[1:], out=tmp)
-        lpsi[1:] += np.multiply(e, psi[:-1], out=tmp)
-        np.multiply(w, psi, out=wpsi)
-        num, den = float(wpsi @ lpsi), float(wpsi @ cube)
-        if not np.isfinite(num) or not np.isfinite(den):
-            raise IterationDiverged("non-finite renormalization ratio")
-        if den <= 0 or num <= 0:
-            raise ConvergedToZero("renormalization ratio lost positivity")
-        m, info = dpttrs(ld, le, cube[1:], overwrite_b=1)
-        if info != 0:
-            raise IterationDiverged("resolvent solve failed")
-        cube[1:] = m               # a no-op where LAPACK solved in place
-        # new = (1 - mixing) psi + mixing S^{3/2} m
-        np.multiply(cube, mixing * (num / den)**1.5, out=new)
-        new += np.multiply(psi, 1.0 - mixing, out=lpsi)
-        if symmetrize:
-            new[1:] = 0.5 * (new[1:] + new[:0:-1])
-        change = float(np.abs(np.subtract(new, psi, out=lpsi), out=lpsi).max())
-        psi, new = new, psi
-        if change <= tol * max(1.0, float(psi.max()), -float(psi.min())):
+    while True:
+        v_max = float(np.max(np.abs(v)))
+        if np.max(np.abs(f)) <= _STOP_EPS * (l_norm + v_max**2) * v_max:
             break
-    else:
-        if not best_effort:
-            raise IterationDiverged(f"no convergence in {max_iter} sweeps")
+        if it == max_iter:
+            if best_effort:
+                break
+            raise IterationDiverged(
+                f"no convergence in {max_iter} Newton steps at Omega = "
+                f"{omega:.17g}")
+        # L+ is indefinite (<L+ psi, psi> = -2 <psi^3, psi>): pivoted solve
+        delta, info = dgtsv(e, d - 3.0 * v * v, e, f, overwrite_b=1)[3:]
+        if info != 0:
+            raise IterationDiverged(
+                f"L+ solve failed (info {info}) at Omega = {omega:.17g}")
+        if not np.all(np.isfinite(delta)):
+            raise IterationDiverged(
+                f"non-finite Newton step at Omega = {omega:.17g}")
+        # halve the step until |F|^2 decreases enough (Armijo)
+        step, full = 1.0, None
+        while True:
+            trial = v - step * delta
+            if symmetrize:
+                trial = 0.5 * (trial + trial[::-1])
+            ft = _tridiagonal_times(d, e, trial) - trial * trial * trial
+            ft2 = float(ft @ ft)
+            if full is None:
+                full = (trial, ft, ft2)
+            if ft2 <= (1.0 - 1e-4 * step) * f2:
+                break
+            step *= 0.5
+            if step < _MIN_STEP:
+                # no halving reduces |F|: take the plain Newton step
+                trial, ft, ft2 = full
+                break
+        v[:], f, f2 = trial, ft, ft2
+        it += 1
     nrm2 = float(np.sum(w * psi * psi))
     if nrm2 < 1e-20:
         raise ConvergedToZero("iterate collapsed to zero")
@@ -189,14 +223,15 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
 
     seeds maps family names ('symmetric', 'asymmetric') to seed profiles;
     asymmetric-family points are labelled by the sign of their asymmetry
-    once it exceeds asym_floor relative to the power.
+    once it exceeds asym_floor relative to the power.  The curve keeps
+    each point's Newton steps in iterations.
     """
     if omega_end >= omega_start:
         raise ValueError("continuation must move toward decreasing omega")
     if step <= 0:
         raise ValueError("step must be positive (applied downward)")
     omegas = np.arange(omega_start, omega_end - 0.5 * step, -step)
-    out_omega, out_n, out_asym, out_branch = [], [], [], []
+    out_omega, out_n, out_asym, out_branch, out_it = [], [], [], [], []
     for family, seed in seeds.items():
         seed = np.asarray(seed, dtype=float)
         # odd part of the family seed, re-injected at every step so the
@@ -225,11 +260,13 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
             out_n.append(st.n)
             out_asym.append(st.asymmetry)
             out_branch.append(label)
+            out_it.append(st.iterations)
     return SolitonCurve(
         omega=np.array(out_omega),
         n=np.array(out_n),
         asymmetry=np.array(out_asym),
         branch=out_branch,
+        iterations=np.array(out_it),
     )
 
 
@@ -263,11 +300,12 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     second-lowest; the lowest is even and negative): the bracket steps
     along the curve's omega grid until that eigenvalue changes sign, and
     brentq closes it to bisect_tol relative in omega.  Each symmetric
-    state is warm-started from the previous one, the first from the even
-    part of seeds['symmetric'] (or seeds['asymmetric']).  Returns n of the
-    symmetric state at omega*, or with full_output a Threshold.  Raises
-    NoBifurcationFound when the curve shows no asymmetric point or the
-    eigenvalue keeps its sign over the grid.
+    state is a Newton solve with even projection, warm-started from the
+    previous one, the first from the even part of seeds['symmetric'] (or
+    seeds['asymmetric']).  Returns n of the symmetric state at omega*, or
+    with full_output a Threshold.  Raises NoBifurcationFound when the
+    curve shows no asymmetric point or the eigenvalue keeps its sign over
+    the grid.
     """
     sym_pts = [i for i, b in enumerate(curve.branch) if b == SYMMETRIC]
     asym_pts = [i for i, b in enumerate(curve.branch) if b != SYMMETRIC]

@@ -200,6 +200,8 @@ def cmd_groundstate(opts) -> int:
         "n_star": threshold.n_star, "omega_star": threshold.omega_star,
         "odd_eigenvalue": threshold.odd_eigenvalue, "n_cr_fd": data.n_cr_fd,
         "omega0": data.omega0, "omega1": data.omega1,
+        "newton_iterations_total": int(curve.iterations.sum()),
+        "newton_iterations_max": int(curve.iterations.max()),
     })
     write_gnuplot(out / "soliton_curve.gp", "soliton_curve.csv",
                   "power vs frequency", using="1:2")

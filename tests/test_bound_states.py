@@ -88,19 +88,22 @@ class TestSpectralRenormalize:
     @given(shift=st.floats(1e-4, 1.0), a0=st.floats(-1.0, 1.0),
            a1=st.floats(-1.0, 1.0), bump=st.floats(0.05, 1.0),
            x0=st.floats(-10.0, 10.0))
-    def test_resolvent_solves_on_free_nodes(self, delta_s1_L10, shift, a0,
-                                            a1, bump, x0):
-        # one sweep with mixing 1 returns s^{3/2} m, with m the resolvent
-        # solution of (H - omega) m = psi^3 on nodes 1..n-1 and m[0] = 0;
-        # the phase fix may flip its sign
+    def test_newton_step_solves_lplus_on_free_nodes(self, delta_s1_L10,
+                                                    shift, a0, a1, bump,
+                                                    x0):
+        # one Newton step from the seed scaled by S^{1/2}: the step
+        # delta = psi - p solves L+(psi) delta = F(psi) on nodes 1..n-1,
+        # with L+ = H - omega - 3 psi^2, F = (H - omega) psi - psi^3 and
+        # p[0] = 0; a damped step is lam * delta with lam a power of two,
+        # and the phase fix may flip the sign of p
         sd = delta_s1_L10
         grid = sd.grid
         om = sd.omega0 - shift
-        psi = (a0 * sd.psi0.eigenfunction + a1 * sd.psi1.eigenfunction
-               + bump * np.exp(-(grid.x - x0) ** 2))
-        psi[0] = 0.0
-        state = bs.spectral_renormalize(sd.spec, grid, om, psi, max_iter=1,
-                                        mixing=1.0, best_effort=True)
+        seed = (a0 * sd.psi0.eigenfunction + a1 * sd.psi1.eigenfunction
+                + bump * np.exp(-(grid.x - x0) ** 2))
+        seed[0] = 0.0
+        state = bs.spectral_renormalize(sd.spec, grid, om, seed, max_iter=1,
+                                        best_effort=True)
         p = state.profile
         assert p[0] == 0.0
 
@@ -108,17 +111,32 @@ class TestSpectralRenormalize:
             return ls.apply_hamiltonian(sd.spec, grid, f) - om * f
 
         w = grid.quad_weights()
-        s = np.sum(w * psi * l_op(psi)) / np.sum(w * psi**4)
-        target = s**1.5 * psi**3
-        sign = 1.0 if np.dot(p, target) > 0 else -1.0
-        res = (l_op(p) - sign * target)[1:]
-        # roundoff of a backward-stable tridiagonal solve: eps |L| |p|
+        psi = seed * np.sqrt(np.sum(w * seed * l_op(seed))
+                             / np.sum(w * seed**4))
+        f = (l_op(psi) - psi**3)[1:]
         d, e = ls.hamiltonian_tridiagonal(sd.spec, grid)
-        abs_lp = np.abs(d - om) * np.abs(p)
-        abs_lp[:-1] += np.abs(e) * np.abs(p[1:])
-        abs_lp[1:] += np.abs(e) * np.abs(p[:-1])
-        assert np.max(np.abs(res)) <= 64 * np.finfo(float).eps * (
-            np.max(abs_lp) + np.max(np.abs(target)))
+
+        def abs_op(diag, g):
+            out = np.abs(diag) * np.abs(g)
+            out[:-1] += np.abs(e) * np.abs(g[1:])
+            out[1:] += np.abs(e) * np.abs(g[:-1])
+            return out
+
+        fits = []
+        for sign in (1.0, -1.0):
+            step = psi - sign * p
+            lstep = (l_op(step) - 3.0 * psi**2 * step)[1:]
+            lam = float(lstep @ f) / float(f @ f)
+            fits.append((np.max(np.abs(lstep - lam * f)), lam, step))
+        res, lam, step = min(fits, key=lambda fit: fit[0])
+        halvings = round(-np.log2(lam))
+        assert 0 <= halvings <= 10
+        assert lam == pytest.approx(2.0**-halvings, rel=1e-6)
+        # roundoff of a backward-stable tridiagonal solve, eps |L+| |step|,
+        # and of forming F: eps (|L| |psi| + |psi|^3)
+        assert res <= 64 * np.finfo(float).eps * (
+            np.max(abs_op(d - om - 3.0 * psi**2, step))
+            + np.max(abs_op(d - om, psi)) + np.max(np.abs(psi)) ** 3)
 
     @pytest.mark.parametrize("above", [1e-6, 0.05, 1.0])
     def test_omega_above_ground_state_raises(self, delta_s1_L10, above):
@@ -181,6 +199,45 @@ class TestContinuation:
                                  {"symmetric": 0.05 * sd.psi0.eigenfunction})
         assert isinstance(info.value.__cause__, IterationDiverged)
         assert "not positive definite" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("info, poison, message", [
+        (1, 1.0, "L+ solve failed (info 1)"),
+        (0, np.nan, "non-finite Newton step")], ids=["info", "nan_step"])
+    def test_failed_newton_solve_loses_branch_with_cause(
+            self, delta_s1_L10, monkeypatch, info, poison, message):
+        def failing_solve(dl, d, du, b, **kw):
+            return dl, d, du, poison * b, info
+
+        monkeypatch.setattr(bs, "dgtsv", failing_solve)
+        sd = delta_s1_L10
+        step = 0.01
+        om = sd.omega0 - 0.5 * step
+        with pytest.raises(BranchLost) as caught:
+            bs.continue_in_omega(sd.spec, sd.grid, om, om - step, step,
+                                 {"symmetric": 0.05 * sd.psi0.eigenfunction})
+        cause = caught.value.__cause__
+        assert isinstance(cause, IterationDiverged)
+        assert str(cause) == f"{message} at Omega = {om:.17g}"
+
+    def test_grid_point_next_to_the_pitchfork(self, gauss_sigma1_L3,
+                                              gauss_threshold):
+        # this grid puts a point 1e-4 above omega*, where L+ is nearly
+        # singular; the asymmetric family must still converge there and
+        # at every point, symmetric above omega* and asymmetric below it
+        sd = gauss_sigma1_L3
+        thr, seeds = gauss_threshold
+        step = 0.0036355586499696546
+        curve = bs.continue_in_omega(sd.spec, sd.grid,
+                                     sd.omega0 - 0.25 * step,
+                                     sd.omega0 - 20 * step, step,
+                                     {"asymmetric": seeds["asymmetric"]})
+        above = curve.omega > thr.omega_star
+        nearest = int(np.argmin(np.where(above, curve.omega, np.inf)))
+        assert curve.omega[nearest] - thr.omega_star == pytest.approx(
+            1e-4, rel=1e-3)
+        assert curve.branch[nearest] == bs.SYMMETRIC
+        for i, b in enumerate(curve.branch):
+            assert (b == bs.SYMMETRIC) == bool(above[i])
 
     def test_csv_layout(self, delta_s1_L10):
         curve, _ = trace_and_detect(delta_s1_L10, n_steps=10)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dwnls import bound_states as bs
 from dwnls import cli
 from dwnls import pde
 from dwnls import reduced_dynamics as rd
@@ -218,6 +220,10 @@ class TestHeavyCommands:
         assert abs(th["n_star"] - th["n_cr_fd"]) / th["n_cr_fd"] <= 0.5
         assert th["omega_star"] < th["omega0"]
         assert abs(th["odd_eigenvalue"]) < 1e-9
+        max_iter = inspect.signature(
+            bs.spectral_renormalize).parameters["max_iter"].default
+        assert th["newton_iterations_total"] > 0
+        assert 0 < th["newton_iterations_max"] <= max_iter
 
     def test_shadow_smoke(self, tmp_path):
         out = tmp_path / "sh"
