@@ -369,7 +369,10 @@ class Trajectory:
 
 
 def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every):
-    t0, t1 = t_span
+    # plain floats: a numpy scalar dt or t_span would make every
+    # operation of the loop a numpy scalar operation
+    t0, t1 = map(float, t_span)
+    dt = float(dt)
     n_steps = int(round((t1 - t0) / dt))
     if n_steps < 1:
         raise ValueError("t_span shorter than one step")

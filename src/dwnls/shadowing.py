@@ -457,6 +457,9 @@ class ShadowReport:
     removed_mass: float
     coupling_sup: tuple
     orbit_amplitude: float
+    # CN fixed-point sweeps: mean per PDE step and most in one step
+    cn_sweeps_per_step: float
+    cn_sweeps_max: int
     # why the run stopped early: error type, message, the step being taken
     # (1-based) and the time that step reaches; None for a full run
     truncation: Optional[dict]
@@ -489,6 +492,8 @@ class ShadowReport:
             "energy_drift": self.energy_drift,
             "removed_mass": self.removed_mass,
             "coupling_sup": list(self.coupling_sup),
+            "cn_sweeps_per_step": self.cn_sweeps_per_step,
+            "cn_sweeps_max": self.cn_sweeps_max,
             "horizon_truncated": self.horizon_truncated,
             "truncation": self.truncation,
         }
@@ -558,8 +563,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         params, sparams, orbit)
 
     # reference orbit: pilot run to measure the period, then the full span
-    a_eff = 1.0 if params.a is None else abs(params.g) * 0.5 * (
-        3.0 * params.a[0, 0, 1, 1] - params.a[0, 0, 0, 0])
+    a_eff = 1.0 if params.a is None else float(abs(params.g) * 0.5 * (
+        3.0 * params.a[0, 0, 1, 1] - params.a[0, 0, 0, 0]))
     if orbit.side == "below":
         omega_est = 2.0 * a_eff * math.sqrt(sparams.tau * n_cr_target)
     else:
@@ -675,7 +680,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         parseval_defect=parseval, mass_drift=mass_drift,
         energy_drift=energy_drift, removed_mass=removed,
         coupling_sup=tuple(coupling_max), orbit_amplitude=orbit_amp,
-        truncation=truncation,
+        cn_sweeps_per_step=steppers[0].sweeps_per_step,
+        cn_sweeps_max=steppers[0].sweeps_max, truncation=truncation,
     )
 
 

@@ -234,6 +234,11 @@ class TestHeavyCommands:
         rep = json.loads((out / "shadow_report.json").read_text())
         assert rep["side"] == "above"
         assert rep["annulus_ok"] is True
+        # how hard CN worked: the run builds its stepper with the defaults
+        max_sweeps = inspect.signature(
+            pde.CrankNicolsonStepper).parameters["max_sweeps"].default
+        assert 1.0 <= rep["cn_sweeps_per_step"] <= rep["cn_sweeps_max"] \
+            <= max_sweeps
         assert (out / "eta_series.csv").exists()
 
 

@@ -224,6 +224,64 @@ class TestCrankNicolson:
         m0 = np.sum(np.abs(u) ** 2)
         assert abs(np.sum(np.abs(z) ** 2) - m0) <= 1e-12 * m0
 
+    @settings(max_examples=100, deadline=None)
+    @given(amp=st.floats(0.05, 1.0), mix=st.floats(0.0, np.pi / 2),
+           phase0=st.floats(-np.pi, np.pi), phase1=st.floats(-np.pi, np.pi),
+           dt=st.floats(1e-4, 5e-3))
+    def test_step_stops_within_tol_of_fixed_point(
+            self, shadow_well, amp, mix, phase0, phase1, dt):
+        # the oracle z* sweeps the same Delfour-Fortin-Payre map,
+        #   z -> M0^{-1} (u - (i dt/2) H0 u + (i dt/4)(|z|^2 + |u|^2)(z + u)),
+        # on from the returned step until the update vanishes; the
+        # contraction bound must have stopped within tol of it
+        sd = shadow_well
+        u = amp * (np.cos(mix) * np.exp(1j * phase0) * sd.psi0.eigenfunction
+                   + np.sin(mix) * np.exp(1j * phase1) * sd.psi1.eigenfunction)
+        u[0] = 0.0                        # the pinned node
+        v = ls.potential_samples(sd.spec, sd.grid)
+        stepper = pde.CrankNicolsonStepper(sd.grid, v, dt)
+        z = stepper.step(u)
+
+        c = 0.5j * dt
+        hu = stepper.h_diag * u
+        hu[:-1] += stepper.h_off * u[1:]
+        hu[1:] += stepper.h_off * u[:-1]
+        base = u - c * hu
+        fixed = z
+        for _ in range(8):
+            swept = stepper._solve(
+                base + 0.5 * c * (np.abs(fixed) ** 2 + np.abs(u) ** 2)
+                * (fixed + u))
+            converged = np.array_equal(swept, fixed)
+            fixed = swept
+            if converged:
+                break
+        assert np.max(np.abs(z - fixed)) <= stepper.tol
+
+    def test_sweeps_per_step_on_shadow_data(self, shadow_well, monkeypatch):
+        # a work count, not a time: on two-mode shadowing data the
+        # contraction bound stops a step after 3 sweeps (4 with a stop on
+        # the update alone); each sweep is one zgttrs call
+        sd = shadow_well
+        solves = [0]
+        zgttrs = pde.zgttrs
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return zgttrs(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "zgttrs", counted)
+        u = (0.3 * sd.psi0.eigenfunction
+             + 0.2 * sd.psi1.eigenfunction).astype(complex)
+        stepper = pde.CrankNicolsonStepper(
+            sd.grid, ls.potential_samples(sd.spec, sd.grid), 4e-3)
+        n_steps = 200
+        for _ in range(n_steps):
+            u = stepper.step(u)
+        assert solves[0] / n_steps <= 3.1
+        assert (stepper.steps, stepper.sweeps) == (n_steps, solves[0])
+        assert stepper.sweeps_per_step == solves[0] / n_steps
+
     def test_iteration_divergence_guard(self, delta_s1_L10):
         sd = delta_s1_L10
         u0 = 100.0 * sd.psi0.eigenfunction.astype(complex)
@@ -287,7 +345,7 @@ class TestHamiltonian:
         ids=["crank_nicolson", "split_step"])
     def test_reported_energy_drift(self, scheme, well, request):
         # the H column is each scheme's own energy: the CN closure
-        # conserves it to the fixed point's tolerance (1e-15 here), the
+        # conserves it to the fixed point's tolerance (9e-13 here), the
         # Strang step to O(dt^2) (1e-10 here)
         sd = request.getfixturevalue(well)
         u0 = (0.6 * sd.psi0.eigenfunction

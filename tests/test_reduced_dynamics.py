@@ -311,6 +311,26 @@ class TestIntegration:
         assert traj.chart == rd.MODES
         assert np.all(np.isfinite(traj.states))
 
+    def test_midpoint_runs_on_python_floats(self, monkeypatch):
+        # a numpy scalar dt or t_span must not reach the field: numpy
+        # scalar arithmetic would run the whole loop several times slower
+        seen = set()
+        chart_field = rd.chart_field
+
+        def spy(chart, params):
+            field = chart_field(chart, params)
+
+            def wrapped(*y):
+                seen.update(type(v) for v in y)
+                return field(*y)
+
+            return wrapped
+
+        monkeypatch.setattr(rd, "chart_field", spy)
+        rd.integrate(rd.CartesianChart(A=0.3, alpha=0.1, beta=0.0), PARAMS,
+                     (np.float64(0.0), np.float64(1.0)), np.float64(0.01))
+        assert seen == {float}
+
     def test_adaptive_rk_samples_stay_inside_span(self):
         # arange over the dt grid lands at 2.3000000000000003 here, which
         # solve_ivp rejects as outside t_span
