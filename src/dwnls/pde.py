@@ -17,35 +17,37 @@ Two steppers:
   still returns the full Strang step.  Mass is conserved to rounding.
 
 * Crank-Nicolson finite differences (Dirichlet ends) for delta wells and
-  every shadowing run, with the cubic term closed on the mass-symmetric
-  average rho = (|u_new|^2 + |u_old|^2)/2 (Delfour-Fortin-Payre); the
-  converged step conserves the discrete mass exactly.  Delta wells enter the
-  tridiagonal operator as -s/dx at their nodes.  The constant part
-  M0 = I + (i dt/2) H0 (node 0 pinned) is LU-factored once per stepper;
-  each step forms base = u - (i dt/2) H0 u once, and each fixed-point
-  sweep is one solve with those factors,
+  every shadowing run, with the cubic term taken linearly implicit by
+  Besse's relaxation (C. Besse, SIAM J. Numer. Anal. 42, 2004).  The step
+  carries Phi^{n+1/2} = 2|u^n|^2 - Phi^{n-1/2} on the free nodes 1..n-1
+  and solves
 
-      M0 z = base + (i dt/2) rho(z) (z + u),
+      (I + (i dt/2)(H - Phi^{n+1/2})) u^{n+1} = (I - (i dt/2)(H - Phi^{n+1/2})) u^n
 
-  which is the same discrete equation as
-  (I + (i dt/2)(H0 - rho)) z = (I - (i dt/2)(H0 - rho)) u.
-  The sweeps stop on the a-posteriori bound of the contraction mapping
-  theorem: with L = 3 dt max|u|^2 the iterate after an update of size
-  delta is within L/(1 - L) delta of the fixed point while L < 1.  A step
-  stops once that bound, or delta itself when it is smaller, is at most
-  cn_tol; for L < 1/2 (L is about 0.01 at dt = 4e-3 and |u| <= 1) cn_tol
-  so bounds the max-norm distance from the fixed point.
+  once, one pivoted tridiagonal solve with no iteration; node 0 is the
+  Dirichlet pin and stays exactly zero.  Delta wells enter H as -s/dx at
+  their nodes.  The step is the Cayley transform of a real symmetric
+  matrix, so the free-node mass dx sum |u|^2 is conserved to rounding, and
+  the modified energy Q(u^n) - 1/2 dx sum Phi^{n+1/2} Phi^{n-1/2} (Q the
+  quadratic form of the pinned H) is conserved too; with Phi = |u|^2 it is
+  H[u].  Phi starts from |u^0|^2 (Phi^{-1/2} = Phi^{1/2} = |u^0|^2, so the
+  modified energy starts at H[u^0]).  A tail-filter cut zeroes Phi where it
+  zeroes u and the recursion runs on.  Restarting Phi from |u|^2 at a cut
+  would drop the O(dt^2) gap between H and the modified energy each time,
+  and those losses add up: on the nominal shadow run (62 cuts) H, with
+  the energy the cuts remove added back, drifts by 9.3e-8 with restarts
+  and 2.7e-9 without.
 
 One driver, march, advances one or more fields in lockstep, one stepper
 each, with a callback after every record_every-th step and the last.  Its
 optional tail filter zeroes |x| > cutoff_radius in every field every
 trigger_steps steps (truncate-and-continue for radiation leaving the
-frame) through each stepper's cut, which also drops a CN predictor's
-history and lets a stepper that carries its field in its own basis cut
-it there, and counts the mass removed from the first field.
+frame) through each stepper's cut, which also cuts a CN stepper's Phi
+and lets a stepper that carries its field in its own basis cut it
+there, and counts the mass removed from the first field.
 
-The reported energy is the one each scheme conserves, a discretization
-of H[u] = int |u_x|^2 + V |u|^2 - |u|^4 / 2 (see hamiltonian).
+The reported energy is each scheme's discretization of
+H[u] = int |u_x|^2 + V |u|^2 - |u|^4 / 2 (see hamiltonian).
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# zgtsv is not called here; it stays importable because
-# bench/tracer.py resolves dwnls.pde.zgtsv by name
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs  # noqa: F401
+from scipy.linalg.lapack import zgtsv
 
 from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
@@ -93,8 +93,6 @@ class EvolveParams:
     record_every: int = 1
     nonlinear: bool = True
     tail_filter: Optional[TailFilter] = None
-    cn_tol: float = 1e-12
-    cn_max_sweeps: int = 25
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -105,10 +103,6 @@ class EvolveParams:
             raise ValueError("record_every must be at least 1")
         if round(self.t_end / self.dt) < 1:
             raise ValueError("t_end shorter than one step")
-        if self.cn_max_sweeps < 1:
-            raise ValueError("cn_max_sweeps must be at least 1")
-        if not self.cn_tol > 0:
-            raise ValueError("cn_tol must be positive")
 
 
 @dataclass
@@ -131,22 +125,33 @@ class PdeDiagnostics:
         return "\n".join(rows) + "\n"
 
 
-def mass(state: FieldState) -> float:
-    w = state.grid.quad_weights()
-    return float(np.sum(w * np.abs(state.values) ** 2))
+def mass(state: FieldState, scheme: str = "crank_nicolson") -> float:
+    """int |u|^2.  Crank-Nicolson: dx sum |u|^2 over the free nodes
+    1..n-1, which the pinned step conserves to rounding.  Split-step:
+    trapezoid weights on all nodes."""
+    if scheme == "split_step":
+        w = state.grid.quad_weights()
+        return float(np.sum(w * np.abs(state.values) ** 2))
+    return _free_mass(state.grid, state.values)
+
+
+def _free_mass(grid: Grid, u: np.ndarray) -> float:
+    free = u[1:]
+    return grid.dx * float(np.vdot(free, free).real)
 
 
 def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
                 scheme: str = "crank_nicolson") -> float:
-    """The energy that `scheme` conserves, H[u] = int(|u_x|^2 + V |u|^2
-    - |u|^4/2), with V sampled as the steppers sample it (delta wells as
-    -s/dx at their nodes) and rectangle sums of step dx.
+    """The energy of `scheme`, H[u] = int(|u_x|^2 + V |u|^2 - |u|^4/2),
+    with V sampled as the steppers sample it (delta wells as -s/dx at
+    their nodes) and rectangle sums of step dx.
 
-    Crank-Nicolson: the quadratic form of the pinned tridiagonal H on the
-    free nodes 1..n-1 (u[0] is the Dirichlet pin and is not read), which
-    the closure on rho = (|u_new|^2 + |u_old|^2)/2 conserves to the
-    fixed point's tolerance.  Split-step: the spectral kinetic energy of
-    the periodic grid, conserved by the Strang step to O(dt^2).
+    Crank-Nicolson: the quadratic form Q of the pinned tridiagonal H on
+    the free nodes 1..n-1 (u[0] is the Dirichlet pin and is not read).
+    The relaxation step conserves Q(u^n) - 1/2 dx sum Phi^{n+1/2}
+    Phi^{n-1/2} to rounding; it starts at H[u^0], and H stays within
+    O(dt^2) of it.  Split-step: the spectral kinetic energy of the
+    periodic grid, conserved by the Strang step to O(dt^2).
     """
     grid, u = state.grid, state.values
     dx = grid.dx
@@ -233,99 +238,59 @@ class SplitStepper:
 # ----------------------------------------------------------------------
 
 class CrankNicolsonStepper:
-    """CN with fixed-point closure of the cubic term (mass-conserving).
+    """Crank-Nicolson step with Besse's relaxation of the cubic term.
 
-    Each sweep applies z -> M0^{-1} (base + (i dt/2) rho(z) (z + u)).  The
-    closure is Lipschitz in z with constant about 1.5 dt max|u|^2 near u;
-    L = 3 dt max|u|^2 doubles that to cover z != u and M0^{-1} in the max
-    norm.  A step stops when the update delta of its last sweep satisfies
-    delta <= tol or, while L < 1, L/(1 - L) delta <= tol.  For L < 1/2 the
-    second test is the weaker one and leaves the returned iterate within
-    tol of the fixed point; for a longer step the update test decides.
-    steps, sweeps and sweeps_max count the work done (a step that fails
-    counts max_sweeps).
+    Phi (on the free nodes 1..n-1) is Phi^{n-1/2} of the next step, or None
+    before the first step, which starts it from |u^0|^2.  The step forms
+    Phi^{n+1/2} = 2|u^n|^2 - Phi^{n-1/2} and makes one zgtsv solve
+    (I + (i dt/2)(H - Phi^{n+1/2})) y = u^n; then u^{n+1} = 2y - u^n, which
+    is the relaxation equation of the module docstring.  A failed solve
+    raises NonlinearIterationDiverged with LAPACK's info.
     """
 
     def __init__(self, grid: Grid, v_samples: np.ndarray, dt: float,
-                 nonlinear: bool = True, tol: float = 1e-12,
-                 max_sweeps: int = 25):
+                 nonlinear: bool = True):
         self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
-        self.tol = tol
-        self.max_sweeps = max_sweeps
+        # I + (i dt/2) H on nodes 1..n-1: node 0 is the grid's Dirichlet pin
+        # (see hamiltonian_tridiagonal) and stays exactly zero
+        c = 0.5j * dt
         dx2 = grid.dx**2
-        self.h_diag = 2.0 / dx2 + np.asarray(v_samples, dtype=float)
-        self.h_off = -1.0 / dx2
-        self._c = 0.5j * dt
-        # M0 = I + (i dt/2) H0 on nodes 1..n-1: node 0 is the grid's
-        # Dirichlet pin (see hamiltonian_tridiagonal) and stays exactly zero
-        n = grid.n_points
-        off = np.full(n - 2, self._c * self.h_off)
-        *self._lu, info = zgttrf(off, 1.0 + self._c * self.h_diag[1:], off)
-        if info != 0:
-            raise NonlinearIterationDiverged("tridiagonal factorization failed")
-        self._prev = None          # previous state, used as predictor seed
-        # work done: steps taken, sweeps over all steps, most in one step
-        self.steps = self.sweeps = self.sweeps_max = 0
-
-    @property
-    def sweeps_per_step(self) -> float:
-        return self.sweeps / self.steps if self.steps else 0.0
-
-    def _count(self, sweeps: int):
-        self.steps += 1
-        self.sweeps += sweeps
-        self.sweeps_max = max(self.sweeps_max, sweeps)
+        self._c = c
+        self._diag = 1.0 + c * (2.0 / dx2 + np.asarray(v_samples, float)[1:])
+        self._off = np.full(grid.n_points - 2, -c / dx2)
+        self._phi = None
 
     def cut(self, u: np.ndarray, keep: np.ndarray):
-        """(u zeroed where keep is False, the mass removed); the predictor
-        must not extrapolate across the cut, so the history is dropped."""
-        self._prev = None
-        return cut_on_grid(self.grid, u, keep)
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M0^{-1} rhs on the free nodes, zero at the pin (rhs is reused)."""
-        x, info = zgttrs(*self._lu, rhs[1:], overwrite_b=1)
-        if info != 0:
-            raise NonlinearIterationDiverged("tridiagonal solve failed")
-        rhs[0] = 0.0
-        rhs[1:] = x                # a no-op where LAPACK solved in place
-        return rhs
+        """(u zeroed where keep is False, the free-node mass removed); Phi
+        is zeroed where u is, and the recursion runs on."""
+        if self._phi is not None:
+            self._phi = np.where(keep[1:], self._phi, 0.0)
+        gone = np.where(keep, 0.0, u)
+        return u - gone, _free_mass(self.grid, gone)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        c = self._c
-        hu = self.h_diag * u
-        hu[:-1] += self.h_off * u[1:]
-        hu[1:] += self.h_off * u[:-1]
-        base = u - c * hu
-        if not self.nonlinear:
-            self._count(1)
-            return self._solve(base)
-        # extrapolated predictor: starts ~dt^2 from the fixed point
-        z = 2.0 * u - self._prev if self._prev is not None else u
-        abs_u2 = np.abs(u) ** 2
-        half_c = 0.5 * c
-        # distance from the fixed point <= lip/(1 - lip) * delta while
-        # lip < 1; stop once min(1, that factor) * delta <= tol
-        lip = 3.0 * self.dt * float(abs_u2.max())
-        gain = lip / (1.0 - lip) if lip < 0.5 else 1.0
-        for sweeps in range(1, self.max_sweeps + 1):
-            # (i dt/2) rho (z + u) with rho = (|z|^2 + |u|^2)/2
-            rhs = (half_c * (np.abs(z) ** 2 + abs_u2)) * (z + u)
-            rhs += base
-            z_new = self._solve(rhs)
-            delta = float(np.abs(z_new - z).max())
-            z = z_new
-            if gain * delta <= self.tol:
-                break
+        free = u[1:]
+        if self.nonlinear:
+            phi = free.real * free.real + free.imag * free.imag
+            if self._phi is not None:
+                phi *= 2.0
+                phi -= self._phi
+            self._phi = phi                       # Phi^{n+1/2}
+            diag = self._diag - self._c * phi
         else:
-            self._count(self.max_sweeps)
+            diag = self._diag.copy()
+        # zgtsv is looked up by its module name, where bench/tracer.py wraps it
+        *_, y, info = zgtsv(self._off, diag, self._off, free, overwrite_d=1)
+        if info != 0:
             raise NonlinearIterationDiverged(
-                f"CN fixed point not converged in {self.max_sweeps} sweeps")
-        self._count(sweeps)
-        self._prev = u
-        return z
+                f"tridiagonal solve failed (zgtsv info {info})")
+        out = np.empty(u.shape, complex)
+        out[0] = 0.0
+        np.multiply(y, 2.0, out=out[1:])
+        out[1:] -= free
+        return out
 
 
 def cut_on_grid(grid: Grid, u: np.ndarray, keep: np.ndarray):
@@ -349,8 +314,7 @@ def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,
     v = _samples(grid, potential)
     if params.scheme == "split_step":
         return SplitStepper(grid, v, params.dt, params.nonlinear)
-    return CrankNicolsonStepper(grid, v, params.dt, params.nonlinear,
-                                params.cn_tol, params.cn_max_sweeps)
+    return CrankNicolsonStepper(grid, v, params.dt, params.nonlinear)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +322,8 @@ def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,
 # ----------------------------------------------------------------------
 
 def march(fields: list, steppers: list, n_steps: int, record_every: int,
-          on_record, tail_filter: Optional[TailFilter] = None) -> float:
+          on_record, tail_filter: Optional[TailFilter] = None,
+          on_cut=None) -> float:
     """Advance fields[i] with steppers[i].step in lockstep for n_steps steps.
 
     on_record(k, fields, removed) is called after every record_every-th
@@ -366,9 +331,10 @@ def march(fields: list, steppers: list, n_steps: int, record_every: int,
     removed from fields[0] so far; that total is also returned.  The
     filter acts on the grid of steppers[0]: every field is cut by its own
     stepper's cut(field, keep), which returns the cut field and the mass
-    it removed, so a stepper may carry its field in another basis.  A
-    DwnlsError raised during step k, by a stepper or by on_record, leaves
-    with k in its .step.
+    it removed, so a stepper may carry its field in another basis, and
+    on_cut(before, after), if given, is called with fields[0] before and
+    after each cut.  A DwnlsError raised during step k, by a stepper or by
+    on_record, leaves with k in its .step.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -383,9 +349,12 @@ def march(fields: list, steppers: list, n_steps: int, record_every: int,
             for i, stepper in enumerate(steppers):
                 fields[i] = stepper.step(fields[i])
             if tail_filter is not None and k % tail_filter.trigger_steps == 0:
+                before = fields[0]
                 cuts = [st.cut(f, keep) for st, f in zip(steppers, fields)]
                 fields[:] = [f for f, _ in cuts]
                 removed += cuts[0][1]
+                if on_cut is not None:
+                    on_cut(before, fields[0])
             if k % record_every == 0 or k == n_steps:
                 on_record(k, fields, removed)
     except DwnlsError as exc:
@@ -410,7 +379,8 @@ def evolve(state0: FieldState, params: EvolveParams,
         st = FieldState(grid, u, t)
         i = int(np.argmax(np.abs(u)))
         amp = float(np.abs(u[i]))
-        rows.append((t, mass(st), hamiltonian(st, potential, params.scheme),
+        rows.append((t, mass(st, params.scheme),
+                     hamiltonian(st, potential, params.scheme),
                      center_of_mass(st), amp,
                      float(grid.x[i]) if amp > 0.0 else 0.0, removed))
         if keep_fields:

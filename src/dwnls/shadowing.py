@@ -455,11 +455,9 @@ class ShadowReport:
     mass_drift: float
     energy_drift: float
     removed_mass: float
+    removed_energy: float
     coupling_sup: tuple
     orbit_amplitude: float
-    # CN fixed-point sweeps: mean per PDE step and most in one step
-    cn_sweeps_per_step: float
-    cn_sweeps_max: int
     # why the run stopped early: error type, message, the step being taken
     # (1-based) and the time that step reaches; None for a full run
     truncation: Optional[dict]
@@ -491,9 +489,8 @@ class ShadowReport:
             "mass_drift": self.mass_drift,
             "energy_drift": self.energy_drift,
             "removed_mass": self.removed_mass,
+            "removed_energy": self.removed_energy,
             "coupling_sup": list(self.coupling_sup),
-            "cn_sweeps_per_step": self.cn_sweeps_per_step,
-            "cn_sweeps_max": self.cn_sweeps_max,
             "horizon_truncated": self.horizon_truncated,
             "truncation": self.truncation,
         }
@@ -604,14 +601,23 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     if orbit.compute_w:
         steppers.append(_TildeREvolver(spectral, dt, ref, n_steps))
         fields.append(np.zeros_like(steppers[1].e))      # S = 0: R~(0) = 0
-    wq = grid.quad_weights()
+
+    def energy(u):
+        return hamiltonian(FieldState(grid, u), v)
+
+    # masses on the free nodes, the weights the pinned step conserves
     mass0 = field_mass(u0)
-    energy0 = hamiltonian(u0, spectral.spec)
+    energy0 = energy(u0.values)
 
     times, etas, albe, coms, w_fields = [], [], [], [], []
     coupling_max = [0.0, 0.0, 0.0, 0.0]
-    sup_tr = parseval = mass_drift = energy_drift = removed = 0.0
+    sup_tr = parseval = mass_drift = energy_drift = 0.0
+    removed = removed_energy = 0.0
     truncation = None
+
+    def count_cut(before, after):
+        nonlocal removed_energy
+        removed_energy += energy(before) - energy(after)
 
     def take_sample(k, fs, removed_now):
         nonlocal parseval, sup_tr, mass_drift, energy_drift, removed
@@ -626,12 +632,11 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         albe.append((al_p, be_p))
         coms.append(center_of_mass(st))
         n_tot = field_mass(st)
-        split = (abs(pr.c0) ** 2 + abs(pr.c1) ** 2
-                 + float(np.sum(wq * np.abs(pr.residual.values) ** 2)))
+        split = abs(pr.c0) ** 2 + abs(pr.c1) ** 2 + field_mass(pr.residual)
         parseval = max(parseval, abs(n_tot - split))
         mass_drift = max(mass_drift, abs(n_tot + removed - mass0))
         energy_drift = max(energy_drift,
-                           abs(hamiltonian(st, spectral.spec) - energy0))
+                           abs(energy(fs[0]) + removed_energy - energy0))
         r_rot = pr.residual.values * complex(math.cos(-th_p), math.sin(-th_p))
         errs = coupling_errors(a_p, al_p, be_p,
                                FieldState(grid, r_rot, t), spectral)
@@ -646,7 +651,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     try:
         march(fields, steppers, n_steps, sample_every, take_sample,
               _tail_filter(orbit.tail_filter_every, orbit.cutoff_fraction,
-                           grid, dt))
+                           grid, dt), count_cut)
     except DwnlsError as exc:
         truncation = {"error": type(exc).__name__, "message": str(exc),
                       "step": exc.step, "time": exc.step * dt}
@@ -679,9 +684,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         w_sup_h1=w_h1, w_l4_linf=w_l4, tilde_r_sup=sup_tr,
         parseval_defect=parseval, mass_drift=mass_drift,
         energy_drift=energy_drift, removed_mass=removed,
-        coupling_sup=tuple(coupling_max), orbit_amplitude=orbit_amp,
-        cn_sweeps_per_step=steppers[0].sweeps_per_step,
-        cn_sweeps_max=steppers[0].sweeps_max, truncation=truncation,
+        removed_energy=removed_energy, coupling_sup=tuple(coupling_max),
+        orbit_amplitude=orbit_amp, truncation=truncation,
     )
 
 

@@ -491,7 +491,8 @@ class TestReportSerialization:
         rep = sh.run_shadow_experiment(sp, sd, orb)
         d = rep.to_json_dict()
         for key in ("sup_eta", "annulus_ratio", "com_sign_changes",
-                    "w_sup_h1", "tilde_r_sup", "horizon_truncated"):
+                    "w_sup_h1", "tilde_r_sup", "horizon_truncated",
+                    "removed_energy"):
             assert key in d
         lines = rep.series_csv().strip().split("\n")
         assert lines[0].startswith("t,eta_A")
@@ -529,6 +530,23 @@ class TestReportSerialization:
         assert not rep.horizon_truncated
         assert rep.truncation is None
         assert rep.to_json_dict()["truncation"] is None
+
+
+class TestInvariants:
+    def test_filter_removals_are_added_back(self, shadow_well):
+        # the report's drifts add back what the tail filter removed: the
+        # free-node mass holds to rounding and H to the O(dt^2) gap between
+        # H and the relaxation's modified energy, while the cuts remove
+        # thousands of times more energy than that
+        sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
+        orb = sh.OrbitSpec(side="above", amplitude_factor=0.7,
+                           horizon_periods=0.1, dt_pde=4e-3, compute_w=False)
+        rep = sh.run_shadow_experiment(sp, shadow_well, orb)
+        assert rep.removed_mass > 1e-6
+        assert rep.mass_drift <= 1e-14
+        assert rep.parseval_defect <= 1e-15
+        assert rep.energy_drift <= 1e-8
+        assert rep.removed_energy > 1e3 * rep.energy_drift
 
 
 class TestReferencePeriod:
