@@ -29,13 +29,13 @@ from .errors import (
     InvalidEquilibrium,
     NotPeriodic,
     SaddleCase,
-    StepFailure,
 )
 from .reduced_dynamics import (
     CARTESIAN,
     CartesianChart,
     ReducedParams,
     Trajectory,
+    _implicit_midpoint_path,
     convert,
     invariants,
     pack,
@@ -235,36 +235,6 @@ class MonodromyReport:
     monodromy: np.ndarray = field(repr=False)
 
 
-def _variational_midpoint(y0: np.ndarray, params: ReducedParams, n_cr: float,
-                          t_end: float, dt: float):
-    """Implicit midpoint on the orbit with the tangent propagated by the
-    interleaved Cayley update (I - dt/2 B) M+ = (I + dt/2 B) M."""
-    n_steps = max(1, int(round(t_end / dt)))
-    dt = t_end / n_steps
-    y = y0.copy()
-    m = np.eye(4)
-    eye = np.eye(4)
-    for _ in range(n_steps):
-        scale = max(1.0, float(np.max(np.abs(y))))
-        z = y + dt * vf_packed(CARTESIAN, y, params)
-        converged = False
-        for _ in range(50):
-            z_new = y + dt * vf_packed(CARTESIAN, 0.5 * (y + z), params)
-            if np.max(np.abs(z_new - z)) <= 1e-13 * scale:
-                z = z_new
-                converged = True
-                break
-            z = z_new
-        if not converged:
-            raise StepFailure("variational midpoint stalled")
-        ymid = 0.5 * (y + z)
-        # b_full expects (alpha, beta, A); packed order is (A, alpha, beta)
-        b = b_full(ymid[1], ymid[2], ymid[0], n_cr)
-        m = np.linalg.solve(eye - 0.5 * dt * b, (eye + 0.5 * dt * b) @ m)
-        y = z
-    return y, m
-
-
 def monodromy(orbit: Trajectory, params: ReducedParams, period: float = None,
               dt: float = None) -> MonodromyReport:
     """Floquet monodromy of a periodic orbit of the reduction.
@@ -286,7 +256,20 @@ def monodromy(orbit: Trajectory, params: ReducedParams, period: float = None,
     y0 = pack(state0)
     if dt is None:
         dt = float(np.median(np.diff(orbit.times)))
-    y_end, m = _variational_midpoint(y0, params, n_cr, period, dt)
+    n_steps = max(1, int(round(period / dt)))
+    dt = period / n_steps
+    # the tangent M follows the orbit by the Cayley update
+    # (I - dt/2 B) M+ = (I + dt/2 B) M, B at each step's midpoint
+    m, eye = np.eye(4), np.eye(4)
+
+    def cayley(a_amp, alpha, beta, _theta):
+        # as numpy scalars: b_full squares with **, which on Python floats
+        # is C pow and can round differently from numpy's x * x
+        hb = 0.5 * dt * b_full(*np.array((alpha, beta, a_amp)), n_cr)
+        m[:] = np.linalg.solve(eye - hb, (eye + hb) @ m)
+
+    y_end = _implicit_midpoint_path(CARTESIAN, y0, params, (0.0, period), dt,
+                                    n_steps, on_step=cayley)[1][-1]
     scale = max(1.0, float(np.max(np.abs(y0))))
     residual = float(np.max(np.abs(y_end[:3] - y0[:3])))
     if residual > 1e-8 * scale:

@@ -31,12 +31,7 @@ from .errors import (
     NoBifurcationFound,
 )
 from .grids import Grid
-from .linear_spectrum import (
-    PotentialSpec,
-    apply_hamiltonian,
-    hamiltonian_tridiagonal,
-    reflect,
-)
+from .linear_spectrum import PotentialSpec, pinned_hamiltonian, reflect
 from .roots import brentq
 
 SYMMETRIC = "symmetric"
@@ -87,15 +82,6 @@ def _asymmetry(profile: np.ndarray, grid: Grid) -> float:
     return float(np.sum(w[grid.x > 0]) - np.sum(w[grid.x < 0]))
 
 
-def _tridiagonal_times(d: np.ndarray, e: np.ndarray,
-                       v: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal matrix (d, e) times v."""
-    out = d * v
-    out[:-1] += e * v[1:]
-    out[1:] += e * v[:-1]
-    return out
-
-
 def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
                          seed_profile: np.ndarray, max_iter: int = 50,
                          symmetrize: bool = False,
@@ -118,9 +104,9 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     instead of raising when max_iter Newton steps run out.  Raises
     IterationDiverged (naming omega) / ConvergedToZero.
     """
-    # L = H - omega on the free nodes 1..n-1; node 0 is the Dirichlet pin
-    d, e = hamiltonian_tridiagonal(potential, grid)
-    d, e = d[1:] - omega, e[1:]
+    h = pinned_hamiltonian(potential, grid)
+    lin = h.shifted(omega)                 # L = H - omega
+    d, e = lin.diag, lin.off
     if dpttrf(d, e)[2] != 0:
         raise IterationDiverged(
             f"H - Omega is not positive definite at Omega = {omega:.17g}")
@@ -132,7 +118,7 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
         v[:] = 0.5 * (v + v[::-1])
     if not np.any(v):
         raise ConvergedToZero("seed profile is identically zero")
-    num = float(w[1:] @ (v * _tridiagonal_times(d, e, v)))
+    num = float(w[1:] @ (v * (lin @ v)))
     den = float(w[1:] @ (v * v * v * v))
     if not np.isfinite(num) or not np.isfinite(den):
         raise IterationDiverged(f"non-finite seed at Omega = {omega:.17g}")
@@ -140,7 +126,7 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
         raise ConvergedToZero("renormalization ratio lost positivity")
     v *= (num / den) ** 0.5
     l_norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
-    f = _tridiagonal_times(d, e, v) - v * v * v
+    f = lin @ v - v * v * v
     f2 = float(f @ f)
     it = 0
     while True:
@@ -167,7 +153,7 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
             trial = v - step * delta
             if symmetrize:
                 trial = 0.5 * (trial + trial[::-1])
-            ft = _tridiagonal_times(d, e, trial) - trial * trial * trial
+            ft = lin @ trial - trial * trial * trial
             ft2 = float(ft @ ft)
             if full is None:
                 full = (trial, ft, ft2)
@@ -186,7 +172,7 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     # phase fix: real and positive at the modulus maximum
     if psi[int(np.argmax(np.abs(psi)))] < 0:
         psi = -psi
-    res = apply_hamiltonian(potential, grid, psi) - psi**3 - omega * psi
+    res = h.apply(psi) - psi**3 - omega * psi
     return BoundState(
         profile=psi,
         omega=omega,
@@ -270,14 +256,6 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
     )
 
 
-def lplus_tridiagonal(potential: PotentialSpec, grid: Grid,
-                      state: BoundState):
-    """(diagonal, off-diagonal) of L+ = H - Omega - 3 psi^2 on the free
-    nodes 1..n-1, the linearization of the real bound-state equation."""
-    d, e = hamiltonian_tridiagonal(potential, grid)
-    return d[1:] - state.omega - 3.0 * state.profile[1:] ** 2, e[1:]
-
-
 @dataclass
 class Threshold:
     """Symmetry-breaking point.  odd_eigenvalue is L+'s at omega_star, the
@@ -338,9 +316,11 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
             st = spectral_renormalize(potential, grid, om, profile,
                                       symmetrize=True)
             profile = st.profile
-            d, e = lplus_tridiagonal(potential, grid, st)
-            lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                                   select_range=(0, 1))[1]
+            # L+ = H - omega - 3 psi^2, the linearization about st
+            lp = pinned_hamiltonian(potential, grid).shifted(
+                st.omega).shifted(3.0 * st.profile[1:] ** 2)
+            lam = eigh_tridiagonal(lp.diag, lp.off, eigvals_only=True,
+                                   select="i", select_range=(0, 1))[1]
             solved[om] = (st, float(lam))
         return solved[om][1]
 

@@ -111,7 +111,6 @@ def cmd_phaseplane(opts) -> int:
         dt = float(opts["dt"])
         vf = rd.vf_polar_reduced
         e, th = float(eps1), float(dth)     # implicit midpoint on floats
-        tcur = 0.0
         row = 1
         nsteps = int(round(t_end / dt))
         for k in range(nsteps):
@@ -126,7 +125,8 @@ def cmd_phaseplane(opts) -> int:
                 if delta < 1e-13:
                     break
             e, th = z_e, z_th
-            tcur += dt
+            # from the step count: a running sum of dt drifts past the slack
+            tcur = (k + 1) * dt
             while row < len(ts) and ts[row] <= tcur + 1e-12:
                 y[row] = (e, th)
                 row += 1

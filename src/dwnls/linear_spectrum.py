@@ -28,6 +28,7 @@ for odd i+j+k+l (parity); the critical power of the two-mode reduction is
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,27 +202,56 @@ def potential_samples(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     return v
 
 
-def hamiltonian_tridiagonal(spec: PotentialSpec, grid: Grid):
-    """(diagonal, off-diagonal) of the discrete H = -d2/dx2 + V.
+class PinnedHamiltonian:
+    """The discrete H = -d2/dx2 + V (minus any shift) on the free nodes
+    1..n-1 of a grid.
 
-    Node 0 (x = -x_max, the lone unpaired node of the grid) is treated as
-    a Dirichlet zero throughout the package, which makes the operator
-    commute with the reflection x -> -x exactly.
+    Node 0 (x = -x_max, the lone unpaired node of the grid) is a Dirichlet
+    zero throughout the package, which makes the operator commute with the
+    reflection x -> -x exactly; this type is the one place that drops it.
+    diag = 2/dx^2 + V and off = -1/dx^2 are the tridiagonal entries (n - 1
+    and n - 2 of them), v is V alone, for the quadratic form.
     """
-    dx2 = grid.dx**2
-    diag = 2.0 / dx2 + potential_samples(spec, grid)
-    off = np.full(grid.n_points - 1, -1.0 / dx2)
-    return diag, off
+
+    def __init__(self, grid: Grid, v_samples: np.ndarray):
+        dx2 = grid.dx**2
+        self.dx = grid.dx
+        self.v = np.asarray(v_samples, dtype=float)[1:]
+        self.diag = 2.0 / dx2 + self.v
+        self.off = np.full(grid.n_points - 2, -1.0 / dx2)
+
+    def shifted(self, s) -> "PinnedHamiltonian":
+        """H - s, for a scalar s or an array s over the free nodes."""
+        h = copy.copy(self)
+        h.v, h.diag = self.v - s, self.diag - s
+        return h
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        """H u for u over the free nodes."""
+        out = self.diag * u
+        out[:-1] += self.off * u[1:]
+        out[1:] += self.off * u[:-1]
+        return out
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """H u for u on the whole grid: u[0] is not read, and node 0 of the
+        result is 0."""
+        out = np.zeros_like(u)
+        out[1:] = self @ u[1:]
+        return out
+
+    def quadratic_form(self, u: np.ndarray) -> float:
+        """dx <u, H u> for u over the free nodes, in difference form:
+        sum |u_{i+1} - u_i|^2 / dx, with the pinned zero on both sides
+        (node n wraps to node 0), plus dx sum V |u|^2."""
+        kinetic = float(np.sum(np.abs(np.diff(u)) ** 2)
+                        + abs(u[0]) ** 2 + abs(u[-1]) ** 2) / self.dx
+        return kinetic + self.dx * float(np.sum(self.v * np.abs(u) ** 2))
 
 
-def apply_hamiltonian(spec: PotentialSpec, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """H u on the pinned-node convention (u[0] is held at zero)."""
-    d, e = hamiltonian_tridiagonal(spec, grid)
-    out = d * u
-    out[:-1] += e * u[1:]
-    out[1:] += e * u[:-1]
-    out[0] = 0.0
-    return out
+def pinned_hamiltonian(spec: PotentialSpec, grid: Grid) -> PinnedHamiltonian:
+    """The pinned H of the well `spec` on `grid`."""
+    return PinnedHamiltonian(grid, potential_samples(spec, grid))
 
 
 def reflect(f: np.ndarray) -> np.ndarray:
@@ -244,10 +274,10 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
         # transcendental pre-check gives the sharp existence condition
         if count == 2:
             solve_double_delta_levels(spec.strength, spec.separation)
-    d, e = hamiltonian_tridiagonal(spec, grid)
-    # eigensolve on the interior nodes 1..n-1 (node 0 is the Dirichlet
-    # pin), a reflection-symmetric set; embed with psi[0] = 0
-    vals, vecs_in = eigh_tridiagonal(d[1:], e[1:], select="i",
+    h = pinned_hamiltonian(spec, grid)
+    # eigensolve on the free nodes, a reflection-symmetric set; embed
+    # with psi[0] = 0
+    vals, vecs_in = eigh_tridiagonal(h.diag, h.off, select="i",
                                      select_range=(0, count - 1))
     vecs = np.zeros((grid.n_points, count))
     vecs[1:, :] = vecs_in
@@ -285,7 +315,7 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
             right = psi[grid.n_points // 2 + 1 :]
             if right[np.argmax(np.abs(right))] < 0:
                 psi = -psi
-        hpsi = apply_hamiltonian(spec, grid, psi)
+        hpsi = h.apply(psi)
         lam = float(np.sum(w * psi * hpsi))
         res = hpsi - lam * psi
         if np.linalg.norm(res) > 1e-8 * np.linalg.norm(psi):

@@ -60,7 +60,7 @@ from scipy.linalg.lapack import zgtsv
 
 from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
-from .linear_spectrum import PotentialSpec, potential_samples
+from .linear_spectrum import PinnedHamiltonian, PotentialSpec, potential_samples
 
 
 @dataclass
@@ -154,21 +154,17 @@ def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
     periodic grid, conserved by the Strang step to O(dt^2).
     """
     grid, u = state.grid, state.values
-    dx = grid.dx
     v = _samples(grid, potential)
-    if scheme == "split_step":
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dx)
-        kinetic = dx / grid.n_points * float(
-            np.sum(k * k * np.abs(np.fft.fft(u)) ** 2))
-        a2 = np.abs(u) ** 2
-    else:
-        # sum over the free nodes of |u_{i+1} - u_i|^2 / dx^2, with the
-        # pinned zero on both sides (node n wraps to node 0)
+    if scheme != "split_step":
+        # Q(u) - 1/2 dx sum |u|^4 is the quadratic form of H - |u|^2/2 at u
         free = u[1:]
-        kinetic = float(np.sum(np.abs(np.diff(free)) ** 2)
-                        + abs(free[0]) ** 2 + abs(free[-1]) ** 2) / dx
-        a2 = np.abs(free) ** 2
-        v = v[1:]
+        h = PinnedHamiltonian(grid, v)
+        return h.shifted(0.5 * np.abs(free) ** 2).quadratic_form(free)
+    dx = grid.dx
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dx)
+    kinetic = dx / grid.n_points * float(
+        np.sum(k * k * np.abs(np.fft.fft(u)) ** 2))
+    a2 = np.abs(u) ** 2
     return kinetic + dx * float(np.sum((v - 0.5 * a2) * a2))
 
 
@@ -253,13 +249,12 @@ class CrankNicolsonStepper:
         self.grid = grid
         self.dt = dt
         self.nonlinear = nonlinear
-        # I + (i dt/2) H on nodes 1..n-1: node 0 is the grid's Dirichlet pin
-        # (see hamiltonian_tridiagonal) and stays exactly zero
+        # I + (i dt/2) H on the free nodes; node 0 stays exactly zero
+        h = PinnedHamiltonian(grid, v_samples)
         c = 0.5j * dt
-        dx2 = grid.dx**2
         self._c = c
-        self._diag = 1.0 + c * (2.0 / dx2 + np.asarray(v_samples, float)[1:])
-        self._off = np.full(grid.n_points - 2, -c / dx2)
+        self._diag = 1.0 + c * h.diag
+        self._off = c * h.off
         self._phi = None
 
     def cut(self, u: np.ndarray, keep: np.ndarray):

@@ -120,6 +120,16 @@ def _require_unit(params: ReducedParams, chart: str) -> None:
 # vector fields
 # ----------------------------------------------------------------------
 
+def _coefficients(params: ReducedParams):
+    """(a0000, a0011, a1111, a0001, a0111) as floats; unit coefficients
+    without a measured tensor."""
+    if params.a is None:
+        return 1.0, 1.0, 1.0, 0.0, 0.0
+    a = params.a
+    return (float(a[0, 0, 0, 0]), float(a[0, 0, 1, 1]), float(a[1, 1, 1, 1]),
+            float(a[0, 0, 0, 1]), float(a[0, 1, 1, 1]))
+
+
 def chart_field(chart: str, params: ReducedParams):
     """The chart's vector field as a function of the four packed float
     coordinates, returning a 4-tuple of floats.  Build it once per
@@ -127,14 +137,7 @@ def chart_field(chart: str, params: ReducedParams):
     # plain floats: numpy scalars would make every operation below slow
     om0, om1, g = float(params.omega0), float(params.omega1), float(params.g)
     if chart == MODES:
-        if params.a is None:
-            a0000 = a0011 = a1111 = 1.0
-            a0001 = a0111 = 0.0
-        else:
-            a = params.a
-            a0000, a0011, a1111 = float(a[0, 0, 0, 0]), float(a[0, 0, 1, 1]), \
-                float(a[1, 1, 1, 1])
-            a0001, a0111 = float(a[0, 0, 0, 1]), float(a[0, 1, 1, 1])
+        a0000, a0011, a1111, a0001, a0111 = _coefficients(params)
 
         def modes(x0, y0, x1, y1):
             r0, r1 = complex(x0, y0), complex(x1, y1)
@@ -179,25 +182,6 @@ def chart_field(chart: str, params: ReducedParams):
     raise ValueError(f"unknown chart {chart!r}")
 
 
-def vf_modes(state: ModeAmplitudes, params: ReducedParams):
-    """(rho0', rho1') of the reduction; tensor coefficients if configured."""
-    r0, r1 = state.rho0, state.rho1
-    d = chart_field(MODES, params)(r0.real, r0.imag, r1.real, r1.imag)
-    return complex(d[0], d[1]), complex(d[2], d[3])
-
-
-def vf_cartesian(state: CartesianChart, params: ReducedParams):
-    """(A', alpha', beta', theta'); requires A > 0 (unit coefficients)."""
-    return chart_field(CARTESIAN, params)(state.A, state.alpha, state.beta,
-                                          state.theta)
-
-
-def vf_polar(state: PolarChart, params: ReducedParams):
-    """(r0', r1', dtheta', theta0') in the three-field polar chart."""
-    return chart_field(POLAR, params)(state.r0, state.r1, state.dtheta,
-                                      state.theta0)
-
-
 def vf_polar_reduced(eps1: float, dtheta: float, n: float, n_cr: float):
     """(eps1', dtheta') of the two-field perturbation form with power offset n."""
     s2 = math.sin(2.0 * dtheta)
@@ -233,23 +217,15 @@ def invariants(state, params: ReducedParams):
     m = convert(state, MODES)
     r0, r1 = m.rho0, m.rho1
     n = abs(r0) ** 2 + abs(r1) ** 2
-    g = params.g
-    if params.a is None:
-        h = (params.omega0 * abs(r0) ** 2 + params.omega1 * abs(r1) ** 2
-             + 0.5 * g * (abs(r0) ** 4 + abs(r1) ** 4
-                          + 4.0 * abs(r0) ** 2 * abs(r1) ** 2
-                          + 2.0 * (r1 * r1 * (r0.conjugate() ** 2)).real))
-    else:
-        a = params.a
-        cross = (r0 * r0 * (r1.conjugate() ** 2)).real
-        mixed = (r0 * r1.conjugate()).real
-        h = (params.omega0 * abs(r0) ** 2 + params.omega1 * abs(r1) ** 2
-             + 0.5 * g * (a[0, 0, 0, 0] * abs(r0) ** 4
-                          + a[1, 1, 1, 1] * abs(r1) ** 4
-                          + 4.0 * a[0, 0, 1, 1] * abs(r0) ** 2 * abs(r1) ** 2
-                          + 2.0 * a[0, 0, 1, 1] * cross
-                          + 4.0 * a[0, 0, 0, 1] * abs(r0) ** 2 * mixed
-                          + 4.0 * a[0, 1, 1, 1] * abs(r1) ** 2 * mixed))
+    a0000, a0011, a1111, a0001, a0111 = _coefficients(params)
+    cross = (r0 * r0 * (r1.conjugate() ** 2)).real
+    mixed = (r0 * r1.conjugate()).real
+    h = (params.omega0 * abs(r0) ** 2 + params.omega1 * abs(r1) ** 2
+         + 0.5 * params.g * (a0000 * abs(r0) ** 4 + a1111 * abs(r1) ** 4
+                             + 4.0 * a0011 * abs(r0) ** 2 * abs(r1) ** 2
+                             + 2.0 * a0011 * cross
+                             + 4.0 * a0001 * abs(r0) ** 2 * mixed
+                             + 4.0 * a0111 * abs(r1) ** 2 * mixed))
     return n, h
 
 
@@ -368,7 +344,11 @@ class Trajectory:
         return "\n".join(rows) + "\n"
 
 
-def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every):
+def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,
+                            on_step=None):
+    """(times, states) of the implicit midpoint over t_span, recorded every
+    record_every steps and at the last.  on_step, if given, is called after
+    every step with the four coordinates of the step's converged midpoint."""
     # plain floats: a numpy scalar dt or t_span would make every
     # operation of the loop a numpy scalar operation
     t0, t1 = map(float, t_span)
@@ -401,6 +381,9 @@ def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every):
                 break
         else:
             raise StepFailure(f"implicit midpoint stalled at t = {t:.6g}")
+        if on_step is not None:
+            on_step(0.5 * (y_0 + z_0), 0.5 * (y_1 + z_1),
+                    0.5 * (y_2 + z_2), 0.5 * (y_3 + z_3))
         y_0, y_1, y_2, y_3 = z_0, z_1, z_2, z_3
         t = t0 + (k + 1) * dt
         if (k + 1) % record_every == 0 or k == n_steps - 1:

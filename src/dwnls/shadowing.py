@@ -49,11 +49,7 @@ from .errors import (
     NoCrossing,
 )
 from .grids import Grid, same_grid
-from .linear_spectrum import (
-    SpectralData,
-    hamiltonian_tridiagonal,
-    potential_samples,
-)
+from .linear_spectrum import SpectralData, pinned_hamiltonian, potential_samples
 from .pde import (
     CrankNicolsonStepper,
     FieldState,
@@ -252,8 +248,8 @@ class _TildeREvolver:
     def __init__(self, spectral: SpectralData, dt: float,
                  orbit: _ReferenceOrbit, n_steps: int):
         self.grid = spectral.grid
-        d, e = hamiltonian_tridiagonal(spectral.spec, self.grid)
-        lam, v = eigh_tridiagonal(d[1:], e[1:], lapack_driver="stemr")
+        h = pinned_hamiltonian(spectral.spec, self.grid)
+        lam, v = eigh_tridiagonal(h.diag, h.off, lapack_driver="stemr")
         self.v = v[:, 2:]
         mu = lam[2:] - spectral.omega0
         self.e = np.exp(-1j * dt * mu)

@@ -34,7 +34,8 @@ class TestEquilibria:
         # each equilibrium satisfies the rotating-frame stationarity system
         for n_level in (0.08, 0.2):
             for eq in bf.equilibria(n_level, 0.1, omega0=PARAMS.omega0):
-                d = rd.vf_cartesian(eq.chart_state(), PARAMS)
+                d = rd.chart_field(rd.CARTESIAN, PARAMS)(
+                    *rd.pack(eq.chart_state()))
                 assert max(abs(v) for v in d[:3]) < 1e-14
                 # rotation consistency: theta' = -Omega*
                 assert d[3] == pytest.approx(-eq.rotation, rel=1e-12)
@@ -239,6 +240,27 @@ class TestMonodromy:
             ebt = bf.linear_flow(eq, per.period, 0.15, 0.1)
             gaps.append(np.max(np.abs(rep.monodromy[:3, :3] - ebt[:3, :3])))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_walks_the_orbit_of_integrate(self, monkeypatch):
+        # the monodromy's orbit is integrate's implicit midpoint at the
+        # same dt, bit for bit
+        _, _, traj = small_orbit(0.15, 0.1, 0.01)
+        period = rd.detect_period(traj).period
+        dt = period / 3000
+        ends = []
+        path = bf._implicit_midpoint_path
+
+        def spy(*args, **kwargs):
+            times, states = path(*args, **kwargs)
+            ends.append(states[-1])
+            return times, states
+
+        monkeypatch.setattr(bf, "_implicit_midpoint_path", spy)
+        bf.monodromy(traj, PARAMS, period=period, dt=dt)
+        ref = rd.integrate(rd.convert(traj.state(0), rd.CARTESIAN), PARAMS,
+                           (0.0, period), dt)
+        assert len(ends) == 1
+        assert np.array_equal(ends[0], ref.states[-1])
 
     def test_not_periodic(self):
         _, _, traj = small_orbit(0.15, 0.1, 0.01)

@@ -107,19 +107,20 @@ class TestSpectralRenormalize:
         p = state.profile
         assert p[0] == 0.0
 
+        h = ls.pinned_hamiltonian(sd.spec, grid)
+
         def l_op(f):
-            return ls.apply_hamiltonian(sd.spec, grid, f) - om * f
+            return h.apply(f) - om * f
 
         w = grid.quad_weights()
         psi = seed * np.sqrt(np.sum(w * seed * l_op(seed))
                              / np.sum(w * seed**4))
         f = (l_op(psi) - psi**3)[1:]
-        d, e = ls.hamiltonian_tridiagonal(sd.spec, grid)
 
         def abs_op(diag, g):
             out = np.abs(diag) * np.abs(g)
-            out[:-1] += np.abs(e) * np.abs(g[1:])
-            out[1:] += np.abs(e) * np.abs(g[:-1])
+            out[:-1] += np.abs(h.off) * np.abs(g[1:])
+            out[1:] += np.abs(h.off) * np.abs(g[:-1])
             return out
 
         fits = []
@@ -135,8 +136,8 @@ class TestSpectralRenormalize:
         # roundoff of a backward-stable tridiagonal solve, eps |L+| |step|,
         # and of forming F: eps (|L| |psi| + |psi|^3)
         assert res <= 64 * np.finfo(float).eps * (
-            np.max(abs_op(d - om - 3.0 * psi**2, step))
-            + np.max(abs_op(d - om, psi)) + np.max(np.abs(psi)) ** 3)
+            np.max(abs_op(h.diag - om - 3.0 * psi[1:] ** 2, step[1:]))
+            + np.max(abs_op(h.diag - om, psi[1:])) + np.max(np.abs(psi)) ** 3)
 
     @pytest.mark.parametrize("above", [1e-6, 0.05, 1.0])
     def test_omega_above_ground_state_raises(self, delta_s1_L10, above):
@@ -297,10 +298,12 @@ class TestThreshold:
                                         0.1 * sd.psi0.eigenfunction,
                                         symmetrize=True)
         assert state.n == pytest.approx(thr.n_star, rel=1e-8)
-        d, e = bs.lplus_tridiagonal(sd.spec, sd.grid, state)
-        lam, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
+        lp = ls.pinned_hamiltonian(sd.spec, sd.grid).shifted(
+            state.omega).shifted(3.0 * state.profile[1:] ** 2)
+        lam, vec = eigh_tridiagonal(lp.diag, lp.off, select="i",
+                                    select_range=(0, 1))
         # roundoff of the eigenvalue: eps times the operator's row-sum norm
-        norm = np.max(np.abs(d) + 2.0 * np.abs(e[0]))
+        norm = np.max(np.abs(lp.diag) + 2.0 * np.abs(lp.off[0]))
         tol = 32 * np.finfo(float).eps * norm
         assert abs(lam[1]) <= tol
         assert abs(thr.odd_eigenvalue) <= tol

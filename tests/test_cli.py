@@ -101,32 +101,35 @@ class TestPhaseplaneCommand:
     def test_orbits_match_array_midpoint(self, tmp_path):
         # the implicit midpoint on 2-element arrays, step for step: the
         # command's scalar loop does the same arithmetic, so rows match
-        # to the last digit
-        out = tmp_path / "ppr"
-        ncr, n_off, dt, t_end = 0.2, 0.05, 0.05, 20.0
-        assert run(["phaseplane", "--ncr", str(ncr), "--n", str(n_off),
-                    "--t-end", str(t_end), "--orbits", "1",
-                    "--out", str(out)]) == 0
-        index = json.loads((out / "index.json").read_text())
-        for orbit in index["orbits"]:
-            state = np.array([orbit["eps1_0"], orbit["dtheta_0"]])
-            ref = [state]
-            for _ in range(int(round(t_end / dt))):
-                z = state + dt * np.array(rd.vf_polar_reduced(*state, n_off,
-                                                              ncr))
-                for _ in range(30):
-                    znew = state + dt * np.array(rd.vf_polar_reduced(
-                        *(0.5 * (state + z)), n_off, ncr))
-                    done = np.max(np.abs(znew - z)) < 1e-13
-                    z = znew
-                    if done:
-                        break
-                state = z
-                ref.append(state)
-            rows = np.loadtxt(out / orbit["file"], delimiter=",",
-                              skiprows=1)
-            # dt_record 0.5 is every 10th step
-            assert np.array_equal(rows[:, 1:], np.array(ref[::10])[:len(rows)])
+        # to the last digit; by t_end 100 a time kept as a running sum of
+        # dt would label rows one step late
+        ncr, n_off, dt = 0.2, 0.05, 0.05
+        for t_end in (20.0, 100.0):
+            out = tmp_path / f"ppr{t_end:g}"
+            assert run(["phaseplane", "--ncr", str(ncr), "--n", str(n_off),
+                        "--t-end", str(t_end), "--orbits", "1",
+                        "--out", str(out)]) == 0
+            index = json.loads((out / "index.json").read_text())
+            for orbit in index["orbits"]:
+                state = np.array([orbit["eps1_0"], orbit["dtheta_0"]])
+                ref = [state]
+                for _ in range(int(round(t_end / dt))):
+                    z = state + dt * np.array(rd.vf_polar_reduced(
+                        *state, n_off, ncr))
+                    for _ in range(30):
+                        znew = state + dt * np.array(rd.vf_polar_reduced(
+                            *(0.5 * (state + z)), n_off, ncr))
+                        done = np.max(np.abs(znew - z)) < 1e-13
+                        z = znew
+                        if done:
+                            break
+                    state = z
+                    ref.append(state)
+                rows = np.loadtxt(out / orbit["file"], delimiter=",",
+                                  skiprows=1)
+                # dt_record 0.5 is every 10th step
+                assert np.array_equal(rows[:, 1:],
+                                      np.array(ref[::10])[:len(rows)])
 
     def test_jobs_flag(self, tmp_path):
         out = tmp_path / "ppj"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwnls.errors import (
     ConvergenceFailure,
@@ -92,6 +93,46 @@ class TestBuildPotential:
             ls.build_potential(ls.PotentialSpec("delta", 0.5, 10.0), small)
 
 
+class TestPinnedHamiltonian:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["delta", "gauss"]),
+           strength=st.floats(1.0, 4.0), sep=st.floats(1.0, 4.0),
+           n=st.sampled_from([8, 16, 64]), shift=st.floats(-50.0, 50.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_matrix(self, kind, strength, sep, n, shift, seed):
+        # product, shift and quadratic form against the dense matrix of
+        # -d2/dx2 + V on the free nodes 1..n-1; node 0 holds a NaN that
+        # must never be read
+        if kind == "gauss":
+            strength /= 4.0                    # sigma in [0.25, 1]
+        grid = Grid.symmetric(30.0, n)
+        spec = ls.PotentialSpec(kind, strength, sep)
+        v, dx = ls.potential_samples(spec, grid), grid.dx
+        dense = np.diag(2.0 / dx**2 + v[1:]) \
+            - (np.eye(n - 1, k=1) + np.eye(n - 1, k=-1)) / dx**2
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        u[0] = np.nan
+        free = u[1:]
+        eps = np.finfo(float).eps
+        h = ls.pinned_hamiltonian(spec, grid)
+        full = h.apply(u)
+        assert full[0] == 0.0
+        for s in (0.0, shift, rng.normal(size=n - 1) * 10.0):
+            hs = h.shifted(s)
+            m = dense - np.diag(np.broadcast_to(s, n - 1))
+            bound = 8 * eps * (np.abs(m) @ np.abs(free))
+            assert np.all(np.abs(hs @ free - m @ free) <= bound)
+            q = dx * float(np.vdot(free, m @ free).real)
+            q_bound = 64 * eps * dx * float(np.abs(free) @ np.abs(m)
+                                            @ np.abs(free))
+            assert abs(hs.quadratic_form(free) - q) <= q_bound
+        assert np.all(np.abs(full[1:] - dense @ free)
+                      <= 8 * eps * (np.abs(dense) @ np.abs(free)))
+        # a shift leaves the operator it was taken from as it was
+        assert np.array_equal(h @ free, full[1:])
+
+
 class TestEigenpairs:
     def test_delta_matches_transcendental_second_order(self):
         ke, ko = ls.solve_double_delta_levels(1.0, 10.0)
@@ -143,8 +184,8 @@ class TestEigenpairs:
     def test_eigenresidual(self, delta_s1_L10):
         sd = delta_s1_L10
         for pair in (sd.psi0, sd.psi1):
-            res = ls.apply_hamiltonian(sd.spec, sd.grid, pair.eigenfunction) \
-                - pair.eigenvalue * pair.eigenfunction
+            res = ls.pinned_hamiltonian(sd.spec, sd.grid).apply(
+                pair.eigenfunction) - pair.eigenvalue * pair.eigenfunction
             assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(pair.eigenfunction)
 
 

@@ -9,6 +9,17 @@ from dwnls import bifurcation as bf
 PARAMS = rd.ReducedParams.from_ncr(0.1, omega0=-1.0)
 
 
+def field(chart, state, params):
+    """The chart's vector field at a chart state."""
+    return rd.chart_field(chart, params)(*rd.pack(state))
+
+
+def vf_modes(state, params):
+    """(rho0', rho1') of the modes field as complex numbers."""
+    d = field(rd.MODES, state, params)
+    return complex(d[0], d[1]), complex(d[2], d[3])
+
+
 def random_modes(rng, scale=0.4):
     z = rng.normal(size=4) * scale
     return rd.ModeAmplitudes(complex(z[0], z[1]), complex(z[2], z[3]))
@@ -37,14 +48,14 @@ def finite_diff_h_gradient(state, params, h=1e-6):
 
 class TestVectorFields:
     def test_zero_fixed_point(self):
-        d0, d1 = rd.vf_modes(rd.ModeAmplitudes(0j, 0j), PARAMS)
+        d0, d1 = vf_modes(rd.ModeAmplitudes(0j, 0j), PARAMS)
         assert d0 == 0 and d1 == 0
 
     def test_symmetric_relative_equilibrium(self):
         n_level = 0.07
         theta = 0.8
         rho0 = np.sqrt(n_level) * np.exp(1j * theta)
-        d0, d1 = rd.vf_modes(rd.ModeAmplitudes(rho0, 0j), PARAMS)
+        d0, d1 = vf_modes(rd.ModeAmplitudes(rho0, 0j), PARAMS)
         expected = -1j * (PARAMS.omega0 - n_level) * rho0
         assert d0 == pytest.approx(expected, abs=1e-15)
         assert d1 == 0
@@ -53,7 +64,7 @@ class TestVectorFields:
         rng = np.random.default_rng(7)
         for _ in range(20):
             m = random_modes(rng)
-            d0, d1 = rd.vf_modes(m, PARAMS)
+            d0, d1 = vf_modes(m, PARAMS)
             o0, o1 = finite_diff_h_gradient(m, PARAMS)
             assert d0 == pytest.approx(o0, abs=1e-6)
             assert d1 == pytest.approx(o1, abs=1e-6)
@@ -63,14 +74,14 @@ class TestVectorFields:
         rng = np.random.default_rng(8)
         for _ in range(10):
             m = random_modes(rng, scale=0.2)
-            d0, d1 = rd.vf_modes(m, params)
+            d0, d1 = vf_modes(m, params)
             o0, o1 = finite_diff_h_gradient(m, params)
             assert d0 == pytest.approx(o0, abs=1e-6)
             assert d1 == pytest.approx(o1, abs=1e-6)
 
     def test_cartesian_form(self):
         st = rd.CartesianChart(A=0.3, alpha=0.1, beta=-0.05, theta=0.4)
-        da, dal, dbe, dth = rd.vf_cartesian(st, PARAMS)
+        da, dal, dbe, dth = field(rd.CARTESIAN, st, PARAMS)
         om10 = PARAMS.omega10
         assert dal == pytest.approx((om10 + 2 * 0.1**2) * (-0.05), rel=1e-14)
         assert dbe == pytest.approx(-(om10 - 2 * 0.3**2 + 2 * 0.1**2) * 0.1,
@@ -82,20 +93,21 @@ class TestVectorFields:
     def test_cartesian_equilibria_are_fixed(self):
         for n_level in (0.05, 0.15):
             for eq in bf.equilibria(n_level, 0.1):
-                d = rd.vf_cartesian(eq.chart_state(), PARAMS)
+                d = field(rd.CARTESIAN, eq.chart_state(), PARAMS)
                 assert max(abs(v) for v in d[:3]) < 1e-14
         # symmetric point: theta advances at -Omega0 + N
         eq = bf.equilibria(0.05, 0.1)[0]
-        dth = rd.vf_cartesian(eq.chart_state(), PARAMS)[3]
+        dth = field(rd.CARTESIAN, eq.chart_state(), PARAMS)[3]
         assert dth == pytest.approx(-PARAMS.omega0 + 0.05, rel=1e-14)
 
     def test_cartesian_breakdown(self):
         with pytest.raises(ChartBreakdown):
-            rd.vf_cartesian(rd.CartesianChart(A=0.0, alpha=0.1, beta=0.0),
-                            PARAMS)
+            field(rd.CARTESIAN,
+                  rd.CartesianChart(A=0.0, alpha=0.1, beta=0.0), PARAMS)
 
     def test_polar_zero_relative_phase(self):
-        d = rd.vf_polar(rd.PolarChart(r0=0.3, r1=0.1, dtheta=0.0), PARAMS)
+        d = field(rd.POLAR, rd.PolarChart(r0=0.3, r1=0.1, dtheta=0.0),
+                  PARAMS)
         assert d[0] == 0.0 and d[1] == 0.0
 
     def test_polar_reduced_equilibria(self):
@@ -113,10 +125,10 @@ class TestVectorFields:
             m = random_modes(rng)
             if abs(m.rho0) < 0.05 or abs(m.rho1) < 0.05:
                 continue
-            d0, d1 = rd.vf_modes(m, PARAMS)
+            d0, d1 = vf_modes(m, PARAMS)
             # cartesian push-forward
             c = rd.convert(m, rd.CARTESIAN)
-            da, dal, dbe, dth = rd.vf_cartesian(c, PARAMS)
+            da, dal, dbe, dth = field(rd.CARTESIAN, c, PARAMS)
             a_dot = (np.conj(m.rho0) * d0).real / abs(m.rho0)
             th_dot = (d0 / m.rho0).imag
             c1_dot = (d1 - 1j * th_dot * m.rho1) * np.exp(-1j * c.theta)
@@ -126,7 +138,7 @@ class TestVectorFields:
             assert dbe == pytest.approx(c1_dot.imag, abs=1e-10)
             # polar push-forward
             p = rd.convert(m, rd.POLAR)
-            dr0, dr1, ddth, dth0 = rd.vf_polar(p, PARAMS)
+            dr0, dr1, ddth, dth0 = field(rd.POLAR, p, PARAMS)
             assert dr0 == pytest.approx(
                 (np.conj(m.rho0) * d0).real / abs(m.rho0), abs=1e-10)
             assert dr1 == pytest.approx(
@@ -296,7 +308,7 @@ class TestIntegration:
         # starting almost at A = 0 forces the modes-chart retry
         ic = rd.CartesianChart(A=1e-9, alpha=0.2, beta=0.0)
         with pytest.raises(ChartBreakdown):
-            rd.vf_cartesian(ic, PARAMS)
+            field(rd.CARTESIAN, ic, PARAMS)
         # integrate never raises: it falls back internally
         m = rd.ModeAmplitudes(complex(1e-9, 0.0), complex(0.2, 0.0))
         traj = rd.integrate(m, PARAMS, (0.0, 5.0), 0.01)

@@ -195,10 +195,10 @@ class TestTildeR:
             + 1j * rng.normal(size=stepper.v.shape[1])
         r0 = stepper.to_grid(s0)
         r1 = stepper.to_grid(stepper.step(s0))
-        d, e = ls.hamiltonian_tridiagonal(sd.spec, grid)
+        hp = ls.pinned_hamiltonian(sd.spec, grid)
         m = sd.a[0, 0, 0, 0] * a_amp**2
-        h = np.diag(d[1:] - sd.omega0 + m) + np.diag(e[1:], 1) \
-            + np.diag(e[1:], -1)
+        h = np.diag(hp.diag - sd.omega0 + m) + np.diag(hp.off, 1) \
+            + np.diag(hp.off, -1)
         exact = expm(-1j * dt * h) @ r0[1:]
         assert r1[0] == 0.0
         assert np.max(np.abs(r1[1:] - exact)) <= 1e-13 * np.max(np.abs(r0))
@@ -247,15 +247,16 @@ class TestTildeR:
         m = sd.a[0, 0, 0, 0] * a * a \
             + sd.a[0, 0, 1, 1] * (3.0 * al * al + be * be)
         basis = sh._Basis(sd)
-        d, e = ls.hamiltonian_tridiagonal(sd.spec, sd.grid)
+        h = ls.pinned_hamiltonian(sd.spec, sd.grid)
+        e = h.off[0]
         c = 0.5j * dt
-        off = np.full(len(d) - 2, c * e[0])
-        r = np.zeros(len(d) - 1, complex)
+        off = np.full(len(h.off), c * e)
+        r = np.zeros(len(h.diag), complex)
         for k in range(n_steps):
-            diag = 1.0 + c * (d[1:] - sd.omega0 + m[k])
+            diag = 1.0 + c * (h.diag - sd.omega0 + m[k])
             rhs = (2.0 - diag) * r
-            rhs[:-1] -= c * e[0] * r[1:]
-            rhs[1:] -= c * e[0] * r[:-1]
+            rhs[:-1] -= c * e * r[1:]
+            rhs[1:] -= c * e * r[:-1]
             rhs -= 2.0 * c * sh.mode_source(a[k], al[k], be[k], basis,
                                             sd.g)[1:]
             *lu, info = zgttrf(off, diag, off)
@@ -391,7 +392,8 @@ class TestEquilibriumAlpha:
         al = sh.equilibrium_alpha(params, n_level)
         a_amp = np.sqrt(n_level - al * al)
         m = rd.ModeAmplitudes(complex(a_amp, 0.0), complex(al, 0.0))
-        d0, d1 = rd.vf_modes(m, params)
+        d = rd.chart_field(rd.MODES, params)(*rd.pack(m))
+        d0, d1 = complex(d[0], d[1]), complex(d[2], d[3])
         # relative equilibrium: both modes rotate at one common rate
         r0 = d0 / m.rho0
         r1 = d1 / m.rho1
