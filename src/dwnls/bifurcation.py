@@ -59,9 +59,8 @@ class Equilibrium:
     rotation: float     # Omega* with u ~ e^{-i Omega* t}
     n: float
 
-    def chart_state(self, theta: float = 0.0) -> CartesianChart:
-        return CartesianChart(A=self.A, alpha=self.alpha, beta=self.beta,
-                              theta=theta)
+    def chart_state(self) -> CartesianChart:
+        return CartesianChart(A=self.A, alpha=self.alpha, beta=self.beta)
 
 
 def equilibria(n_level: float, n_cr: float, omega0: float = 0.0):
@@ -245,7 +244,7 @@ def monodromy(orbit: Trajectory, params: ReducedParams, period: float = None,
     (alpha, beta, A, theta) ordering.  dt defaults to the orbit's own
     sample spacing so the discrete flows share one period.
     """
-    if params.a is not None or params.g != -1.0:
+    if params.a is not None:
         raise ValueError("monodromy implements the unit-coefficient reduction")
     if period is None:
         from .reduced_dynamics import detect_period

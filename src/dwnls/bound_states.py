@@ -31,6 +31,7 @@ from .errors import (
     NoBifurcationFound,
 )
 from .grids import Grid
+from .io_utils import csv_text
 from .linear_spectrum import PotentialSpec, pinned_hamiltonian, reflect
 from .roots import brentq
 
@@ -43,6 +44,9 @@ ASYM_MINUS = "asym_minus"
 # a step is halved at most down to _MIN_STEP
 _STOP_EPS = 16 * np.finfo(float).eps
 _MIN_STEP = 2.0**-10
+# an asymmetric-family point whose |asymmetry| is at most this fraction of
+# its power is labelled symmetric
+_ASYM_FLOOR = 1e-6
 
 
 @dataclass
@@ -68,13 +72,8 @@ class SolitonCurve:
     iterations: Optional[np.ndarray] = None
 
     def to_csv(self) -> str:
-        rows = ["omega,n,asymmetry,branch"]
-        for i in range(len(self.omega)):
-            rows.append(
-                f"{self.omega[i]:.17g},{self.n[i]:.17g},"
-                f"{self.asymmetry[i]:.17g},{self.branch[i]}"
-            )
-        return "\n".join(rows) + "\n"
+        return csv_text(["omega", "n", "asymmetry", "branch"],
+                        [self.omega, self.n, self.asymmetry, self.branch])
 
 
 def _asymmetry(profile: np.ndarray, grid: Grid) -> float:
@@ -184,13 +183,6 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     )
 
 
-def profile_to_csv(state: BoundState) -> str:
-    rows = ["x,psi"]
-    for x, v in zip(state.grid.x, state.profile):
-        rows.append(f"{x:.17g},{v:.17g}")
-    return "\n".join(rows) + "\n"
-
-
 def default_seeds(spectral) -> dict:
     """Symmetric / asymmetric seed profiles built from the linear modes."""
     psi0 = spectral.psi0.eigenfunction
@@ -203,13 +195,13 @@ def default_seeds(spectral) -> dict:
 
 def continue_in_omega(potential: PotentialSpec, grid: Grid,
                       omega_start: float, omega_end: float, step: float,
-                      seeds: dict, asym_floor: float = 1e-6) -> SolitonCurve:
+                      seeds: dict) -> SolitonCurve:
     """Trace soliton branches from omega_start toward omega_end (downward),
     reusing each converged profile as the next seed.
 
     seeds maps family names ('symmetric', 'asymmetric') to seed profiles;
     asymmetric-family points are labelled by the sign of their asymmetry
-    once it exceeds asym_floor relative to the power.  The curve keeps
+    once it exceeds _ASYM_FLOOR relative to the power.  The curve keeps
     each point's Newton steps in iterations.
     """
     if omega_end >= omega_start:
@@ -238,7 +230,7 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
                 profile = profile + kick * odd
             if family == "symmetric":
                 label = SYMMETRIC
-            elif abs(st.asymmetry) <= asym_floor * max(st.n, 1e-300):
+            elif abs(st.asymmetry) <= _ASYM_FLOOR * max(st.n, 1e-300):
                 label = SYMMETRIC
             else:
                 label = ASYM_PLUS if st.asymmetry > 0 else ASYM_MINUS
@@ -267,8 +259,7 @@ class Threshold:
 
 
 def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
-                     grid: Grid = None, seeds: dict = None,
-                     bisect_tol: float = 1e-12, full_output: bool = False):
+                     grid: Grid = None, seeds: dict = None) -> Threshold:
     """Power at which the asymmetric branch separates from the symmetric one.
 
     The first asymmetric-labelled point of the asymmetric-seeded family
@@ -277,11 +268,11 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     omega* is the root of L+'s odd eigenvalue on the symmetric branch (the
     second-lowest; the lowest is even and negative): the bracket steps
     along the curve's omega grid until that eigenvalue changes sign, and
-    brentq closes it to bisect_tol relative in omega.  Each symmetric
+    brentq closes it to 1e-12 relative in omega.  Each symmetric
     state is a Newton solve with even projection, warm-started from the
     previous one, the first from the even part of seeds['symmetric'] (or
-    seeds['asymmetric']).  Returns n of the symmetric state at omega*, or
-    with full_output a Threshold.  Raises NoBifurcationFound when the
+    seeds['asymmetric']).  Returns the Threshold, with n of the symmetric
+    state at omega*.  Raises NoBifurcationFound when the
     curve shows no asymmetric point or the eigenvalue keeps its sign over
     the grid.
     """
@@ -301,8 +292,7 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     lo = int(np.searchsorted(omegas, curve.omega[first]))
     if potential is None or grid is None or seeds is None \
             or lo + 1 == len(omegas):
-        n_first = float(curve.n[first])
-        return Threshold(n_first) if full_output else n_first
+        return Threshold(float(curve.n[first]))
 
     seed = np.asarray(seeds["symmetric" if "symmetric" in seeds
                             else "asymmetric"], float)
@@ -337,9 +327,7 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
         lo, hi = lo - 1, lo
     om_lo, om_hi = float(omegas[lo]), float(omegas[hi])
     om_star = brentq(odd_eigenvalue, om_lo, om_hi,
-                     xtol=bisect_tol * max(1.0, abs(om_lo)))
+                     xtol=1e-12 * max(1.0, abs(om_lo)))
     odd_eigenvalue(om_star)
     state, lam = solved[float(om_star)]
-    if not full_output:
-        return float(state.n)
     return Threshold(float(state.n), float(om_star), lam)

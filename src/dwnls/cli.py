@@ -32,7 +32,7 @@ from . import reduced_dynamics as rd
 from . import shadowing as sh
 from .errors import DwnlsError
 from .grids import Grid
-from .io_utils import dumps_17g, write_csv, write_gnuplot, write_json
+from .io_utils import write_csv, write_gnuplot, write_json
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -80,8 +80,7 @@ def cmd_spectrum(opts) -> int:
     out = _outdir(opts)
     grid = _grid(opts)
     data = spec_mod.spectral_data(_potential(opts), grid)
-    (out / "spectral.json").write_text(
-        dumps_17g(data.to_json_dict()) + "\n", encoding="utf-8")
+    write_json(out / "spectral.json", data.to_json_dict())
     (out / "eigenfunctions.csv").write_text(
         spec_mod.eigenfunctions_to_csv(data), encoding="utf-8")
     write_gnuplot(out / "eigenfunctions.gp", "eigenfunctions.csv",
@@ -192,8 +191,7 @@ def cmd_groundstate(opts) -> int:
     (out / "soliton_curve.csv").write_text(curve.to_csv(), encoding="utf-8")
     threshold = bst.Threshold(n_star=None)
     try:
-        threshold = bst.detect_threshold(curve, potential, grid, seeds,
-                                         full_output=True)
+        threshold = bst.detect_threshold(curve, potential, grid, seeds)
     except DwnlsError:
         pass
     write_json(out / "threshold.json", {

@@ -47,10 +47,12 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def node_index(self, x0: float, tol: float = 1e-9) -> int:
-        """Index of the node at x0; GridMismatch if x0 is off-node."""
+    def node_index(self, x0: float) -> int:
+        """Index of the node at x0; GridMismatch if x0 is more than 1e-9
+        (relative, or absolute below 1) off a node."""
         i = int(round((x0 - self.x_min) / self.dx))
-        if i < 0 or i >= self.n_points or abs(self.x[i] - x0) > tol * max(1.0, abs(x0)):
+        if i < 0 or i >= self.n_points \
+                or abs(self.x[i] - x0) > 1e-9 * max(1.0, abs(x0)):
             raise GridMismatch(f"x = {x0} is not a grid node (dx = {self.dx})")
         return i
 

@@ -49,21 +49,27 @@ def write_json(path: Path, obj) -> None:
     path.write_text(dumps_17g(obj) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def csv_text(header: list[str], columns: list) -> str:
+    """CSV text with one row per entry of the columns: numbers at 17
+    significant digits, strings as they are."""
     if len(header) != len(columns):
         raise ValueError("header/column count mismatch")
     rows = [",".join(header)]
     for vals in zip(*columns):
-        rows.append(",".join(format(float(v), ".17g") for v in vals))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows.append(",".join(v if isinstance(v, str) else format(float(v), ".17g")
+                             for v in vals))
+    return "\n".join(rows) + "\n"
 
 
-def write_gnuplot(path: Path, csv_name: str, title: str,
-                  using: str = "1:2", with_: str = "lines") -> None:
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    path.write_text(csv_text(header, columns), encoding="utf-8")
+
+
+def write_gnuplot(path: Path, csv_name: str, title: str, using: str) -> None:
     text = (
         "set datafile separator ','\n"
         f"set title '{title}'\n"
         "set key autotitle columnhead\n"
-        f"plot '{csv_name}' using {using} with {with_}\n"
+        f"plot '{csv_name}' using {using} with lines\n"
     )
     path.write_text(text, encoding="utf-8")

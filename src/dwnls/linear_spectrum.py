@@ -20,10 +20,11 @@ consistent weak form) and extracts the two lowest eigenpairs.  Sign
 conventions: psi0 even and positive, psi1 odd and positive for x > 0.
 
 Overlap coefficients a_ijkl = integral psi_i psi_j psi_k psi_l dx vanish
-for odd i+j+k+l (parity); the critical power of the two-mode reduction is
+for odd i+j+k+l (parity); the critical power of the two-mode reduction of
+the focusing cubic term -|u|^2 u is
 
-    N_cr = Omega10 / 2                      (unit coefficients, g = -1)
-    N_cr = Omega10 / (g (a0000 - 3 a0011))  (measured coefficients)
+    N_cr = Omega10 / 2                    (unit coefficients)
+    N_cr = Omega10 / (3 a0011 - a0000)    (measured coefficients)
 """
 
 from __future__ import annotations
@@ -41,11 +42,15 @@ from .errors import (
     OddStateAbsent,
 )
 from .grids import Grid, inner, same_grid
+from .io_utils import csv_text
+from .reduced_dynamics import pitchfork_coefficient
 from .roots import RTOL_MIN, brentq
 
 _ROOT_TOL = 1e-14
 _ORTHO_TOL = 1e-10
 _PARITY_TOL = 1e-10
+# delta strength at which tune_delta_well_for_ncr grows the separation
+_BASE_STRENGTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,6 @@ class SpectralData:
     psi1: EigenPair
     a: np.ndarray          # shape (2, 2, 2, 2) overlap tensor
     n_cr_fd: float         # general-coefficient critical power
-    g: float = -1.0
 
     @property
     def omega10(self) -> float:
@@ -353,18 +357,18 @@ def overlap_coefficients(psi0: EigenPair, psi1: EigenPair) -> np.ndarray:
 @dataclass(frozen=True)
 class CriticalPower:
     unit: float      # Omega10 / 2, the unit-coefficient value
-    general: float   # Omega10 / (g (a0000 - 3 a0011))
+    general: float   # Omega10 / (3 a0011 - a0000)
 
 
-def critical_power(omega0: float, omega1: float, a: np.ndarray, g: float = -1.0):
-    """Critical powers of the reduction; requires Omega10 > 0 and g < 0."""
+def critical_power(omega0: float, omega1: float, a: np.ndarray):
+    """Critical powers of the reduction; requires Omega10 > 0."""
     omega10 = omega1 - omega0
     if omega10 <= 0:
         raise ValueError("requires Omega1 > Omega0")
-    denom = g * (a[0, 0, 0, 0] - 3.0 * a[0, 0, 1, 1])
+    denom = pitchfork_coefficient(a)
     if abs(denom) < 1e-12:
         raise DegenerateDenominator(
-            "a0000 - 3 a0011 vanishes; general critical power undefined"
+            "3 a0011 - a0000 vanishes; general critical power undefined"
         )
     unit = omega10 / 2.0
     general = omega10 / denom
@@ -375,13 +379,13 @@ def critical_power(omega0: float, omega1: float, a: np.ndarray, g: float = -1.0)
     return CriticalPower(unit=unit, general=general)
 
 
-def spectral_data(spec: PotentialSpec, grid: Grid, g: float = -1.0) -> SpectralData:
+def spectral_data(spec: PotentialSpec, grid: Grid) -> SpectralData:
     """Full spectral bundle for the two-mode reduction of this well."""
     psi0, psi1 = compute_eigenpairs(spec, grid, count=2)
     if abs(inner(psi0.eigenfunction, psi1.eigenfunction, grid)) > _ORTHO_TOL:
         raise ConvergenceFailure("eigenfunctions not orthogonal")
     a = overlap_coefficients(psi0, psi1)
-    ncr = critical_power(psi0.eigenvalue, psi1.eigenvalue, a, g=g)
+    ncr = critical_power(psi0.eigenvalue, psi1.eigenvalue, a)
     return SpectralData(
         spec=spec,
         grid=grid,
@@ -391,7 +395,6 @@ def spectral_data(spec: PotentialSpec, grid: Grid, g: float = -1.0) -> SpectralD
         psi1=psi1,
         a=a,
         n_cr_fd=ncr.general,
-        g=g,
     )
 
 
@@ -400,8 +403,6 @@ def tune_delta_strength_for_ncr(
     separation: float,
     grid: Grid,
     s_bracket: tuple[float, float],
-    g: float = -1.0,
-    rtol: float = 1e-10,
 ) -> SpectralData:
     """Adjust the delta strength so the measured general critical power
     equals target_ncr on this grid (separation is snapped to a node pair).
@@ -413,25 +414,20 @@ def tune_delta_strength_for_ncr(
     sep = 2.0 * half
 
     def gap(s):
-        sd = spectral_data(PotentialSpec("delta", s, sep), grid, g=g)
+        sd = spectral_data(PotentialSpec("delta", s, sep), grid)
         return sd.n_cr_fd - target_ncr
 
     lo, hi = s_bracket
     if gap(lo) * gap(hi) > 0:
         raise ConvergenceFailure("critical-power target not bracketed by s range")
-    s_star = brentq(gap, lo, hi, rtol=rtol, xtol=1e-13)
-    return spectral_data(PotentialSpec("delta", float(s_star), sep), grid, g=g)
+    s_star = brentq(gap, lo, hi, rtol=1e-10, xtol=1e-13)
+    return spectral_data(PotentialSpec("delta", float(s_star), sep), grid)
 
 
-def tune_delta_well_for_ncr(
-    target_ncr: float,
-    grid: Grid,
-    s0: float = 4.0,
-    max_half_nodes: int = None,
-    g: float = -1.0,
-) -> SpectralData:
-    """Pick the separation (node-aligned) and fine-tune the strength near s0
-    so the measured general critical power equals target_ncr.
+def tune_delta_well_for_ncr(target_ncr: float, grid: Grid) -> SpectralData:
+    """Pick the separation (node-aligned) and fine-tune the strength near
+    s = 4 (_BASE_STRENGTH) so the measured general critical power equals
+    target_ncr.
 
     Growing the separation at roughly fixed strength is the scaling route
     of the exponentially small splitting: the well shape (and with it the
@@ -439,12 +435,13 @@ def tune_delta_well_for_ncr(
     """
     dx = grid.dx
     k_lo = max(2, int(round(0.5 / dx)))
-    k_hi = max_half_nodes or int(0.45 * grid.n_points / 2)
+    k_hi = int(0.45 * grid.n_points / 2)
+    s0 = _BASE_STRENGTH
 
     def ncr_at(k):
         sep = 2.0 * k * dx
         try:
-            return spectral_data(PotentialSpec("delta", s0, sep), grid, g=g).n_cr_fd
+            return spectral_data(PotentialSpec("delta", s0, sep), grid).n_cr_fd
         except (OddStateAbsent, DomainTooSmall):
             return None
 
@@ -470,19 +467,10 @@ def tune_delta_well_for_ncr(
             lo = mid
     sep = 2.0 * lo * dx
     return tune_delta_strength_for_ncr(target_ncr, sep, grid,
-                                       (0.7 * s0, 1.45 * s0), g=g)
+                                       (0.7 * s0, 1.45 * s0))
 
 
 def eigenfunctions_to_csv(data: SpectralData) -> str:
-    lines = ["x,psi0,psi1"]
-    for x, p0, p1 in zip(
-        data.grid.x, data.psi0.eigenfunction, data.psi1.eigenfunction
-    ):
-        lines.append(f"{x:.17g},{p0:.17g},{p1:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def spectral_to_json(data: SpectralData) -> str:
-    from .io_utils import dumps_17g
-
-    return dumps_17g(data.to_json_dict())
+    return csv_text(["x", "psi0", "psi1"],
+                    [data.grid.x, data.psi0.eigenfunction,
+                     data.psi1.eigenfunction])

@@ -60,6 +60,7 @@ from scipy.linalg.lapack import zgtsv
 
 from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
+from .io_utils import csv_text
 from .linear_spectrum import PinnedHamiltonian, PotentialSpec, potential_samples
 
 
@@ -68,9 +69,6 @@ class FieldState:
     grid: Grid
     values: np.ndarray
     time: float = 0.0
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.values.copy(), self.time)
 
 
 @dataclass(frozen=True)
@@ -116,28 +114,23 @@ class PdeDiagnostics:
     removed_mass: np.ndarray   # cumulative mass discarded by the tail filter
 
     def to_csv(self) -> str:
-        rows = ["t,N,H,x_com,max_amp,x_max,removed_mass"]
-        for i in range(len(self.times)):
-            vals = (self.times[i], self.mass[i], self.hamiltonian[i],
-                    self.x_com[i], self.max_amp[i], self.x_max[i],
-                    self.removed_mass[i])
-            rows.append(",".join(format(float(v), ".17g") for v in vals))
-        return "\n".join(rows) + "\n"
+        return csv_text(["t", "N", "H", "x_com", "max_amp", "x_max",
+                         "removed_mass"],
+                        [self.times, self.mass, self.hamiltonian, self.x_com,
+                         self.max_amp, self.x_max, self.removed_mass])
 
 
 def mass(state: FieldState, scheme: str = "crank_nicolson") -> float:
-    """int |u|^2.  Crank-Nicolson: dx sum |u|^2 over the free nodes
-    1..n-1, which the pinned step conserves to rounding.  Split-step:
-    trapezoid weights on all nodes."""
-    if scheme == "split_step":
-        w = state.grid.quad_weights()
-        return float(np.sum(w * np.abs(state.values) ** 2))
-    return _free_mass(state.grid, state.values)
+    """int |u|^2 as the dx sum of |u|^2 that the scheme's step conserves
+    to rounding: over the free nodes 1..n-1 for Crank-Nicolson, over all
+    nodes of the periodic grid for split-step."""
+    u = state.values if scheme == "split_step" else state.values[1:]
+    return _dx_mass(state.grid, u)
 
 
-def _free_mass(grid: Grid, u: np.ndarray) -> float:
-    free = u[1:]
-    return grid.dx * float(np.vdot(free, free).real)
+def _dx_mass(grid: Grid, u: np.ndarray) -> float:
+    """dx sum |u|^2 over the entries of u."""
+    return grid.dx * float(np.vdot(u, u).real)
 
 
 def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
@@ -263,7 +256,7 @@ class CrankNicolsonStepper:
         if self._phi is not None:
             self._phi = np.where(keep[1:], self._phi, 0.0)
         gone = np.where(keep, 0.0, u)
-        return u - gone, _free_mass(self.grid, gone)
+        return u - gone, _dx_mass(self.grid, gone[1:])
 
     def step(self, u: np.ndarray) -> np.ndarray:
         free = u[1:]
@@ -289,10 +282,8 @@ class CrankNicolsonStepper:
 
 
 def cut_on_grid(grid: Grid, u: np.ndarray, keep: np.ndarray):
-    """(u zeroed where keep is False, the mass removed from it)."""
-    out = ~keep
-    removed = float(np.sum(grid.quad_weights()[out] * np.abs(u[out]) ** 2))
-    return np.where(keep, u, 0.0), removed
+    """(u zeroed where keep is False, the dx sum of |u|^2 it removed)."""
+    return np.where(keep, u, 0.0), _dx_mass(grid, u[~keep])
 
 
 def _samples(grid: Grid, potential: PotentialSpec | np.ndarray | None) -> np.ndarray:
@@ -359,16 +350,14 @@ def march(fields: list, steppers: list, n_steps: int, record_every: int,
 
 
 def evolve(state0: FieldState, params: EvolveParams,
-           potential: PotentialSpec | np.ndarray | None,
-           keep_fields: bool = False):
+           potential: PotentialSpec | np.ndarray | None):
     """March state0 to t_end, recording diagnostics every record_every steps.
 
-    Returns (final_state, PdeDiagnostics[, fields]) where fields is the
-    list of recorded FieldState snapshots when keep_fields is set.
+    Returns (final_state, PdeDiagnostics).
     """
     grid = state0.grid
     t0, dt = state0.time, params.dt
-    rows, fields = [], []
+    rows = []
 
     def record(u, t, removed):
         st = FieldState(grid, u, t)
@@ -378,8 +367,6 @@ def evolve(state0: FieldState, params: EvolveParams,
                      hamiltonian(st, potential, params.scheme),
                      center_of_mass(st), amp,
                      float(grid.x[i]) if amp > 0.0 else 0.0, removed))
-        if keep_fields:
-            fields.append(st.copy())
 
     us = [state0.values.astype(complex).copy()]
     n_steps = int(round(params.t_end / dt))
@@ -389,14 +376,11 @@ def evolve(state0: FieldState, params: EvolveParams,
           lambda k, fs, removed: record(fs[0], t0 + k * dt, removed),
           params.tail_filter)
     diags = PdeDiagnostics(*np.array(rows).T)
-    final = FieldState(grid, us[0], t0 + n_steps * dt)
-    if keep_fields:
-        return final, diags, fields
-    return final, diags
+    return FieldState(grid, us[0], t0 + n_steps * dt), diags
 
 
 def snapshot_csv(state: FieldState) -> str:
-    rows = ["x,re_u,im_u,abs_u"]
-    for x, v in zip(state.grid.x, state.values):
-        rows.append(f"{x:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
-    return "\n".join(rows) + "\n"
+    u = state.values
+    # abs of each complex scalar: np.abs of the array can round differently
+    return csv_text(["x", "re_u", "im_u", "abs_u"],
+                    [state.grid.x, u.real, u.imag, [abs(v) for v in u]])

@@ -1,6 +1,7 @@
 """The two-mode Hamiltonian reduction in three coordinate charts.
 
-Modes chart (rho0, rho1), unit coefficients and g = -1:
+The cubic term is the focusing -|u|^2 u of the PDE throughout; there is
+no coefficient to set.  Modes chart (rho0, rho1), unit coefficients:
 
     i rho0' = Omega0 rho0 - (|rho0|^2 rho0 + 2 |rho1|^2 rho0 + rho1^2 conj(rho0))
     i rho1' = Omega1 rho1 - (|rho1|^2 rho1 + 2 |rho0|^2 rho1 + rho0^2 conj(rho1))
@@ -68,13 +69,20 @@ class PolarChart:
     theta0: float = 0.0   # base phase, kept so conversions are bijective
 
 
+def pitchfork_coefficient(a: Optional[np.ndarray]) -> float:
+    """3 a0011 - a0000 of an overlap tensor (2 for unit coefficients, a
+    None): the critical power of the pitchfork is Omega10 over it."""
+    if a is None:
+        return 2.0
+    return 3.0 * a[0, 0, 1, 1] - a[0, 0, 0, 0]
+
+
 @dataclass
 class ReducedParams:
-    """Frequencies, nonlinearity sign, and optional measured overlap tensor."""
+    """Frequencies and optional measured overlap tensor."""
 
     omega0: float
     omega1: float
-    g: float = -1.0
     a: Optional[np.ndarray] = None   # None => unit coefficients
 
     def __post_init__(self):
@@ -87,32 +95,28 @@ class ReducedParams:
 
     @property
     def n_cr_fd(self) -> float:
-        if self.a is None:
-            return self.omega10 / (2.0 * abs(self.g))
-        denom = self.g * (self.a[0, 0, 0, 0] - 3.0 * self.a[0, 0, 1, 1])
-        return self.omega10 / denom
+        return self.omega10 / pitchfork_coefficient(self.a)
 
     @classmethod
-    def from_ncr(cls, n_cr: float, omega0: float = -1.0, g: float = -1.0):
+    def from_ncr(cls, n_cr: float, omega0: float = -1.0):
         if n_cr <= 0:
             raise ValueError("n_cr must be positive")
-        return cls(omega0=omega0, omega1=omega0 + 2.0 * abs(g) * n_cr, g=g)
+        return cls(omega0=omega0, omega1=omega0 + 2.0 * n_cr)
 
     @classmethod
     def from_spectral(cls, spectral) -> "ReducedParams":
         return cls(
             omega0=spectral.omega0,
             omega1=spectral.omega1,
-            g=spectral.g,
             a=spectral.a,
         )
 
 
 def _require_unit(params: ReducedParams, chart: str) -> None:
-    if params.a is not None or params.g != -1.0:
+    if params.a is not None:
         raise ValueError(
-            f"the {chart} chart implements the unit-coefficient reduction "
-            "(g = -1); integrate tensor-mode systems in the modes chart"
+            f"the {chart} chart implements the unit-coefficient reduction; "
+            "integrate tensor-mode systems in the modes chart"
         )
 
 
@@ -135,7 +139,7 @@ def chart_field(chart: str, params: ReducedParams):
     coordinates, returning a 4-tuple of floats.  Build it once per
     integration: each call makes no dataclass and no array."""
     # plain floats: numpy scalars would make every operation below slow
-    om0, om1, g = float(params.omega0), float(params.omega1), float(params.g)
+    om0, om1 = float(params.omega0), float(params.omega1)
     if chart == MODES:
         a0000, a0011, a1111, a0001, a0111 = _coefficients(params)
 
@@ -145,10 +149,10 @@ def chart_field(chart: str, params: ReducedParams):
             p0, p1 = n0 * r0, n1 * r1
             m01 = r1 * r1 * r0.conjugate() + 2.0 * n1 * r0
             m10 = r0 * r0 * r1.conjugate() + 2.0 * n0 * r1
-            d0 = om0 * r0 + g * (a0000 * p0 + a0011 * m01 + a0001 * m10
-                                 + a0111 * p1)
-            d1 = om1 * r1 + g * (a1111 * p1 + a0011 * m10 + a0111 * m01
-                                 + a0001 * p0)
+            d0 = om0 * r0 - (a0000 * p0 + a0011 * m01 + a0001 * m10
+                             + a0111 * p1)
+            d1 = om1 * r1 - (a1111 * p1 + a0011 * m10 + a0111 * m01
+                             + a0001 * p0)
             # rho' = -i d
             return d0.imag, -d0.real, d1.imag, -d1.real
 
@@ -191,22 +195,13 @@ def vf_polar_reduced(eps1: float, dtheta: float, n: float, n_cr: float):
     return d_eps1, d_dth
 
 
-def eps0_from_conservation(eps1: float, n: float, n_cr: float) -> float:
-    """Recover eps0 = r0 - sqrt(n_cr) from n = eps0^2 + eps1^2 + 2 sqrt(n_cr) eps0,
-    taking the root nearest zero."""
-    disc = n_cr + n - eps1 * eps1
-    if disc < 0:
-        raise ChartBreakdown("n - eps1^2 below -n_cr: no real eps0")
-    return math.sqrt(disc) - math.sqrt(n_cr)
-
-
 # ----------------------------------------------------------------------
 # invariants and chart conversions
 # ----------------------------------------------------------------------
 
 def invariants(state, params: ReducedParams):
     """(N, H) for a state in any chart."""
-    if isinstance(state, CartesianChart) and params.a is None and params.g == -1.0:
+    if isinstance(state, CartesianChart) and params.a is None:
         a, al, be = state.A, state.alpha, state.beta
         p = al * al + be * be
         n = a * a + p
@@ -221,11 +216,11 @@ def invariants(state, params: ReducedParams):
     cross = (r0 * r0 * (r1.conjugate() ** 2)).real
     mixed = (r0 * r1.conjugate()).real
     h = (params.omega0 * abs(r0) ** 2 + params.omega1 * abs(r1) ** 2
-         + 0.5 * params.g * (a0000 * abs(r0) ** 4 + a1111 * abs(r1) ** 4
-                             + 4.0 * a0011 * abs(r0) ** 2 * abs(r1) ** 2
-                             + 2.0 * a0011 * cross
-                             + 4.0 * a0001 * abs(r0) ** 2 * mixed
-                             + 4.0 * a0111 * abs(r1) ** 2 * mixed))
+         - 0.5 * (a0000 * abs(r0) ** 4 + a1111 * abs(r1) ** 4
+                  + 4.0 * a0011 * abs(r0) ** 2 * abs(r1) ** 2
+                  + 2.0 * a0011 * cross
+                  + 4.0 * a0001 * abs(r0) ** 2 * mixed
+                  + 4.0 * a0111 * abs(r1) ** 2 * mixed))
     return n, h
 
 
@@ -330,18 +325,6 @@ class Trajectory:
         theta = np.unwrap(np.angle(rho0))
         c1 = rho1 * np.exp(-1j * theta)
         return a, c1.real, c1.imag, theta
-
-    def to_csv(self) -> str:
-        headers = {
-            MODES: ["t", "re_rho0", "im_rho0", "re_rho1", "im_rho1", "N", "H"],
-            CARTESIAN: ["t", "A", "alpha", "beta", "theta", "N", "H"],
-            POLAR: ["t", "r0", "r1", "dtheta", "theta0", "N", "H"],
-        }[self.chart]
-        rows = [",".join(headers)]
-        for i, t in enumerate(self.times):
-            vals = [t, *self.states[i], self.n_series[i], self.h_series[i]]
-            rows.append(",".join(format(float(v), ".17g") for v in vals))
-        return "\n".join(rows) + "\n"
 
 
 def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,

@@ -49,6 +49,7 @@ from .errors import (
     NoCrossing,
 )
 from .grids import Grid, same_grid
+from .io_utils import csv_text
 from .linear_spectrum import SpectralData, pinned_hamiltonian, potential_samples
 from .pde import (
     CrankNicolsonStepper,
@@ -66,7 +67,28 @@ from .reduced_dynamics import (
     convert,
     detect_period,
     integrate,
+    pitchfork_coefficient,
 )
+
+# scale constants of the shadowing regime: tau < TAU0; the default horizon
+# is tau**-EPSILON periods; the verdict asks sup|eta| <= VERDICT_CONSTANT
+# tau**(1/2 + DELTA1) and an annulus ratio <= ANNULUS_THRESHOLD
+TAU0 = 0.2
+EPSILON = 0.25
+DELTA1 = 0.1
+VERDICT_CONSTANT = 5.0
+ANNULUS_THRESHOLD = 0.2
+
+# orbit and march constants: the below-side orbit size is amplitude_factor
+# tau**((1 + ORBIT_DELTA)/2); eta is sampled RECORD_PER_PERIOD times a
+# period; the reduced step is DT_REDUCED_FRACTION of the period; the tail
+# filter zeroes |x| > CUTOFF_FRACTION x_max every TAIL_FILTER_EVERY time
+# units
+ORBIT_DELTA = 0.1
+RECORD_PER_PERIOD = 64
+DT_REDUCED_FRACTION = 1.0 / 2000.0
+TAIL_FILTER_EVERY = 1.0
+CUTOFF_FRACTION = 0.75
 
 
 # ----------------------------------------------------------------------
@@ -138,25 +160,25 @@ class _Basis:
         return f - np.sum(self.w * self.psi1 * f) * self.psi1
 
 
-def source_coefficients(a_amp, alpha, beta, g: float = -1.0):
+def source_coefficients(a_amp, alpha, beta):
     """The coefficients of the four products of _Basis in the two-mode cubic
 
-        F_b = g (A^3 p0^3 + |z|^2 z p1^3 + (A z^2 + 2 A |z|^2) p0 p1^2
-                 + (A^2 conj(z) + 2 A^2 z) p0^2 p1),   z = alpha + i beta,
+        F_b = -(A^3 p0^3 + |z|^2 z p1^3 + (A z^2 + 2 A |z|^2) p0 p1^2
+                + (A^2 conj(z) + 2 A^2 z) p0^2 p1),   z = alpha + i beta,
 
     for scalars or for arrays of equal shape (one entry per time)."""
     z = alpha + 1j * beta
     p = alpha * alpha + beta * beta
     a2 = a_amp * a_amp
-    return (g * a2 * a_amp, g * p * z, g * a_amp * (z * z + 2.0 * p),
-            g * a2 * (np.conj(z) + 2.0 * z))
+    return (-a2 * a_amp, -p * z, -a_amp * (z * z + 2.0 * p),
+            -a2 * (np.conj(z) + 2.0 * z))
 
 
-def mode_source(a_amp: float, alpha: float, beta: float, basis: _Basis,
-                g: float = -1.0) -> np.ndarray:
+def mode_source(a_amp: float, alpha: float, beta: float,
+                basis: _Basis) -> np.ndarray:
     """P_c F_b(sigma): the continuous-spectrum part of the two-mode cubic
     (source_coefficients), combined from the projected products."""
-    c = source_coefficients(a_amp, alpha, beta, g)
+    c = source_coefficients(a_amp, alpha, beta)
     return sum(cj * fj for cj, fj in zip(c, basis.products))
 
 
@@ -183,26 +205,25 @@ def reduced_reference(state0: ModeAmplitudes, params: ReducedParams,
     return _ReferenceOrbit(traj)
 
 
-def _tail_filter(every: Optional[float], cutoff_fraction: float,
-                 grid: Grid, dt: float) -> Optional[TailFilter]:
+def _tail_filter(every: Optional[float], grid: Grid,
+                 dt: float) -> Optional[TailFilter]:
     """The filter that acts every `every` time units (None: no filter)."""
     return None if every is None else TailFilter(
-        max(1, int(round(every / dt))), cutoff_fraction * grid.x_max)
+        max(1, int(round(every / dt))), CUTOFF_FRACTION * grid.x_max)
 
 
 def tilde_r_evolve(orbit: _ReferenceOrbit | Trajectory, spectral: SpectralData,
                    horizon: float, dt: float, record_every: int = 50,
-                   tail_filter_every: float = None,
-                   cutoff_fraction: float = 0.75):
+                   tail_filter_every: float = None):
     """Evolve the orbit-driven linear radiation equation from R~(0) = 0.
 
     Returns (times, fields, sup_abs_series), the fields on the grid.  The
     stepper (_TildeREvolver) is exact in the eigenbasis of the pinned
     finite-difference H, the operator that defines psi0 and psi1, with
     the source held at each step's midpoint.  The optional tail filter
-    zeroes |x| beyond the cutoff every tail_filter_every time units, the
-    same truncate-and-continue device the PDE runs use to stop outgoing
-    radiation from re-entering.
+    zeroes |x| beyond CUTOFF_FRACTION of x_max every tail_filter_every
+    time units, the same truncate-and-continue device the PDE runs use to
+    stop outgoing radiation from re-entering.
     """
     if isinstance(orbit, Trajectory):
         orbit = _ReferenceOrbit(orbit)
@@ -218,7 +239,7 @@ def tilde_r_evolve(orbit: _ReferenceOrbit | Trajectory, spectral: SpectralData,
         sups.append(float(np.max(np.abs(r))))
 
     march([np.zeros_like(stepper.e)], [stepper], n_steps, record_every,
-          record, _tail_filter(tail_filter_every, cutoff_fraction, grid, dt))
+          record, _tail_filter(tail_filter_every, grid, dt))
     return np.array(times), fields, np.array(sups)
 
 
@@ -264,7 +285,7 @@ class _TildeREvolver:
         m = ca * a * a + cb * (3.0 * al * al + be * be)
         theta = dt * np.concatenate(([0.0], np.cumsum(m)))
         self.phase = np.exp(-1j * theta)          # grid field at step k
-        self.c = (np.stack(source_coefficients(a, al, be, spectral.g), axis=1)
+        self.c = (np.stack(source_coefficients(a, al, be), axis=1)
                   * np.exp(1j * (theta[:-1] + 0.5 * dt * m))[:, None])
         self.k = 0
 
@@ -282,15 +303,14 @@ class _TildeREvolver:
         return r
 
     def cut(self, s: np.ndarray, keep: np.ndarray):
-        """(S of P_c(R~ zeroed where keep is False), the mass removed):
-        S - V_out^T V_out S, one run of free nodes outside keep at a time
-        (row blocks of V, so no copy of it)."""
-        w = self.grid.quad_weights()[1:]
+        """(S of P_c(R~ zeroed where keep is False), the mass removed as a
+        dx-sum): S - V_out^T V_out S, one run of free nodes outside keep at
+        a time (row blocks of V, so no copy of it)."""
         edges = np.flatnonzero(np.diff(~keep[1:], prepend=False, append=False))
         removed = 0.0
         for i, j in zip(edges[::2], edges[1::2]):
             r_out = _real_product(self.v[i:j], s)
-            removed += float(np.sum(w[i:j] * np.abs(r_out) ** 2))
+            removed += self.grid.dx * float(np.vdot(r_out, r_out).real)
             s = s - _real_product(self.v[i:j].T, r_out)
         return s, removed
 
@@ -322,7 +342,6 @@ def coupling_errors(a_amp: float, alpha: float, beta: float, r: FieldState,
     rr = r.values
     z = complex(alpha, beta)
     p = alpha * alpha + beta * beta
-    g = spectral.g
 
     lin_r = (2.0 * a_amp**2 * p0 * p0 + 4.0 * a_amp * alpha * p0 * p1
              + 2.0 * p * p1 * p1) * rr
@@ -331,7 +350,7 @@ def coupling_errors(a_amp: float, alpha: float, beta: float, r: FieldState,
     quad = (a_amp * p0 + z.conjugate() * p1) * rr * rr \
         + (2.0 * a_amp * p0 + 2.0 * z * p1) * np.abs(rr) ** 2
     cubic = np.abs(rr) ** 2 * rr
-    f_r = g * (lin_r + lin_rbar + quad + cubic)
+    f_r = -(lin_r + lin_rbar + quad + cubic)
 
     g0 = complex(np.sum(w * p0 * f_r))
     g1 = complex(np.sum(w * p1 * f_r))
@@ -374,21 +393,14 @@ class ShadowParams:
     tau: float
     gamma: Optional[float] = None
     n_cr: Optional[float] = None
-    delta1: float = 0.1
-    epsilon: float = 0.25
-    tau0: float = 0.2
-    verdict_constant: float = 5.0
-    annulus_threshold: float = 0.2
 
     def __post_init__(self):
-        if not 0 < self.tau < self.tau0:
-            raise ValueError("requires 0 < tau < tau0")
+        if not 0 < self.tau < TAU0:
+            raise ValueError(f"requires 0 < tau < {TAU0}")
         if (self.gamma is None) == (self.n_cr is None):
             raise ValueError("give exactly one of gamma, n_cr")
         if self.gamma is not None and not (7.0 / 9.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (7/9, 1)")
-        if self.delta1 <= 0 or self.epsilon <= 0:
-            raise ValueError("exponents must be positive")
 
     @property
     def critical_power(self) -> float:
@@ -407,22 +419,15 @@ class OrbitSpec:
 
     side: str = "below"                  # 'above' or 'below' n_cr
     amplitude_factor: float = 0.3
-    delta: float = 0.1                   # orbit-size exponent on the below side
     dtheta0: Optional[float] = None      # polar launch (e.g. 1.0 for transport)
     theta0: float = 0.0
-    horizon_periods: Optional[float] = None   # default tau**-epsilon
-    record_per_period: int = 64
+    horizon_periods: Optional[float] = None   # default tau**-EPSILON
     dt_pde: float = 2e-3
-    dt_reduced_fraction: float = 1.0 / 2000.0
-    tail_filter_every: Optional[float] = 1.0  # time units; None disables
-    cutoff_fraction: float = 0.75
     compute_w: bool = True
 
     def __post_init__(self):
         if self.side not in ("above", "below"):
             raise ValueError("side must be 'above' or 'below'")
-        if self.record_per_period < 1:
-            raise ValueError("record_per_period must be at least 1")
 
 
 @dataclass
@@ -492,11 +497,9 @@ class ShadowReport:
         }
 
     def series_csv(self) -> str:
-        rows = ["t,eta_A,eta_alpha,eta_beta,alpha,beta,x_com"]
-        for i, t in enumerate(self.times):
-            vals = (t, *self.eta[i], *self.alpha_beta[i], self.com_series[i])
-            rows.append(",".join(format(float(v), ".17g") for v in vals))
-        return "\n".join(rows) + "\n"
+        return csv_text(
+            ["t", "eta_A", "eta_alpha", "eta_beta", "alpha", "beta", "x_com"],
+            [self.times, *self.eta.T, *self.alpha_beta.T, self.com_series])
 
 
 def _orbit_initial_state(params: ReducedParams, sparams: ShadowParams,
@@ -506,7 +509,7 @@ def _orbit_initial_state(params: ReducedParams, sparams: ShadowParams,
     tau = sparams.tau
     if orbit.side == "below":
         n_level = n_cr - tau
-        amp = orbit.amplitude_factor * tau ** (0.5 * (1.0 + orbit.delta))
+        amp = orbit.amplitude_factor * tau ** (0.5 * (1.0 + ORBIT_DELTA))
         alpha0, eq_alpha = amp, 0.0
     else:
         n_level = n_cr + tau
@@ -528,12 +531,9 @@ def _orbit_initial_state(params: ReducedParams, sparams: ShadowParams,
 
 def equilibrium_alpha(params: ReducedParams, n_level: float) -> float:
     """alpha of the symmetry-broken equilibrium for unit or tensor tensors."""
-    g = abs(params.g)
-    if params.a is None:
-        p = q = 2.0 * g
-    else:
-        p = g * (3.0 * params.a[0, 0, 1, 1] - params.a[0, 0, 0, 0])
-        q = g * (3.0 * params.a[0, 0, 1, 1] - params.a[1, 1, 1, 1])
+    p = pitchfork_coefficient(params.a)
+    q = p if params.a is None else \
+        3.0 * params.a[0, 0, 1, 1] - params.a[1, 1, 1, 1]
     alpha2 = (p * n_level - params.omega10) / (p + q)
     if alpha2 < 0:
         raise BelowThreshold("no asymmetric equilibrium at this power")
@@ -550,14 +550,12 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     # reduced orbits run in the frame rotating at Omega0 (module docstring,
     # step 1): same (A, alpha, beta), no under-resolved carrier phase
     full = ReducedParams.from_spectral(spectral)
-    params = ReducedParams(omega0=0.0, omega1=full.omega10, g=full.g,
-                           a=full.a)
+    params = ReducedParams(omega0=0.0, omega1=full.omega10, a=full.a)
     state0, n_level, eq_alpha, orbit_amp = _orbit_initial_state(
         params, sparams, orbit)
 
     # reference orbit: pilot run to measure the period, then the full span
-    a_eff = 1.0 if params.a is None else float(abs(params.g) * 0.5 * (
-        3.0 * params.a[0, 0, 1, 1] - params.a[0, 0, 0, 0]))
+    a_eff = float(0.5 * pitchfork_coefficient(params.a))
     if orbit.side == "below":
         omega_est = 2.0 * a_eff * math.sqrt(sparams.tau * n_cr_target)
     else:
@@ -566,17 +564,17 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     pilot_span = (8.0 if orbit.dtheta0 is not None else 4.0) * t_est
     try:
         pilot = integrate(state0, params, (0.0, pilot_span),
-                          t_est * orbit.dt_reduced_fraction, record_every=5)
+                          t_est * DT_REDUCED_FRACTION, record_every=5)
         period = detect_period(pilot).period
     except NoCrossing:
         pilot = integrate(state0, params, (0.0, 4.0 * pilot_span),
-                          t_est * orbit.dt_reduced_fraction, record_every=5)
+                          t_est * DT_REDUCED_FRACTION, record_every=5)
         period = detect_period(pilot).period
     periods = (orbit.horizon_periods if orbit.horizon_periods is not None
-               else sparams.tau ** (-sparams.epsilon))
+               else sparams.tau ** (-EPSILON))
     horizon = periods * period
 
-    dt_red = period * orbit.dt_reduced_fraction
+    dt_red = period * DT_REDUCED_FRACTION
     ref = reduced_reference(state0, params, horizon + 2.0 * dt_red, dt_red)
 
     # PDE setup
@@ -585,7 +583,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
                             theta0=orbit.theta0)
     dt = orbit.dt_pde
     n_steps = int(round(horizon / dt))
-    sample_every = max(1, int(round(period / (orbit.record_per_period * dt))))
+    sample_every = max(1, int(round(period / (RECORD_PER_PERIOD * dt))))
     # looked up per run, so that bench/tracer.py's wrapper of pde.mass is seen
     from .pde import mass as field_mass
 
@@ -646,8 +644,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     take_sample(0, fields, 0.0)
     try:
         march(fields, steppers, n_steps, sample_every, take_sample,
-              _tail_filter(orbit.tail_filter_every, orbit.cutoff_fraction,
-                           grid, dt), count_cut)
+              _tail_filter(TAIL_FILTER_EVERY, grid, dt), count_cut)
     except DwnlsError as exc:
         truncation = {"error": type(exc).__name__, "message": str(exc),
                       "step": exc.step, "time": exc.step * dt}
@@ -663,7 +660,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     annulus_ratio = annulus_width_ratio(ref_curve, albe)
 
     sup_eta = float(np.max(np.abs(etas)))
-    eta_bound = sparams.verdict_constant * sparams.tau ** (0.5 + sparams.delta1)
+    eta_bound = VERDICT_CONSTANT * sparams.tau ** (0.5 + DELTA1)
     com = np.array(coms)
     w_h1, w_l4 = (strichartz_monitor(times, w_fields, grid)
                   if orbit.compute_w else (0.0, 0.0))
@@ -675,7 +672,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         sup_eta=sup_eta, eta_bound=eta_bound,
         eta_bound_ok=bool(sup_eta <= eta_bound),
         annulus_ratio=annulus_ratio,
-        annulus_ok=bool(annulus_ratio <= sparams.annulus_threshold),
+        annulus_ok=bool(annulus_ratio <= ANNULUS_THRESHOLD),
         com_series=com, com_sign_changes=count_sign_changes(com),
         w_sup_h1=w_h1, w_l4_linf=w_l4, tilde_r_sup=sup_tr,
         parseval_defect=parseval, mass_drift=mass_drift,
@@ -722,12 +719,13 @@ def annulus_width_ratio(ref_curve: np.ndarray, points: np.ndarray) -> float:
     return width / mean_r
 
 
-def count_sign_changes(series: np.ndarray, deadband_fraction: float = 0.05) -> int:
-    """Sign changes of a series, ignoring excursions inside a deadband."""
+def count_sign_changes(series: np.ndarray) -> int:
+    """Sign changes of a series, ignoring excursions inside a deadband of
+    5% of its peak."""
     peak = float(np.max(np.abs(series), initial=0.0))
     if peak == 0.0:
         return 0
-    band = deadband_fraction * peak
+    band = 0.05 * peak
     signs = [s for s in np.sign(series) * (np.abs(series) > band) if s != 0]
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return changes

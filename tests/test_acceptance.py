@@ -247,7 +247,7 @@ def test_criterion_08_pitchfork(grid40, gauss_sigma1_L3):
         step = 0.05 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
         curve = bs.continue_in_omega(sd.spec, grid40, sd.omega0 - 0.25 * step,
                                      sd.omega0 - 60 * step, step, seeds)
-        n_star = bs.detect_threshold(curve, sd.spec, grid40, seeds)
+        n_star = bs.detect_threshold(curve, sd.spec, grid40, seeds).n_star
         gaps.append(abs(n_star - sd.n_cr_fd) / sd.n_cr_fd)
     ok &= gaps[0] <= 0.5 and gaps[1] < gaps[0]
     assert report(8, ok, f"gaussian branch {bool(gauss_branches)}, "
@@ -279,9 +279,9 @@ def eta_ladder(shadow_grid):
     gamma = 0.8
     reports = []
     for tau, dt in ((0.05, 4e-3), (0.025, 3e-3), (0.0125, 2e-3)):
-        sd = ls.tune_delta_well_for_ncr(tau**gamma, shadow_grid, s0=4.0)
+        sd = ls.tune_delta_well_for_ncr(tau**gamma, shadow_grid)
         sp = sh.ShadowParams(tau=tau, gamma=gamma)
-        orb = sh.OrbitSpec(side="below", amplitude_factor=0.3, delta=0.1,
+        orb = sh.OrbitSpec(side="below", amplitude_factor=0.3,
                            horizon_periods=3.0, dt_pde=dt)
         reports.append(sh.run_shadow_experiment(sp, sd, orb))
     return reports

@@ -26,8 +26,7 @@ def trace_and_detect(sd, n_steps=60):
 def gauss_threshold(gauss_sigma1_L3):
     sd = gauss_sigma1_L3
     curve, seeds = trace_and_detect(sd)
-    thr = bs.detect_threshold(curve, sd.spec, sd.grid, seeds,
-                              full_output=True)
+    thr = bs.detect_threshold(curve, sd.spec, sd.grid, seeds)
     return thr, seeds
 
 
@@ -149,14 +148,6 @@ class TestSpectralRenormalize:
             bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 + above,
                                     0.05 * sd.psi0.eigenfunction)
 
-    def test_profile_csv(self, delta_s1_L10):
-        sd = delta_s1_L10
-        st = bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 - 1e-3,
-                                     0.05 * sd.psi0.eigenfunction)
-        lines = bs.profile_to_csv(st).strip().split("\n")
-        assert lines[0] == "x,psi"
-        assert len(lines) == sd.grid.n_points + 1
-
 
 class TestContinuation:
     def test_reflection_equivariance(self, delta_s1_L10):
@@ -255,7 +246,7 @@ class TestThreshold:
         branch = [bs.SYMMETRIC if a == 0 else bs.ASYM_PLUS for a in asym]
         curve = bs.SolitonCurve(omega=-n.copy(), n=n, asymmetry=asym,
                                 branch=branch)
-        n_star = bs.detect_threshold(curve)
+        n_star = bs.detect_threshold(curve).n_star
         assert n_star == pytest.approx(0.1, abs=0.01)
 
     def test_delta_wells_match_reduction(self, grid40):
@@ -263,7 +254,7 @@ class TestThreshold:
         for sep in (10.0, 14.0):
             sd = ls.spectral_data(ls.PotentialSpec("delta", 1.0, sep), grid40)
             curve, seeds = trace_and_detect(sd)
-            n_star = bs.detect_threshold(curve, sd.spec, sd.grid, seeds)
+            n_star = bs.detect_threshold(curve, sd.spec, sd.grid, seeds).n_star
             gaps.append(abs(n_star - sd.n_cr_fd) / sd.n_cr_fd)
         assert gaps[0] <= 0.5
         assert gaps[1] < gaps[0]
@@ -271,7 +262,7 @@ class TestThreshold:
     def test_gaussian_pitchfork_exists(self, gauss_sigma1_L3):
         curve, seeds = trace_and_detect(gauss_sigma1_L3)
         n_star = bs.detect_threshold(curve, gauss_sigma1_L3.spec,
-                                     gauss_sigma1_L3.grid, seeds)
+                                     gauss_sigma1_L3.grid, seeds).n_star
         assert n_star > 0
         labels = set(curve.branch)
         assert bs.ASYM_PLUS in labels or bs.ASYM_MINUS in labels

@@ -12,6 +12,7 @@ from dwnls.errors import (
     OddStateAbsent,
 )
 from dwnls.grids import Grid, inner
+from dwnls.io_utils import dumps_17g
 from dwnls import linear_spectrum as ls
 
 
@@ -232,7 +233,7 @@ class TestCriticalPower:
         for idx in np.ndindex(2, 2, 2, 2):
             if sum(idx) % 2 == 0:
                 a[idx] = 1.0
-        cp = ls.critical_power(-0.25, -0.20, a, g=-1.0)
+        cp = ls.critical_power(-0.25, -0.20, a)
         assert cp.general == pytest.approx(cp.unit, rel=1e-14)
         assert cp.unit == pytest.approx(0.025, rel=1e-14)
 
@@ -277,7 +278,7 @@ class TestSplittingMonotone:
 
 class TestSerialization:
     def test_json_roundtrip(self, delta_s1_L10):
-        text = ls.spectral_to_json(delta_s1_L10)
+        text = dumps_17g(delta_s1_L10.to_json_dict())
         back = json.loads(text)
         assert back["omega0"] == delta_s1_L10.omega0
         assert back["omega1"] == delta_s1_L10.omega1
@@ -301,7 +302,7 @@ class TestWellTuning:
         assert shadow_well.n_cr_fd == pytest.approx(0.1, rel=1e-8)
 
     def test_separation_tuning_hits_target(self, shadow_grid):
-        sd = ls.tune_delta_well_for_ncr(0.05, shadow_grid, s0=4.0)
+        sd = ls.tune_delta_well_for_ncr(0.05, shadow_grid)
         assert sd.n_cr_fd == pytest.approx(0.05, rel=1e-8)
         # strength stays near the base value; separation does the scaling
         assert 0.7 * 4.0 <= sd.spec.strength <= 1.45 * 4.0

@@ -66,6 +66,19 @@ class TestSplitStep:
                               np.zeros(sech_grid.n_points))
         assert np.max(np.abs(diags.mass - diags.mass[0])) < 1e-10
 
+    def test_mass_conserved_across_the_seam(self):
+        # a bump moving right at speed 6 crosses x_max into -x_max; the
+        # periodic Strang step conserves dx sum |u|^2 over all nodes, which
+        # N must report while mass sits on the edge nodes
+        grid = Grid.symmetric(10.0, 256)
+        u0, v = split_data(grid, 0.5, 6.0, 1.0, 3.0, 1.0)
+        params = pde.EvolveParams(dt=1e-3, t_end=1.0, scheme="split_step",
+                                  record_every=50)
+        final, diags = pde.evolve(pde.FieldState(grid, u0), params, v)
+        assert abs(final.values[0]) > 0.1
+        drift = np.max(np.abs(diags.mass - diags.mass[0]))
+        assert drift <= 1e-13 * diags.mass[0]
+
     def test_gauge_covariance(self, sech_grid):
         u0 = sech_soliton(sech_grid)
         params = pde.EvolveParams(dt=1e-3, t_end=1.0, scheme="split_step")

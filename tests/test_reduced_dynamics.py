@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dwnls.errors import ChartBreakdown, NoCrossing
+from dwnls import linear_spectrum as ls
 from dwnls import reduced_dynamics as rd
 from dwnls import bifurcation as bf
 
@@ -79,6 +80,24 @@ class TestVectorFields:
             assert d0 == pytest.approx(o0, abs=1e-6)
             assert d1 == pytest.approx(o1, abs=1e-6)
 
+    def test_modes_field_is_the_projected_pde(self, shadow_well):
+        # the reduction projects the PDE's one cubic term onto the modes:
+        # i rho_j' = <psi_j, (H - |u|^2) u> for u = rho0 psi0 + rho1 psi1
+        sd = shadow_well
+        h = ls.pinned_hamiltonian(sd.spec, sd.grid)
+        w = sd.grid.quad_weights()
+        psi = (sd.psi0.eigenfunction, sd.psi1.eigenfunction)
+        params = rd.ReducedParams.from_spectral(sd)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            m = random_modes(rng)
+            u = m.rho0 * psi[0] + m.rho1 * psi[1]
+            pde_rhs = h.apply(u) - np.abs(u) ** 2 * u
+            want = [-1j * np.sum(w * p * pde_rhs) for p in psi]
+            got = vf_modes(m, params)
+            err = max(abs(g - v) for g, v in zip(got, want))
+            assert err <= 1e-12 * max(abs(v) for v in want)
+
     def test_cartesian_form(self):
         st = rd.CartesianChart(A=0.3, alpha=0.1, beta=-0.05, theta=0.4)
         da, dal, dbe, dth = field(rd.CARTESIAN, st, PARAMS)
@@ -145,15 +164,6 @@ class TestVectorFields:
                 (np.conj(m.rho1) * d1).real / abs(m.rho1), abs=1e-10)
             assert ddth == pytest.approx(
                 (d1 / m.rho1).imag - (d0 / m.rho0).imag, abs=1e-10)
-
-    def test_eps0_recovery(self):
-        ncr = 0.2
-        eps1, n = 0.1, 0.05
-        eps0 = rd.eps0_from_conservation(eps1, n, ncr)
-        assert eps0**2 + eps1**2 + 2 * np.sqrt(ncr) * eps0 == pytest.approx(
-            n, abs=1e-14)
-        # root nearest zero
-        assert abs(eps0) < np.sqrt(ncr)
 
 
 class TestInvariants:
@@ -421,13 +431,3 @@ class TestPhasePlaneDichotomy:
             maxima.append(float(np.max(traj.states[:, 1])))
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] < 0.05
-
-
-class TestTrajectoryCsv:
-    def test_csv_layout(self):
-        ic = rd.CartesianChart(A=0.3, alpha=0.05, beta=0.0)
-        traj = rd.integrate(ic, PARAMS, (0.0, 1.0), 0.1)
-        text = traj.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,A,alpha,beta,theta,N,H"
-        assert len(lines) == len(traj.times) + 1

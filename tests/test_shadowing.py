@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -131,7 +130,7 @@ class TestModeSource:
            beta=st.floats(-1.0, 1.0))
     def test_matches_projected_bracket(self, shadow_well, a_amp, alpha, beta):
         # mode_source combines the products projected once; it must equal
-        # g P_c(bracket) with the bracket assembled on the grid first
+        # -P_c(bracket) with the bracket assembled on the grid first
         sd = shadow_well
         basis = sh._Basis(sd)
         p0, p1 = sd.psi0.eigenfunction, sd.psi1.eigenfunction
@@ -141,8 +140,8 @@ class TestModeSource:
                    + (a_amp * z * z + 2.0 * a_amp * p) * p0 * p1**2
                    + (a_amp**2 * z.conjugate() + 2.0 * a_amp**2 * z)
                    * p0**2 * p1)
-        old = sd.g * basis.project_c(bracket)
-        new = sh.mode_source(a_amp, alpha, beta, basis, sd.g)
+        old = -1.0 * basis.project_c(bracket)
+        new = sh.mode_source(a_amp, alpha, beta, basis)
         assert np.max(np.abs(new - old)) <= 1e-13 * max(np.max(np.abs(old)),
                                                          1e-300)
 
@@ -182,14 +181,14 @@ class TestTildeR:
         assert all(f[0] == 0.0 for f in fields)    # the pinned node
 
     def test_step_is_exact_exponential(self):
-        # zero source (g = 0) and constant m: one step is
-        # exp(-i dt (H - Omega0 + m)) on the free nodes, here from expm
+        # zero source (the stepper's coefficients zeroed) and constant m:
+        # one step is exp(-i dt (H - Omega0 + m)) on the free nodes, here
+        # from expm
         grid = Grid.symmetric(16.0, 256)
-        sd = dataclasses.replace(
-            ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5), grid), g=0.0)
+        sd = ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5), grid)
         dt, a_amp = 4e-3, 0.2
         stepper = sh._TildeREvolver(sd, dt, _ConstantOrbit(a_amp), 1)
-        assert np.all(stepper.c == 0.0)
+        stepper.c[:] = 0
         rng = np.random.default_rng(4)
         s0 = rng.normal(size=stepper.v.shape[1]) \
             + 1j * rng.normal(size=stepper.v.shape[1])
@@ -257,8 +256,7 @@ class TestTildeR:
             rhs = (2.0 - diag) * r
             rhs[:-1] -= c * e * r[1:]
             rhs[1:] -= c * e * r[:-1]
-            rhs -= 2.0 * c * sh.mode_source(a[k], al[k], be[k], basis,
-                                            sd.g)[1:]
+            rhs -= 2.0 * c * sh.mode_source(a[k], al[k], be[k], basis)[1:]
             *lu, info = zgttrf(off, diag, off)
             r, info = zgttrs(*lu, rhs)
         cn = np.concatenate(([0.0], r))
@@ -305,15 +303,14 @@ class TestTildeRLadder:
         taus = (0.05, 0.025, 0.0125)
         sups = []
         for tau in taus:
-            sd = ls.tune_delta_well_for_ncr(tau**gamma, shadow_grid, s0=4.0)
+            sd = ls.tune_delta_well_for_ncr(tau**gamma, shadow_grid)
             params = rd.ReducedParams.from_spectral(sd)
             n_level = tau**gamma + tau
             al_eq = sh.equilibrium_alpha(params, n_level)
             al0 = 1.02 * al_eq
             ic = rd.ModeAmplitudes(complex(np.sqrt(n_level - al0**2), 0.0),
                                    complex(al0, 0.0))
-            a_eff = abs(params.g) * 0.5 * (3 * params.a[0, 0, 1, 1]
-                                           - params.a[0, 0, 0, 0])
+            a_eff = 0.5 * (3 * params.a[0, 0, 1, 1] - params.a[0, 0, 0, 0])
             period = np.pi / (a_eff * np.sqrt(n_level**2 - tau**(2 * gamma)))
             orbit = rd.integrate(ic, params, (0.0, 2.0 * period),
                                  period / 2000)
@@ -457,10 +454,6 @@ class TestShadowParams:
         with pytest.raises(ValueError):
             sh.ShadowParams(tau=0.5, gamma=0.8)
 
-    def test_zero_samples_per_period_refused(self):
-        with pytest.raises(ValueError, match="record_per_period"):
-            sh.OrbitSpec(record_per_period=0)
-
 
 class TestGaugeInsensitivity:
     def test_theta0_shift(self, shadow_well):
@@ -558,7 +551,7 @@ class TestReferencePeriod:
         # phase is under-resolved at the reduced step and its period comes
         # out 4.6% long
         tau = 0.0125
-        sd = ls.tune_delta_well_for_ncr(tau**0.8, shadow_grid, s0=4.0)
+        sd = ls.tune_delta_well_for_ncr(tau**0.8, shadow_grid)
         sp = sh.ShadowParams(tau=tau, gamma=0.8)
         orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3,
                            compute_w=False)
