@@ -38,13 +38,11 @@ Two steppers:
   the energy the cuts remove added back, drifts by 9.3e-8 with restarts
   and 2.7e-9 without.
 
-One driver, march, advances one or more fields in lockstep, one stepper
-each, with a callback after every record_every-th step and the last.  Its
-optional tail filter zeroes |x| > cutoff_radius in every field every
-trigger_steps steps (truncate-and-continue for radiation leaving the
-frame) through each stepper's cut, which also cuts a CN stepper's Phi
-and lets a stepper that carries its field in its own basis cut it
-there, and counts the mass removed from the first field.
+One driver, march, advances one field with one stepper, with a callback
+after every record_every-th step and the last.  Its optional tail filter
+zeroes |x| > cutoff_radius every trigger_steps steps (truncate-and-continue
+for radiation leaving the frame) through the stepper's cut, which also
+cuts a CN stepper's Phi, and counts the mass removed.
 
 The reported energy is each scheme's discretization of
 H[u] = int |u_x|^2 + V |u|^2 - |u|^4 / 2 (see hamiltonian).
@@ -269,15 +267,17 @@ class CrankNicolsonStepper:
             diag = self._diag - self._c * phi
         else:
             diag = self._diag.copy()
-        # zgtsv is looked up by its module name, where bench/tracer.py wraps it
-        *_, y, info = zgtsv(self._off, diag, self._off, free, overwrite_d=1)
+        # the right-hand side u^n is solved in place in out[1:]; zgtsv is
+        # looked up by its module name, where bench/tracer.py wraps it
+        out = u.copy()
+        out[0] = 0.0
+        *_, y, info = zgtsv(self._off, diag, self._off, out[1:],
+                            overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise NonlinearIterationDiverged(
                 f"tridiagonal solve failed (zgtsv info {info})")
-        out = np.empty(u.shape, complex)
-        out[0] = 0.0
-        np.multiply(y, 2.0, out=out[1:])
-        out[1:] -= free
+        y += y                                    # 2y - u^n, exactly
+        y -= free
         return out
 
 
@@ -307,46 +307,42 @@ def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,
 # evolution driver
 # ----------------------------------------------------------------------
 
-def march(fields: list, steppers: list, n_steps: int, record_every: int,
+def march(u: np.ndarray, stepper, n_steps: int, record_every: int,
           on_record, tail_filter: Optional[TailFilter] = None,
-          on_cut=None) -> float:
-    """Advance fields[i] with steppers[i].step in lockstep for n_steps steps.
+          on_cut=None) -> np.ndarray:
+    """Advance u with stepper.step for n_steps steps; returns the last field.
 
-    on_record(k, fields, removed) is called after every record_every-th
-    step k (1-based) and after the last, with the mass the tail filter has
-    removed from fields[0] so far; that total is also returned.  The
-    filter acts on the grid of steppers[0]: every field is cut by its own
-    stepper's cut(field, keep), which returns the cut field and the mass
-    it removed, so a stepper may carry its field in another basis, and
-    on_cut(before, after), if given, is called with fields[0] before and
-    after each cut.  A DwnlsError raised during step k, by a stepper or by
-    on_record, leaves with k in its .step.
+    on_record(k, u, removed) is called after every record_every-th step k
+    (1-based) and after the last, with the mass the tail filter has
+    removed so far.  The filter cuts u through stepper.cut(u, keep), which
+    returns the cut field and the mass it removed, and on_cut(before,
+    after), if given, is called with u before and after each cut.  A
+    DwnlsError raised during step k, by the stepper or by on_record,
+    leaves with k in its .step.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     removed = 0.0
     if tail_filter is not None:
-        grid = steppers[0].grid
+        grid = stepper.grid
         if tail_filter.cutoff_radius >= grid.x_max:
             raise ValueError("cutoff_radius must lie inside the domain")
         keep = np.abs(grid.x) <= tail_filter.cutoff_radius
     try:
         for k in range(1, n_steps + 1):
-            for i, stepper in enumerate(steppers):
-                fields[i] = stepper.step(fields[i])
+            u = stepper.step(u)
             if tail_filter is not None and k % tail_filter.trigger_steps == 0:
-                before = fields[0]
-                cuts = [st.cut(f, keep) for st, f in zip(steppers, fields)]
-                fields[:] = [f for f, _ in cuts]
-                removed += cuts[0][1]
+                before = u
+                u, gone = stepper.cut(u, keep)
+                removed += gone
                 if on_cut is not None:
-                    on_cut(before, fields[0])
+                    on_cut(before, u)
             if k % record_every == 0 or k == n_steps:
-                on_record(k, fields, removed)
+                on_record(k, u, removed)
     except DwnlsError as exc:
         exc.step = k
         raise
-    return removed
+    return u
 
 
 def evolve(state0: FieldState, params: EvolveParams,
@@ -368,15 +364,15 @@ def evolve(state0: FieldState, params: EvolveParams,
                      center_of_mass(st), amp,
                      float(grid.x[i]) if amp > 0.0 else 0.0, removed))
 
-    us = [state0.values.astype(complex).copy()]
+    u = state0.values.astype(complex)
     n_steps = int(round(params.t_end / dt))
-    record(us[0], t0, 0.0)
-    march(us, [make_stepper(grid, potential, params)], n_steps,
-          params.record_every,
-          lambda k, fs, removed: record(fs[0], t0 + k * dt, removed),
-          params.tail_filter)
+    record(u, t0, 0.0)
+    u = march(u, make_stepper(grid, potential, params), n_steps,
+              params.record_every,
+              lambda k, f, removed: record(f, t0 + k * dt, removed),
+              params.tail_filter)
     diags = PdeDiagnostics(*np.array(rows).T)
-    return FieldState(grid, us[0], t0 + n_steps * dt), diags
+    return FieldState(grid, u, t0 + n_steps * dt), diags
 
 
 def snapshot_csv(state: FieldState) -> str:

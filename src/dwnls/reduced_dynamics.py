@@ -38,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChartBreakdown, NoCrossing, StepFailure
+from .roots import brentq
 
 MODES = "modes"
 CARTESIAN = "cartesian"
@@ -45,6 +46,10 @@ POLAR = "polar"
 _CHARTS = (MODES, CARTESIAN, POLAR)
 
 _A_FLOOR = 1e-8
+
+# land_period integrates in calls of this many steps, so that it overshoots
+# the landing by less than one call
+LANDING_CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -462,3 +467,54 @@ def detect_period(traj: Trajectory) -> PeriodEstimate:
     period = float(np.mean(gaps))
     unc = float(np.std(gaps, ddof=1)) if len(gaps) > 1 else float("nan")
     return PeriodEstimate(period=period, uncertainty=unc, crossings=crossings)
+
+
+def land_period(state0, params: ReducedParams, dt: float,
+                max_span: float) -> tuple[float, int]:
+    """(period, steps): the implicit midpoint's own period of the orbit
+    through state0, landed on detect_period's section beta = 0, beta
+    decreasing (M. Henon, Physica D 5, 1982).
+
+    The orbit runs in the modes chart on _implicit_midpoint_path,
+    LANDING_CHUNK steps a call, until beta goes from > 0 to <= 0 over a
+    step; brentq then finds the partial step h in (0, dt] whose midpoint
+    step lands on beta = 0, and the landing time is the full steps plus h.
+    An orbit that starts on the section heading down lands once, and its
+    period is that landing time; any other lands twice and its period is
+    the difference.  steps counts every midpoint step taken, partial ones
+    included.  Raises NoCrossing when max_span passes without the
+    landings needed.
+    """
+    def section(y):                 # |rho0| beta = Im(rho1 conj(rho0))
+        return y[0] * y[3] - y[1] * y[2]
+
+    dt = float(dt)
+    max_steps = int(math.ceil(max_span / dt))
+    y = pack(convert(state0, MODES))
+    steps = partial = 0
+    landings = []
+    while steps < max_steps:
+        n = min(LANDING_CHUNK, max_steps - steps)
+        states = _implicit_midpoint_path(MODES, y, params, (0.0, n * dt),
+                                         dt, 1)[1]
+        s = section(states.T)
+        if steps == 0 and s[0] == 0.0 and s[1] < 0.0:
+            landings.append(0.0)
+        for i in np.flatnonzero((s[:-1] > 0.0) & (s[1:] <= 0.0)):
+
+            def beta_after(h):
+                nonlocal partial
+                if h == 0.0:
+                    return s[i]
+                partial += 1
+                return section(_implicit_midpoint_path(
+                    MODES, states[i], params, (0.0, h), h, 1)[1][-1])
+
+            h = brentq(beta_after, 0.0, dt)
+            landings.append((steps + int(i)) * dt + h)
+            if len(landings) == 2:
+                return landings[1] - landings[0], steps + n + partial
+        steps += n
+        y = states[-1]
+    raise NoCrossing(f"{len(landings)} of 2 same-direction section "
+                     f"landings by t = {max_span:.6g}")

@@ -6,7 +6,10 @@ Pipeline per run:
 1. integrate a reduced reference orbit sigma*(t) = (A, alpha, beta)(t)
    near an equilibrium on the level set N = n_cr +- tau (tensor-mode
    coefficients measured from the well, so reduction and PDE share the
-   same Omega0, Omega1, N_cr).  The reference is integrated in the frame
+   same Omega0, Omega1, N_cr).  Its period is the implicit midpoint's
+   own, from a pilot landed on the section beta = 0
+   (reduced_dynamics.land_period), and the reference runs at a fixed
+   fraction of it.  The reference is integrated in the frame
    rotating at Omega0 (frequencies 0 and Omega10), which leaves
    (A, alpha, beta) unchanged because the reduction is gauge covariant.
    The step is a fixed fraction of the slow period, so with the full
@@ -17,18 +20,20 @@ Pipeline per run:
 2. launch the PDE from u0 = e^{i theta0}(A(0) psi0 + (alpha(0) + i beta(0)) psi1);
 3. at sampled times project u onto (c0, c1, R), move to the rotating
    frame, and record eta(t) = (A, alpha, beta)(t) - sigma*(t);
-4. co-evolve the orbit-driven linear radiation field
+4. form the orbit-driven linear radiation field
 
        i Rt~ = (H - Omega0) R~ + m(t) R~ + P_c F_b(sigma*(t)),
 
    m(t) = a0000 A~^2 + a0011 (3 alpha~^2 + beta~^2), and monitor
    w = R - R~ in H^1 and L^4_t L^infty_x.  On every well the PDE takes
    Crank-Nicolson steps of the pinned finite-difference H whose
-   eigenvectors are psi0, psi1; R~ is advanced exactly in the eigenbasis
-   of that H with psi0, psi1 left out (so it stays in the continuous
-   spectrum by construction and is exactly zero at the pinned node), m(t)
-   as a global phase and the source held at each step's midpoint.  Both
-   are marched in lockstep by pde.march with one tail filter;
+   eigenvectors are psi0, psi1, one field marched by pde.march with the
+   tail filter.  R~ is exact in the eigenbasis of that H with psi0, psi1
+   left out (so it stays in the continuous spectrum by construction and
+   is exactly zero at the pinned node), m(t) as a global phase and the
+   source held at each step's midpoint.  It does not depend on the PDE,
+   so after the march it is formed in closed form only at the samples
+   and the filter's cuts, and w from the residuals kept at the samples;
 5. report sup|eta|, the annulus verdict around the reference orbit, the
    center-of-mass well count, and invariant drifts.
 """
@@ -46,7 +51,6 @@ from .errors import (
     BelowThreshold,
     ChartBreakdown,
     DwnlsError,
-    NoCrossing,
 )
 from .grids import Grid, same_grid
 from .io_utils import csv_text
@@ -65,8 +69,9 @@ from .reduced_dynamics import (
     ReducedParams,
     Trajectory,
     convert,
-    detect_period,
+    detect_period,  # noqa: F401  (bench/tracer.py wraps it by this name)
     integrate,
+    land_period,
     pitchfork_coefficient,
 )
 
@@ -89,6 +94,12 @@ RECORD_PER_PERIOD = 64
 DT_REDUCED_FRACTION = 1.0 / 2000.0
 TAIL_FILTER_EVERY = 1.0
 CUTOFF_FRACTION = 0.75
+
+# R~ advances at most BLOCK steps per product with its table of E^p
+# (BLOCK + 1 rows of the mode count), and goes to the grid SAMPLE_CHUNK
+# samples per product with V
+BLOCK = 64
+SAMPLE_CHUNK = 8
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +204,14 @@ class _ReferenceOrbit:
             self.a = self.alpha = self.beta = np.zeros(len(traj.times))
 
     def sample(self, t):
+        """(A, alpha, beta) at t, a time or an array of times inside the
+        integrated span (a ValueError outside it: np.interp would hold the
+        end values)."""
+        for end in (np.min(t), np.max(t)):
+            if not self.times[0] <= end <= self.times[-1]:
+                raise ValueError(
+                    f"reference orbit integrated over [{self.times[0]:.6g}, "
+                    f"{self.times[-1]:.6g}] sampled at t = {end:.6g}")
         return (np.interp(t, self.times, self.a),
                 np.interp(t, self.times, self.alpha),
                 np.interp(t, self.times, self.beta))
@@ -217,30 +236,33 @@ def tilde_r_evolve(orbit: _ReferenceOrbit | Trajectory, spectral: SpectralData,
                    tail_filter_every: float = None):
     """Evolve the orbit-driven linear radiation equation from R~(0) = 0.
 
-    Returns (times, fields, sup_abs_series), the fields on the grid.  The
-    stepper (_TildeREvolver) is exact in the eigenbasis of the pinned
-    finite-difference H, the operator that defines psi0 and psi1, with
-    the source held at each step's midpoint.  The optional tail filter
-    zeroes |x| beyond CUTOFF_FRACTION of x_max every tail_filter_every
-    time units, the same truncate-and-continue device the PDE runs use to
-    stop outgoing radiation from re-entering.
+    Returns (times, fields, sup_abs_series), the fields on the grid (one
+    row per record) at t = 0, after every record_every-th step and after
+    the last.  The stepper (_TildeREvolver) is exact in the eigenbasis of
+    the pinned finite-difference H, the operator that defines psi0 and
+    psi1, with the source held at each step's midpoint.  The optional tail
+    filter zeroes |x| beyond CUTOFF_FRACTION of x_max every
+    tail_filter_every time units, the same truncate-and-continue device
+    the PDE runs use to stop outgoing radiation from re-entering.
     """
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     if isinstance(orbit, Trajectory):
         orbit = _ReferenceOrbit(orbit)
-    grid = spectral.grid
     n_steps = int(round(horizon / dt))
+    steps = np.unique(np.r_[0:n_steps + 1:record_every, n_steps])
+    fields = _tilde_r_fields(spectral, dt, orbit, n_steps, steps,
+                             _tail_filter(tail_filter_every, spectral.grid, dt))
+    return steps * dt, fields, np.max(np.abs(fields), axis=1)
+
+
+def _tilde_r_fields(spectral: SpectralData, dt: float, orbit: _ReferenceOrbit,
+                    n_steps: int, steps, tail_filter: Optional[TailFilter]):
+    """R~ on the grid at each of the ascending steps (one row each) of a
+    run of n_steps steps; the stepper and its eigenvectors are freed on
+    return."""
     stepper = _TildeREvolver(spectral, dt, orbit, n_steps)
-    times, fields, sups = [0.0], [np.zeros(grid.n_points, complex)], [0.0]
-
-    def record(k, rs, _removed):
-        r = stepper.to_grid(rs[0])
-        times.append(k * dt)
-        fields.append(r)
-        sups.append(float(np.max(np.abs(r))))
-
-    march([np.zeros_like(stepper.e)], [stepper], n_steps, record_every,
-          record, _tail_filter(tail_filter_every, grid, dt))
-    return np.array(times), fields, np.array(sups)
+    return stepper.to_grid(stepper.at_steps(steps, tail_filter), steps)
 
 
 class _TildeREvolver:
@@ -260,10 +282,12 @@ class _TildeREvolver:
 
     where G = V^T (the four projected products of _Basis) and c_k are the
     four source_coefficients of sigma*((k + 1/2) dt) times e^{i theta}
-    there.  The field is carried as S (march's field for this stepper,
-    one entry per entry of E); to_grid costs one product with V, and cut
-    two with the rows of V outside the filter.  V costs 8 (n-1)^2 bytes: 8.4 MB at
-    1,024 points, 134 MB at 4,096.
+    there.  R~ does not depend on the PDE, so it is formed only where it
+    is needed: step(s, m) makes m steps at once in closed form, and
+    at_steps runs from S = 0 to a list of steps with the tail filter's
+    cuts on the way.  to_grid costs one product with V per few samples,
+    and cut two with the rows of V outside the filter.  V costs
+    8 (n-1)^2 bytes: 8.4 MB at 1,024 points, 134 MB at 4,096.
     """
 
     def __init__(self, spectral: SpectralData, dt: float,
@@ -274,6 +298,10 @@ class _TildeREvolver:
         self.v = v[:, 2:]
         mu = lam[2:] - spectral.omega0
         self.e = np.exp(-1j * dt * mu)
+        # E^BLOCK, ..., E, 1 by repeated products, as single steps form them
+        self._powers = np.ones((BLOCK + 1, len(mu)), complex)
+        np.cumprod(np.broadcast_to(self.e, (BLOCK, len(mu))), axis=0,
+                   out=self._powers[-2::-1])
         # (E - 1)/mu without the cancellation of E - 1 at small dt mu
         phi = -2j * np.sin(0.5 * dt * mu) * np.exp(-0.5j * dt * mu) / mu
         products = _Basis(spectral).products[:, 1:]
@@ -285,22 +313,58 @@ class _TildeREvolver:
         m = ca * a * a + cb * (3.0 * al * al + be * be)
         theta = dt * np.concatenate(([0.0], np.cumsum(m)))
         self.phase = np.exp(-1j * theta)          # grid field at step k
-        self.c = (np.stack(source_coefficients(a, al, be), axis=1)
-                  * np.exp(1j * (theta[:-1] + 0.5 * dt * m))[:, None])
+        self.c = np.stack(source_coefficients(a, al, be), axis=1)
+        self.c *= np.exp(1j * (theta[:-1] + 0.5 * dt * m))[:, None]
         self.k = 0
 
-    def step(self, s: np.ndarray) -> np.ndarray:
-        k = self.k
-        self.k = k + 1
-        s = self.e * s
-        s += self.g_phi @ self.c[k]
+    def step(self, s: np.ndarray, m: int = 1) -> np.ndarray:
+        """S after m more steps (m = 1: S <- E S + Phi G c_k):
+
+            S <- E^m S + sum_{p<m} E^p Phi G c_{k+m-1-p},
+
+        in blocks of at most BLOCK steps, each one product of a slice of
+        the table of E^p with the block's source coefficients."""
+        while m > 0:
+            b = min(m, BLOCK)
+            k = self.k
+            p = self._powers[BLOCK - b:]          # E^b, E^(b-1), ..., 1
+            s = p[0] * s + np.sum(self.g_phi * (p[1:].T @ self.c[k:k + b]),
+                                  axis=1)
+            self.k = k + b
+            m -= b
         return s
 
-    def to_grid(self, s: np.ndarray) -> np.ndarray:
-        """R~ on the grid at the current step."""
-        r = np.zeros(self.grid.n_points, complex)
-        r[1:] = _real_product(self.v, s) * self.phase[self.k]
-        return r
+    def at_steps(self, steps, tail_filter: Optional[TailFilter] = None):
+        """S at each of the ascending steps (one row each), from S = 0 at
+        step 0, cut by the tail filter every trigger_steps steps; a cut
+        acts before the sample at the same step, as in pde.march."""
+        s = np.zeros_like(self.e)
+        self.k = 0
+        out = np.empty((len(steps), len(s)), complex)
+        if tail_filter is not None:
+            every = tail_filter.trigger_steps
+            keep = np.abs(self.grid.x) <= tail_filter.cutoff_radius
+        for i, target in enumerate(steps):
+            if tail_filter is not None:
+                for cut_at in range((self.k // every + 1) * every,
+                                    target + 1, every):
+                    s, _ = self.cut(self.step(s, cut_at - self.k), keep)
+            if target > self.k:
+                s = self.step(s, target - self.k)
+            out[i] = s
+        return out
+
+    def to_grid(self, ss: np.ndarray, steps) -> np.ndarray:
+        """R~ on the grid (one row each) from the rows of ss, the S of the
+        steps: real products with V, SAMPLE_CHUNK samples at a time."""
+        out = np.zeros((len(steps), self.grid.n_points), complex)
+        for i in range(0, len(steps), SAMPLE_CHUNK):
+            z = ss[i:i + SAMPLE_CHUNK]
+            n = len(z)
+            parts = np.concatenate((z.real, z.imag)) @ self.v.T
+            out[i:i + n, 1:] = ((parts[:n] + 1j * parts[n:])
+                                * self.phase[steps[i:i + n], None])
+        return out
 
     def cut(self, s: np.ndarray, keep: np.ndarray):
         """(S of P_c(R~ zeroed where keep is False), the mass removed as a
@@ -318,8 +382,7 @@ class _TildeREvolver:
 def _real_product(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """m @ z for a real matrix m and a complex vector z, as one real
     product of the (2, len(z)) stack of z's parts with m^T (no complex
-    copy of m; with the eigenvector matrix's Fortran order, m^T is
-    C-ordered for to_grid, the path taken at every sample)."""
+    copy of m)."""
     re, im = np.array([z.real, z.imag]) @ m.T
     return re + 1j * im
 
@@ -459,6 +522,7 @@ class ShadowReport:
     removed_energy: float
     coupling_sup: tuple
     orbit_amplitude: float
+    pilot_steps: int               # midpoint steps the period cost
     # why the run stopped early: error type, message, the step being taken
     # (1-based) and the time that step reaches; None for a full run
     truncation: Optional[dict]
@@ -492,6 +556,7 @@ class ShadowReport:
             "removed_mass": self.removed_mass,
             "removed_energy": self.removed_energy,
             "coupling_sup": list(self.coupling_sup),
+            "pilot_steps": self.pilot_steps,
             "horizon_truncated": self.horizon_truncated,
             "truncation": self.truncation,
         }
@@ -554,22 +619,12 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     state0, n_level, eq_alpha, orbit_amp = _orbit_initial_state(
         params, sparams, orbit)
 
-    # reference orbit: pilot run to measure the period, then the full span
-    a_eff = float(0.5 * pitchfork_coefficient(params.a))
-    if orbit.side == "below":
-        omega_est = 2.0 * a_eff * math.sqrt(sparams.tau * n_cr_target)
-    else:
-        omega_est = 2.0 * a_eff * math.sqrt(n_level**2 - n_cr_target**2)
-    t_est = 2.0 * math.pi / omega_est
-    pilot_span = (8.0 if orbit.dtheta0 is not None else 4.0) * t_est
-    try:
-        pilot = integrate(state0, params, (0.0, pilot_span),
-                          t_est * DT_REDUCED_FRACTION, record_every=5)
-        period = detect_period(pilot).period
-    except NoCrossing:
-        pilot = integrate(state0, params, (0.0, 4.0 * pilot_span),
-                          t_est * DT_REDUCED_FRACTION, record_every=5)
-        period = detect_period(pilot).period
+    # reference orbit: land a pilot on the section to measure the period,
+    # then integrate the full span
+    t_est = _period_guess(params, sparams, orbit, n_level)
+    max_span = 4.0 * (8.0 if orbit.dtheta0 is not None else 4.0) * t_est
+    period, pilot_steps = land_period(state0, params,
+                                      t_est * DT_REDUCED_FRACTION, max_span)
     periods = (orbit.horizon_periods if orbit.horizon_periods is not None
                else sparams.tau ** (-EPSILON))
     horizon = periods * period
@@ -589,12 +644,9 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
 
     # CN on every well: psi0, psi1, Omega0, Omega1 and the overlap tensor
     # all come from the pinned finite-difference H
-    fields = [u0.values.copy()]
     v = potential_samples(spectral.spec, grid)
-    steppers = [CrankNicolsonStepper(grid, v, dt)]
-    if orbit.compute_w:
-        steppers.append(_TildeREvolver(spectral, dt, ref, n_steps))
-        fields.append(np.zeros_like(steppers[1].e))      # S = 0: R~(0) = 0
+    stepper = CrankNicolsonStepper(grid, v, dt)
+    tail_filter = _tail_filter(TAIL_FILTER_EVERY, grid, dt)
 
     def energy(u):
         return hamiltonian(FieldState(grid, u), v)
@@ -603,9 +655,9 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     mass0 = field_mass(u0)
     energy0 = energy(u0.values)
 
-    times, etas, albe, coms, w_fields = [], [], [], [], []
+    steps, times, etas, albe, coms, r_rots = [], [], [], [], [], []
     coupling_max = [0.0, 0.0, 0.0, 0.0]
-    sup_tr = parseval = mass_drift = energy_drift = 0.0
+    parseval = mass_drift = energy_drift = 0.0
     removed = removed_energy = 0.0
     truncation = None
 
@@ -613,14 +665,15 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         nonlocal removed_energy
         removed_energy += energy(before) - energy(after)
 
-    def take_sample(k, fs, removed_now):
-        nonlocal parseval, sup_tr, mass_drift, energy_drift, removed
+    def take_sample(k, u, removed_now):
+        nonlocal parseval, mass_drift, energy_drift, removed
         removed = removed_now
         t = k * dt
-        st = FieldState(grid, fs[0], t)
+        st = FieldState(grid, u, t)
         pr = project(st, spectral)
         a_p, al_p, be_p, th_p = to_moving_frame(pr.c0, pr.c1)
         a_r, al_r, be_r = ref.sample(t)
+        steps.append(k)
         times.append(t)
         etas.append((a_p - a_r, al_p - al_r, be_p - be_r))
         albe.append((al_p, be_p))
@@ -630,21 +683,19 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         parseval = max(parseval, abs(n_tot - split))
         mass_drift = max(mass_drift, abs(n_tot + removed - mass0))
         energy_drift = max(energy_drift,
-                           abs(energy(fs[0]) + removed_energy - energy0))
+                           abs(energy(u) + removed_energy - energy0))
         r_rot = pr.residual.values * complex(math.cos(-th_p), math.sin(-th_p))
         errs = coupling_errors(a_p, al_p, be_p,
                                FieldState(grid, r_rot, t), spectral)
         for j in range(4):
             coupling_max[j] = max(coupling_max[j], abs(errs[j]))
         if orbit.compute_w:
-            r_t = steppers[1].to_grid(fs[1])
-            w_fields.append(r_rot - r_t)
-            sup_tr = max(sup_tr, float(np.max(np.abs(r_t))))
+            r_rots.append(r_rot)
 
-    take_sample(0, fields, 0.0)
+    take_sample(0, u0.values, 0.0)
     try:
-        march(fields, steppers, n_steps, sample_every, take_sample,
-              _tail_filter(TAIL_FILTER_EVERY, grid, dt), count_cut)
+        march(u0.values, stepper, n_steps, sample_every, take_sample,
+              tail_filter, count_cut)
     except DwnlsError as exc:
         truncation = {"error": type(exc).__name__, "message": str(exc),
                       "step": exc.step, "time": exc.step * dt}
@@ -652,6 +703,16 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     times = np.array(times)
     etas = np.array(etas)
     albe = np.array(albe)
+
+    # R~ does not depend on the PDE: form it at the samples the march
+    # reached, with the march's cuts, and w = R - R~ there
+    w_h1 = w_l4 = sup_tr = 0.0
+    if orbit.compute_w:
+        r_t = _tilde_r_fields(spectral, dt, ref, n_steps, steps, tail_filter)
+        sup_tr = float(np.max(np.abs(r_t)))
+        w = np.array(r_rots)
+        w -= r_t
+        w_h1, w_l4 = strichartz_monitor(times, w, grid)
 
     # minimal annulus about one dense period of the reference orbit that
     # contains the projected samples, width relative to the orbit radius
@@ -662,8 +723,6 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     sup_eta = float(np.max(np.abs(etas)))
     eta_bound = VERDICT_CONSTANT * sparams.tau ** (0.5 + DELTA1)
     com = np.array(coms)
-    w_h1, w_l4 = (strichartz_monitor(times, w_fields, grid)
-                  if orbit.compute_w else (0.0, 0.0))
 
     return ShadowReport(
         params=sparams, orbit=orbit, n_level=n_level, n_cr=n_cr_target,
@@ -678,8 +737,23 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         parseval_defect=parseval, mass_drift=mass_drift,
         energy_drift=energy_drift, removed_mass=removed,
         removed_energy=removed_energy, coupling_sup=tuple(coupling_max),
-        orbit_amplitude=orbit_amp, truncation=truncation,
+        orbit_amplitude=orbit_amp, pilot_steps=pilot_steps,
+        truncation=truncation,
     )
+
+
+def _period_guess(params: ReducedParams, sparams: ShadowParams,
+                  orbit: OrbitSpec, n_level: float) -> float:
+    """The small-orbit period 2 pi / omega of the reduction, which sets
+    the pilot's step: omega = 2 a_eff sqrt(tau n_cr) below the threshold
+    and 2 a_eff sqrt(N^2 - n_cr^2) above it, a_eff = (3 a0011 - a0000)/2."""
+    n_cr = sparams.critical_power
+    a_eff = float(0.5 * pitchfork_coefficient(params.a))
+    if orbit.side == "below":
+        omega_est = 2.0 * a_eff * math.sqrt(sparams.tau * n_cr)
+    else:
+        omega_est = 2.0 * a_eff * math.sqrt(n_level**2 - n_cr**2)
+    return 2.0 * math.pi / omega_est
 
 
 def annulus_width_ratio(ref_curve: np.ndarray, points: np.ndarray) -> float:

@@ -287,6 +287,7 @@ def eta_ladder(shadow_grid):
     return reports
 
 
+@pytest.mark.slow
 def test_criterion_09_annulus_and_eta0(side_reports):
     below, above = side_reports
     ok = True
@@ -299,6 +300,7 @@ def test_criterion_09_annulus_and_eta0(side_reports):
                   f"above {above.annulus_ratio:.3f}, eta(0)=0 exact")
 
 
+@pytest.mark.slow
 def test_criterion_09_eta_ladder(eta_ladder):
     """The sup|eta| ladder clause, asserted as stated.
 
@@ -332,6 +334,7 @@ def test_criterion_09_eta_ladder(eta_ladder):
                 "PDE's dephases eta (see this test's docstring)")
 
 
+@pytest.mark.slow
 def test_criterion_10_transport_dichotomy(shadow_well):
     sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
     transport = sh.run_shadow_experiment(

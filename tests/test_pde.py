@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg.lapack import zgtsv
 
 from dwnls.errors import NonlinearIterationDiverged
 from dwnls.grids import Grid
@@ -307,6 +308,35 @@ class TestCrankNicolson:
                 u = stepper.step(u)
             assert solves[0] == 50
 
+    def test_in_place_step_matches_the_formula(self, shadow_well):
+        # the step solves in place in a copy of u and forms 2y - u there;
+        # bit for bit the same as solving into a new array and forming
+        # 2y - u in a third, over 50 steps of random data
+        sd = shadow_well
+        rng = np.random.default_rng(11)
+        n = sd.grid.n_points
+        u = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        stepper = pde.CrankNicolsonStepper(sd.grid, _v(sd), 4e-3)
+        phi_prev = None
+        for _ in range(50):
+            free = u[1:]
+            phi = free.real * free.real + free.imag * free.imag
+            if phi_prev is not None:
+                phi *= 2.0
+                phi -= phi_prev
+            phi_prev = phi
+            diag = stepper._diag - stepper._c * phi
+            *_, y, info = zgtsv(stepper._off, diag, stepper._off, free)
+            want = np.empty(n, complex)
+            want[0] = 0.0
+            np.multiply(y, 2.0, out=want[1:])
+            want[1:] -= free
+            got = stepper.step(u)
+            assert info == 0
+            assert got[0] == 0.0
+            assert np.array_equal(got, want)
+            u = got
+
     def test_iteration_divergence_guard(self, delta_s1_L10, monkeypatch):
         # a failed solve (LAPACK info != 0) raises with the info in its
         # message, and march records the step it failed in
@@ -323,7 +353,7 @@ class TestCrankNicolson:
         u0 = 0.5 * sd.psi0.eigenfunction.astype(complex)
         stepper = pde.CrankNicolsonStepper(sd.grid, _v(sd), 1e-3)
         with pytest.raises(NonlinearIterationDiverged, match="zgtsv info 7") as exc:
-            pde.march([u0], [stepper], 5, 1, lambda k, fs, removed: None)
+            pde.march(u0, stepper, 5, 1, lambda k, u, removed: None)
         assert exc.value.step == 3
 
 

@@ -402,6 +402,45 @@ class TestDetectPeriod:
         assert np.isfinite(per.period) and per.period > 0
 
 
+class TestLandPeriod:
+    N_LEVEL, NCR = 0.15, 0.1
+
+    def _start(self):
+        eq = bf.equilibria(self.N_LEVEL, self.NCR)[1]
+        al = 1.2 * eq.alpha
+        return rd.CartesianChart(A=np.sqrt(self.N_LEVEL - al**2), alpha=al,
+                                 beta=0.0)
+
+    def test_matches_crossings(self):
+        # the landing is the modes-chart midpoint's own period: linear
+        # interpolation between every step's records agrees to O(dt^2)
+        ic = rd.convert(self._start(), rd.MODES)
+        dt = 0.01
+        traj = rd.integrate(ic, PARAMS, (0.0, 80.0), dt)
+        per = rd.detect_period(traj).period
+        landed, steps = rd.land_period(ic, PARAMS, dt, 100.0)
+        assert landed == pytest.approx(per, rel=1e-7)
+        # one landing: the start is on the section with beta decreasing
+        assert landed / dt < steps <= landed / dt + rd.LANDING_CHUNK + 50
+
+    def test_start_off_the_section_lands_twice(self):
+        ic = rd.convert(self._start(), rd.MODES)
+        dt = 0.01
+        landed, steps = rd.land_period(ic, PARAMS, dt, 100.0)
+        off = rd.integrate(ic, PARAMS, (0.0, 3.0), dt).state(-1)
+        assert rd.convert(off, rd.CARTESIAN).beta != 0.0
+        again, steps_off = rd.land_period(off, PARAMS, dt, 100.0)
+        # the partial steps are not steps of the map: each landing is
+        # O(dt^3) off, 1.2e-9 relative here
+        assert again == pytest.approx(landed, rel=1e-8)
+        assert steps_off > steps
+
+    def test_no_crossing_at_equilibrium(self):
+        st = rd.CartesianChart(A=np.sqrt(0.05), alpha=0.0, beta=0.0)
+        with pytest.raises(NoCrossing):
+            rd.land_period(st, PARAMS, 0.05, 50.0)
+
+
 class TestPhasePlaneDichotomy:
     def test_trapped_orbits_above(self):
         # n > 0: orbits launched near (sqrt(n/2), 0) stay trapped around it

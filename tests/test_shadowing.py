@@ -192,8 +192,7 @@ class TestTildeR:
         rng = np.random.default_rng(4)
         s0 = rng.normal(size=stepper.v.shape[1]) \
             + 1j * rng.normal(size=stepper.v.shape[1])
-        r0 = stepper.to_grid(s0)
-        r1 = stepper.to_grid(stepper.step(s0))
+        r0, r1 = stepper.to_grid(np.array([s0, stepper.step(s0)]), [0, 1])
         hp = ls.pinned_hamiltonian(sd.spec, grid)
         m = sd.a[0, 0, 0, 0] * a_amp**2
         h = np.diag(hp.diag - sd.omega0 + m) + np.diag(hp.off, 1) \
@@ -211,10 +210,9 @@ class TestTildeR:
         s0 = rng.normal(size=stepper.v.shape[1]) \
             + 1j * rng.normal(size=stepper.v.shape[1])
         keep = np.abs(sd.grid.x) <= 0.75 * sd.grid.x_max
-        r = stepper.to_grid(s0)
-        want, removed = pde.cut_on_grid(sd.grid, r, keep)
         s1, got_removed = stepper.cut(s0, keep)
-        got = stepper.to_grid(s1)
+        r, got = stepper.to_grid(np.array([s0, s1]), [0, 0])
+        want, removed = pde.cut_on_grid(sd.grid, r, keep)
         assert np.max(np.abs(got - sh._Basis(sd).project_c(want))) \
             <= 1e-12 * np.max(np.abs(r))
         assert got_removed == pytest.approx(removed, rel=1e-12)
@@ -264,6 +262,62 @@ class TestTildeR:
         print(f"L2 distance to CN at dt = {dt}: {err:.2e}")
         assert err <= 1e-2
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3 * sh.BLOCK),
+           k0=st.integers(0, sh.BLOCK))
+    def test_block_advance_equals_single_steps(self, small_tilde_r, seed, m,
+                                               k0):
+        # step(s, m) in closed form against m steps S <- E S + Phi G c_k
+        stepper = small_tilde_r
+        rng = np.random.default_rng(seed)
+        n = len(stepper.e)
+        s0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        stepper.c[:] = (rng.normal(size=stepper.c.shape)
+                        + 1j * rng.normal(size=stepper.c.shape))
+        want = s0
+        for k in range(k0, k0 + m):
+            want = stepper.e * want + stepper.g_phi @ stepper.c[k]
+        stepper.k = k0
+        got = stepper.step(s0, m)
+        assert stepper.k == k0 + m
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_evolve_with_filter_equals_step_loop(self, shadow_well):
+        # tilde_r_evolve forms R~ only at its records and cuts; a loop of
+        # single steps with a cut every 250 steps (before the record at
+        # the same step) gives the same fields
+        sd = shadow_well
+        orbit = _libration_orbit(sd, 3.0)
+        dt, horizon, every = 4e-3, 3.0, 50
+        times, fields, sups = sh.tilde_r_evolve(orbit, sd, horizon, dt,
+                                                record_every=every,
+                                                tail_filter_every=1.0)
+        n_steps = int(round(horizon / dt))
+        stepper = sh._TildeREvolver(sd, dt, orbit, n_steps)
+        keep = np.abs(sd.grid.x) <= sh.CUTOFF_FRACTION * sd.grid.x_max
+        s = np.zeros_like(stepper.e)
+        want = [stepper.to_grid(s[None], [0])[0]]
+        for k in range(1, n_steps + 1):
+            s = stepper.step(s, 1)
+            if k % 250 == 0:
+                s, _ = stepper.cut(s, keep)
+            if k % every == 0 or k == n_steps:
+                want.append(stepper.to_grid(s[None], [k])[0])
+        want = np.array(want)
+        assert times == pytest.approx(dt * np.r_[0:n_steps + 1:every])
+        assert fields.shape == want.shape
+        scale = np.max(np.abs(want))
+        for got_k, want_k in zip(fields, want):
+            assert np.max(np.abs(got_k - want_k)) <= 1e-12 * scale
+        assert np.array_equal(sups, np.max(np.abs(fields), axis=1))
+
+    def test_orbit_shorter_than_horizon_refused(self, shadow_well):
+        # sampling past the integrated span used to hold the last state
+        sd = shadow_well
+        orbit = _libration_orbit(sd, 0.9)         # integrated to t = 1.0
+        with pytest.raises(ValueError, match="sampled at t = "):
+            sh.tilde_r_evolve(orbit, sd, horizon=3.0, dt=4e-3)
+
     def test_zero_record_cadence_refused(self, shadow_well):
         sd = shadow_well
         zero = rd.integrate(rd.ModeAmplitudes(0j, 0j),
@@ -271,6 +325,13 @@ class TestTildeR:
                             (0.0, 1.0), 0.01)
         with pytest.raises(ValueError, match="record_every"):
             sh.tilde_r_evolve(zero, sd, horizon=1.0, dt=0.01, record_every=0)
+
+
+@pytest.fixture(scope="module")
+def small_tilde_r():
+    grid = Grid.symmetric(16.0, 256)
+    sd = ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5), grid)
+    return sh._TildeREvolver(sd, 4e-3, _ConstantOrbit(0.2), 5 * sh.BLOCK)
 
 
 class _ConstantOrbit:
@@ -487,7 +548,7 @@ class TestReportSerialization:
         d = rep.to_json_dict()
         for key in ("sup_eta", "annulus_ratio", "com_sign_changes",
                     "w_sup_h1", "tilde_r_sup", "horizon_truncated",
-                    "removed_energy"):
+                    "removed_energy", "pilot_steps"):
             assert key in d
         lines = rep.series_csv().strip().split("\n")
         assert lines[0].startswith("t,eta_A")
@@ -542,6 +603,43 @@ class TestInvariants:
         assert rep.parseval_defect <= 1e-15
         assert rep.energy_drift <= 1e-8
         assert rep.removed_energy > 1e3 * rep.energy_drift
+
+
+def _old_pilot_period(sd, sp, orb):
+    """The period as the pilot measured it before it landed: crossings of
+    an orbit of 4 (8 with dtheta0) estimated periods recorded every 5
+    steps, linearly interpolated and averaged."""
+    full = rd.ReducedParams.from_spectral(sd)
+    params = rd.ReducedParams(omega0=0.0, omega1=full.omega10, a=full.a)
+    state0, n_level, _, _ = sh._orbit_initial_state(params, sp, orb)
+    t_est = sh._period_guess(params, sp, orb, n_level)
+    span = (8.0 if orb.dtheta0 is not None else 4.0) * t_est
+    traj = rd.integrate(state0, params, (0.0, span),
+                        t_est * sh.DT_REDUCED_FRACTION, record_every=5)
+    return rd.detect_period(traj).period
+
+
+class TestPilotLanding:
+    # the landed period is the midpoint's own; the old pilot's linear
+    # interpolation was 1.7e-9 (nominal), 1.7e-9 (below) and 4.1e-9
+    # (transport) off it
+    @pytest.mark.parametrize("orb", [
+        sh.OrbitSpec(side="above", amplitude_factor=0.7),
+        sh.OrbitSpec(side="below"),
+        sh.OrbitSpec(side="above", dtheta0=1.0),
+    ], ids=["nominal", "below", "transport"])
+    def test_period_matches_old_pilot(self, shadow_well, orb):
+        sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
+        short = sh.OrbitSpec(side=orb.side,
+                             amplitude_factor=orb.amplitude_factor,
+                             dtheta0=orb.dtheta0, horizon_periods=0.02,
+                             compute_w=False)
+        rep = sh.run_shadow_experiment(sp, shadow_well, short)
+        assert rep.period == pytest.approx(
+            _old_pilot_period(shadow_well, sp, orb), rel=1e-8)
+        if orb.dtheta0 is None and orb.side == "above":
+            # the nominal pilot lands once, against 8,000 steps before
+            assert rep.pilot_steps <= 2500
 
 
 class TestReferencePeriod:
