@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -306,9 +307,24 @@ class Trajectory:
     chart: str
     times: np.ndarray
     states: np.ndarray            # (m, 4) packed chart coordinates
-    n_series: np.ndarray
-    h_series: np.ndarray
     params: ReducedParams = field(repr=False)
+
+    @cached_property
+    def _invariant_series(self):
+        """(N, H) at every recorded state, on first read: most callers
+        read neither."""
+        n, h = np.empty((2, len(self.times)))
+        for i, y in enumerate(self.states):
+            n[i], h[i] = invariants(unpack(self.chart, y), self.params)
+        return n, h
+
+    @property
+    def n_series(self) -> np.ndarray:
+        return self._invariant_series[0]
+
+    @property
+    def h_series(self) -> np.ndarray:
+        return self._invariant_series[1]
 
     def state(self, i: int):
         return unpack(self.chart, self.states[i])
@@ -418,12 +434,7 @@ def integrate(state0, params: ReducedParams, t_span, dt,
         return integrate(convert(state0, MODES), params, t_span, dt,
                          method=method, record_every=record_every,
                          rtol=rtol, atol=atol)
-    n_series = np.empty(len(times))
-    h_series = np.empty(len(times))
-    for i, y in enumerate(states):
-        n_series[i], h_series[i] = invariants(unpack(chart, y), params)
-    return Trajectory(chart=chart, times=times, states=states,
-                      n_series=n_series, h_series=h_series, params=params)
+    return Trajectory(chart=chart, times=times, states=states, params=params)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,21 @@ class TestEvolveCommand:
             vals = [float(v) for v in row.split(",")[1:]]
             assert all(v == 0.0 for v in vals)
 
+    def test_split_step_golden_bits(self, tmp_path):
+        # a short nominal split-step run with two tail-filter cuts; its last
+        # row, as text, pins every bit of the split-step path
+        out = tmp_path / "ev"
+        rc = run(["evolve", "--well", "gauss", "--sigma", "1.0", "--sep", "3.0",
+                  "--points", "4096", "--init", "twomode", "--N", "1.0",
+                  "--dtheta0", "1.0", "--dt", "1e-3", "--t-end", "0.5",
+                  "--cutoff", "30.0", "--filter-steps", "250",
+                  "--record-every", "250", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "diagnostics.csv").read_text().strip().split("\n")
+        assert rows[-1] == ("0.5,0.9999998424679255,-0.17781145994406614,"
+                            "1.0450011778602539,0.3680240447558652,2.734375,"
+                            "1.5753214053034413e-07")
+
     @pytest.mark.parametrize("extra", [
         ["--cutoff", "30", "--filter-steps", "0"],
         ["--cutoff", "30", "--record-every", "0"],

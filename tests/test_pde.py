@@ -135,6 +135,23 @@ class TestSplitStep:
                 assert abs(removed - removed_ref) <= 1e-12 * amp**2
         assert np.array_equal(u0, u0_before)
 
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    @settings(max_examples=30, deadline=None)
+    @given(amp=st.floats(1e-3, 5e-2), depth=st.floats(1e-3, 5e-2),
+           dt=st.floats(1e-3, 5e-2))
+    def test_half_phase_is_complex_exp_bit_for_bit(self, scale, amp, depth,
+                                                   dt):
+        # at the 4096 points evolve runs, so that the vectorised loops of
+        # cos and sin reach their tails as they do there; at scale 1 every
+        # angle is below 2e-3, where cos and sin take their small-angle
+        # paths, and scaling depth and dt by 40 takes |theta| up to 1.4
+        grid = Grid.symmetric(10.0 * np.pi, 4096)
+        depth, dt = scale * depth, scale * dt
+        u, v = split_data(grid, amp, 1.0, 1.5, 0.7, depth)
+        phase = pde.SplitStepper(grid, v, dt)._half_phase(u)
+        assert np.array_equal(phase,
+                              np.exp(-0.5j * dt * (v - np.abs(u) ** 2)))
+
     def test_phase_reused_only_for_the_returned_array(self):
         # a field that is not the array the last step returned (a copy, or
         # one the caller changed) steps exactly as with a fresh stepper
