@@ -105,36 +105,17 @@ def cmd_phaseplane(opts) -> int:
 
     def run_one(idx, eps1, dth):
         ts = np.arange(0.0, t_end, float(opts["dt_record"]))
-        y = np.empty((len(ts), 2))
-        y[0] = (eps1, dth)
         dt = float(opts["dt"])
-        vf = rd.vf_polar_reduced
-        e, th = float(eps1), float(dth)     # implicit midpoint on floats
-        row = 1
-        nsteps = int(round(t_end / dt))
-        for k in range(nsteps):
-            f_e, f_th = vf(e, th, n_offset, ncr)
-            z_e, z_th = e + dt * f_e, th + dt * f_th
-            for _ in range(30):
-                f_e, f_th = vf(0.5 * (e + z_e), 0.5 * (th + z_th),
-                               n_offset, ncr)
-                n_e, n_th = e + dt * f_e, th + dt * f_th
-                delta = max(abs(n_e - z_e), abs(n_th - z_th))
-                z_e, z_th = n_e, n_th
-                if delta < 1e-13:
-                    break
-            e, th = z_e, z_th
-            # from the step count: a running sum of dt drifts past the slack
-            tcur = (k + 1) * dt
-            while row < len(ts) and ts[row] <= tcur + 1e-12:
-                y[row] = (e, th)
-                row += 1
+        rows, iterations, stalled = rd.polar_midpoint_orbit(
+            eps1, dth, n_offset, ncr, dt, int(round(t_end / dt)), ts)
+        y = np.array(rows)
         name = f"orbit_{idx:03d}.csv"
         write_csv(out / name, ["t", "eps1", "dtheta"],
-                  [ts[:row], y[:row, 0], y[:row, 1]])
+                  [ts[:len(rows)], y[:, 0], y[:, 1]])
         return {"file": name, "eps1_0": eps1, "dtheta_0": dth,
-                "eps1_max": float(np.max(y[:row, 0])),
-                "eps1_min": float(np.min(y[:row, 0]))}
+                "eps1_max": float(np.max(y[:, 0])),
+                "eps1_min": float(np.min(y[:, 0])),
+                "midpoint_iterations": iterations, "stalled_steps": stalled}
 
     index = [run_one(idx, eps1, dth) for idx, (eps1, dth) in enumerate(ics)]
     write_json(out / "index.json",

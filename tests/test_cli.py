@@ -99,26 +99,34 @@ class TestPhaseplaneCommand:
         assert all(a <= b + 1e-12 for a, b in zip(maxima, maxima[1:]))
 
     def test_orbits_match_array_midpoint(self, tmp_path):
-        # the implicit midpoint on 2-element arrays, step for step: the
-        # command's scalar loop does the same arithmetic, so rows match
-        # to the last digit; by t_end 100 a time kept as a running sum of
-        # dt would label rows one step late
-        ncr, n_off, dt = 0.2, 0.05, 0.05
-        for t_end in (20.0, 100.0):
-            out = tmp_path / f"ppr{t_end:g}"
+        # the implicit midpoint on 2-element arrays with vf_polar_reduced,
+        # step for step: the command's inlined loop does the same
+        # arithmetic, so rows match to the last digit; by t_end 100 a time
+        # kept as a running sum of dt would label rows one step late
+        ncr = 0.2
+        for n_off, t_end, dt, dt_record in (
+                (0.05, 20.0, 0.05, 0.5),
+                (0.05, 100.0, 0.05, 0.5),
+                (-0.05, 100.0, 0.05, 0.5),  # eps1_max from the n < 0 branch
+                (0.3, 400.0, 0.05, 0.5),    # winding, |dtheta| below 512
+                (0.05, 40.0, 0.02, 0.2)):
+            out = tmp_path / f"ppr{n_off:g}_{t_end:g}_{dt:g}"
             assert run(["phaseplane", "--ncr", str(ncr), "--n", str(n_off),
-                        "--t-end", str(t_end), "--orbits", "1",
+                        "--t-end", str(t_end), "--dt", str(dt),
+                        "--dt-record", str(dt_record), "--orbits", "1",
                         "--out", str(out)]) == 0
             index = json.loads((out / "index.json").read_text())
             for orbit in index["orbits"]:
                 state = np.array([orbit["eps1_0"], orbit["dtheta_0"]])
                 ref = [state]
+                iterations = 0
                 for _ in range(int(round(t_end / dt))):
                     z = state + dt * np.array(rd.vf_polar_reduced(
                         *state, n_off, ncr))
                     for _ in range(30):
                         znew = state + dt * np.array(rd.vf_polar_reduced(
                             *(0.5 * (state + z)), n_off, ncr))
+                        iterations += 1
                         done = np.max(np.abs(znew - z)) < 1e-13
                         z = znew
                         if done:
@@ -127,9 +135,26 @@ class TestPhaseplaneCommand:
                     ref.append(state)
                 rows = np.loadtxt(out / orbit["file"], delimiter=",",
                                   skiprows=1)
-                # dt_record 0.5 is every 10th step
+                every = int(round(dt_record / dt))
                 assert np.array_equal(rows[:, 1:],
-                                      np.array(ref[::10])[:len(rows)])
+                                      np.array(ref[::every])[:len(rows)])
+                assert orbit["midpoint_iterations"] == iterations
+                assert orbit["stalled_steps"] == 0
+
+    def test_no_stalled_steps_past_dtheta_512(self, tmp_path):
+        # the three orbits at n = 0.3 wind past |dtheta| = 512 between
+        # t = 820 and 1265; there ulp(dtheta) exceeds 1e-13, and a stop
+        # test of 1e-13 alone let iterates cycle between adjacent floats
+        # through all 30 iterations on 37, 59 and 86 steps up to t = 2000
+        out = tmp_path / "pps"
+        assert run(["phaseplane", "--n", "0.3", "--t-end", "2000",
+                    "--orbits", "1", "--out", str(out)]) == 0
+        index = json.loads((out / "index.json").read_text())
+        for orbit in index["orbits"]:
+            rows = np.loadtxt(out / orbit["file"], delimiter=",",
+                              skiprows=1)
+            assert np.max(np.abs(rows[:, 2])) > 512.0
+            assert orbit["stalled_steps"] == 0
 
     def test_jobs_flag(self, tmp_path):
         out = tmp_path / "ppj"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg.lapack import zgtsv
 
@@ -105,6 +105,8 @@ class TestSplitStep:
            depth=st.floats(0.0, 3.0), dt=st.floats(1e-3, 5e-2),
            cut_at=st.integers(1, 12), after=st.integers(1, 8),
            radius=st.floats(2.0, 9.0), nonlinear=st.booleans())
+    @example(amp=1.0, center=4.0, width=0.5, k0=0.0, depth=0.0,
+             dt=0.0078125, cut_at=2, after=1, radius=2.0, nonlinear=True)
     def test_reused_phase_matches_two_phase_step(
             self, amp, center, width, k0, depth, dt, cut_at, after, radius,
             nonlinear):
@@ -113,13 +115,17 @@ class TestSplitStep:
         # after the cut build their own opening phase, so they equal the
         # reference applied to the same field bit for bit (a phase kept
         # across the cut would differ in the last digits); without the
-        # cubic term the phase is constant and every step is bit-identical
+        # cubic term the phase is constant and every step is bit-identical.
+        # The rounding the two marches differ by was made at the largest
+        # field seen so far, so that is the scale of the bound: a cut can
+        # leave a tail of 1e-7 of the field that carries it
         grid = Grid.symmetric(10.0, 256)
         u0, v = split_data(grid, amp, center, width, k0, depth)
         u0_before = u0.copy()
         keep = np.abs(grid.x) <= radius
         stepper = pde.SplitStepper(grid, v, dt, nonlinear)
         u, ref = u0, u0
+        scale = 0.0
         for k in range(1, cut_at + after + 1):
             u_in = u
             u = stepper.step(u)
@@ -128,7 +134,8 @@ class TestSplitStep:
             ref = two_phase_step(stepper, ref)
             if not nonlinear:
                 assert np.array_equal(u, ref)
-            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+            scale = max(scale, np.max(np.abs(ref)))
+            assert np.max(np.abs(u - ref)) <= 1e-12 * scale
             if k == cut_at:
                 u, removed = stepper.cut(u, keep)
                 ref, removed_ref = pde.cut_on_grid(grid, ref, keep)
