@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .errors import (
     BranchLost,
@@ -47,6 +45,14 @@ _MIN_STEP = 2.0**-10
 # an asymmetric-family point whose |asymmetry| is at most this fraction of
 # its power is labelled symmetric
 _ASYM_FLOOR = 1e-6
+
+
+def dgtsv(*args, **kwargs):
+    """scipy's LAPACK dgtsv, imported when called, so that importing
+    dwnls loads no scipy."""
+    from scipy.linalg import lapack
+
+    return lapack.dgtsv(*args, **kwargs)
 
 
 @dataclass
@@ -103,6 +109,8 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     instead of raising when max_iter Newton steps run out.  Raises
     IterationDiverged (naming omega) / ConvergedToZero.
     """
+    from scipy.linalg.lapack import dpttrf
+
     h = pinned_hamiltonian(potential, grid)
     lin = h.shifted(omega)                 # L = H - omega
     d, e = lin.diag, lin.off
@@ -294,9 +302,12 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
             or lo + 1 == len(omegas):
         return Threshold(float(curve.n[first]))
 
+    from scipy.linalg import eigh_tridiagonal
+
     seed = np.asarray(seeds["symmetric" if "symmetric" in seeds
                             else "asymmetric"], float)
     profile = 0.5 * (seed + reflect(seed))
+    h = pinned_hamiltonian(potential, grid)
     solved = {}                            # omega -> (state, odd eigenvalue)
 
     def odd_eigenvalue(om):
@@ -307,8 +318,7 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
                                       symmetrize=True)
             profile = st.profile
             # L+ = H - omega - 3 psi^2, the linearization about st
-            lp = pinned_hamiltonian(potential, grid).shifted(
-                st.omega).shifted(3.0 * st.profile[1:] ** 2)
+            lp = h.shifted(st.omega).shifted(3.0 * st.profile[1:] ** 2)
             lam = eigh_tridiagonal(lp.diag, lp.off, eigvals_only=True,
                                    select="i", select_range=(0, 1))[1]
             solved[om] = (st, float(lam))

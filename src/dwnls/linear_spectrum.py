@@ -33,7 +33,6 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     ConvergenceFailure,
@@ -278,6 +277,8 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
         # transcendental pre-check gives the sharp existence condition
         if count == 2:
             solve_double_delta_levels(spec.strength, spec.separation)
+    from scipy.linalg import eigh_tridiagonal
+
     h = pinned_hamiltonian(spec, grid)
     # eigensolve on the free nodes, a reflection-symmetric set; embed
     # with psi[0] = 0

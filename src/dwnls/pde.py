@@ -54,12 +54,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
 from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
 from .io_utils import csv_text
 from .linear_spectrum import PinnedHamiltonian, PotentialSpec, potential_samples
+
+
+def zgtsv(*args, **kwargs):
+    """scipy's LAPACK zgtsv, imported when called, so that importing
+    dwnls loads no scipy."""
+    from scipy.linalg import lapack
+
+    return lapack.zgtsv(*args, **kwargs)
 
 
 @dataclass

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     BelowThreshold,
@@ -292,6 +291,8 @@ class _TildeREvolver:
 
     def __init__(self, spectral: SpectralData, dt: float,
                  orbit: _ReferenceOrbit, n_steps: int):
+        from scipy.linalg import eigh_tridiagonal
+
         self.grid = spectral.grid
         h = pinned_hamiltonian(spectral.spec, self.grid)
         lam, v = eigh_tridiagonal(h.diag, h.off, lapack_driver="stemr")

@@ -287,11 +287,36 @@ def _python(code, *args):
 
 
 def test_import_leaves_heavy_scipy_unloaded():
-    # scipy.optimize, .integrate and .spatial are imported where used
-    code = ("import sys, dwnls.cli; print(sorted(m for m in sys.modules if "
-            "m.split('.')[:2] in (['scipy', 'optimize'], "
-            "['scipy', 'integrate'], ['scipy', 'spatial'])))")
+    # scipy is imported where used, so importing the package loads none of
+    # it, scipy.optimize, .integrate and .spatial included
+    code = ("import sys, dwnls, dwnls.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     assert _python(code) == "[]"
+
+
+def _run_listing_scipy(argv, tmp_path):
+    """Exit code of the CLI run on argv in a fresh interpreter, and the
+    scipy packages loaded by its end, to two levels ("scipy.linalg")."""
+    code = ("import sys\nfrom dwnls import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, *sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'}))")
+    out = _python(code, *argv, "--out", str(tmp_path / "run"))
+    rc, *loaded = out.splitlines()[-1].split()
+    return int(rc), loaded
+
+
+@pytest.mark.parametrize("argv,linalg", [
+    (["phaseplane", "--orbits", "2", "--t-end", "50"], False),
+    (["bifurcate", "--count", "5"], False),
+    (["spectrum", "--points", "1024"], True)],
+    ids=["phaseplane", "bifurcate", "spectrum"])
+def test_scipy_loads_only_for_a_solve(argv, linalg, tmp_path):
+    # the reduced-model commands run on numpy alone; the grid eigensolve of
+    # spectrum loads scipy.linalg, which shows that the check can fail
+    rc, loaded = _run_listing_scipy(argv, tmp_path)
+    assert rc == 0
+    assert (bool(loaded), "scipy.linalg" in loaded) == (linalg, linalg)
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,9 +328,5 @@ def test_import_leaves_heavy_scipy_unloaded():
 def test_runs_leave_scipy_optimize_unloaded(argv, tmp_path):
     # every root find goes through dwnls.roots.brentq, so a whole run
     # never pays for importing scipy.optimize
-    code = ("import sys\nfrom dwnls import cli\n"
-            "rc = cli.main(sys.argv[1:])\n"
-            "print(rc, sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'optimize']))")
-    out = _python(code, *argv, "--out", str(tmp_path / "run"))
-    assert out.splitlines()[-1] == "0 []"
+    rc, loaded = _run_listing_scipy(argv, tmp_path)
+    assert rc == 0 and "scipy.optimize" not in loaded
