@@ -30,6 +30,7 @@ from .errors import (
 )
 from .grids import Grid
 from .io_utils import csv_text
+from .lapack import dgtsv, dpttrf, eigh_tridiagonal
 from .linear_spectrum import PotentialSpec, pinned_hamiltonian, reflect
 from .roots import brentq
 
@@ -45,14 +46,6 @@ _MIN_STEP = 2.0**-10
 # an asymmetric-family point whose |asymmetry| is at most this fraction of
 # its power is labelled symmetric
 _ASYM_FLOOR = 1e-6
-
-
-def dgtsv(*args, **kwargs):
-    """scipy's LAPACK dgtsv, imported when called, so that importing
-    dwnls loads no scipy."""
-    from scipy.linalg import lapack
-
-    return lapack.dgtsv(*args, **kwargs)
 
 
 @dataclass
@@ -109,8 +102,6 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     instead of raising when max_iter Newton steps run out.  Raises
     IterationDiverged (naming omega) / ConvergedToZero.
     """
-    from scipy.linalg.lapack import dpttrf
-
     h = pinned_hamiltonian(potential, grid)
     lin = h.shifted(omega)                 # L = H - omega
     d, e = lin.diag, lin.off
@@ -302,8 +293,6 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
             or lo + 1 == len(omegas):
         return Threshold(float(curve.n[first]))
 
-    from scipy.linalg import eigh_tridiagonal
-
     seed = np.asarray(seeds["symmetric" if "symmetric" in seeds
                             else "asymmetric"], float)
     profile = 0.5 * (seed + reflect(seed))
@@ -320,7 +309,7 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
             # L+ = H - omega - 3 psi^2, the linearization about st
             lp = h.shifted(st.omega).shifted(3.0 * st.profile[1:] ** 2)
             lam = eigh_tridiagonal(lp.diag, lp.off, eigvals_only=True,
-                                   select="i", select_range=(0, 1))[1]
+                                   select_range=(0, 1))[1]
             solved[om] = (st, float(lam))
         return solved[om][1]
 

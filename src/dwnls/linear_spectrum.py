@@ -42,6 +42,7 @@ from .errors import (
 )
 from .grids import Grid, inner, same_grid
 from .io_utils import csv_text
+from .lapack import eigh_tridiagonal
 from .reduced_dynamics import pitchfork_coefficient
 from .roots import RTOL_MIN, brentq
 
@@ -277,12 +278,10 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
         # transcendental pre-check gives the sharp existence condition
         if count == 2:
             solve_double_delta_levels(spec.strength, spec.separation)
-    from scipy.linalg import eigh_tridiagonal
-
     h = pinned_hamiltonian(spec, grid)
     # eigensolve on the free nodes, a reflection-symmetric set; embed
     # with psi[0] = 0
-    vals, vecs_in = eigh_tridiagonal(h.diag, h.off, select="i",
+    vals, vecs_in = eigh_tridiagonal(h.diag, h.off,
                                      select_range=(0, count - 1))
     vecs = np.zeros((grid.n_points, count))
     vecs[1:, :] = vecs_in

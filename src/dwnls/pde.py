@@ -58,15 +58,8 @@ import numpy as np
 from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
 from .io_utils import csv_text
+from .lapack import zgtsv
 from .linear_spectrum import PinnedHamiltonian, PotentialSpec, potential_samples
-
-
-def zgtsv(*args, **kwargs):
-    """scipy's LAPACK zgtsv, imported when called, so that importing
-    dwnls loads no scipy."""
-    from scipy.linalg import lapack
-
-    return lapack.zgtsv(*args, **kwargs)
 
 
 @dataclass
@@ -287,8 +280,8 @@ class CrankNicolsonStepper:
             diag = self._diag - self._c * phi
         else:
             diag = self._diag.copy()
-        # the right-hand side u^n is solved in place in out[1:]; zgtsv is
-        # looked up by its module name, where bench/tracer.py wraps it
+        # the right-hand side u^n is solved in place in out[1:]; lapack's
+        # zgtsv is looked up as pde.zgtsv, where bench/tracer.py wraps it
         out = u.copy()
         out[0] = 0.0
         *_, y, info = zgtsv(self._off, diag, self._off, out[1:],

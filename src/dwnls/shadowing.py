@@ -53,6 +53,7 @@ from .errors import (
 )
 from .grids import Grid, same_grid
 from .io_utils import csv_text
+from .lapack import eigh_tridiagonal
 from .linear_spectrum import SpectralData, pinned_hamiltonian, potential_samples
 from .pde import (
     CrankNicolsonStepper,
@@ -291,11 +292,9 @@ class _TildeREvolver:
 
     def __init__(self, spectral: SpectralData, dt: float,
                  orbit: _ReferenceOrbit, n_steps: int):
-        from scipy.linalg import eigh_tridiagonal
-
         self.grid = spectral.grid
         h = pinned_hamiltonian(spectral.spec, self.grid)
-        lam, v = eigh_tridiagonal(h.diag, h.off, lapack_driver="stemr")
+        lam, v = eigh_tridiagonal(h.diag, h.off)
         self.v = v[:, 2:]
         mu = lam[2:] - spectral.omega0
         self.e = np.exp(-1j * dt * mu)

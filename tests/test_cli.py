@@ -296,37 +296,31 @@ def test_import_leaves_heavy_scipy_unloaded():
 
 def _run_listing_scipy(argv, tmp_path):
     """Exit code of the CLI run on argv in a fresh interpreter, and the
-    scipy packages loaded by its end, to two levels ("scipy.linalg")."""
+    full names of the scipy modules loaded by its end."""
     code = ("import sys\nfrom dwnls import cli\n"
             "rc = cli.main(sys.argv[1:])\n"
-            "print(rc, *sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'}))")
+            "print(rc, *sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     out = _python(code, *argv, "--out", str(tmp_path / "run"))
     rc, *loaded = out.splitlines()[-1].split()
     return int(rc), loaded
 
 
-@pytest.mark.parametrize("argv,linalg", [
-    (["phaseplane", "--orbits", "2", "--t-end", "50"], False),
-    (["bifurcate", "--count", "5"], False),
-    (["spectrum", "--points", "1024"], True)],
-    ids=["phaseplane", "bifurcate", "spectrum"])
-def test_scipy_loads_only_for_a_solve(argv, linalg, tmp_path):
-    # the reduced-model commands run on numpy alone; the grid eigensolve of
-    # spectrum loads scipy.linalg, which shows that the check can fail
+@pytest.mark.parametrize("argv,loads", [
+    (["phaseplane", "--orbits", "2", "--t-end", "50"], []),
+    (["bifurcate", "--count", "5"], []),
+    (["spectrum", "--points", "1024"], ["scipy.linalg._flapack"]),
+    (["groundstate", "--points", "1024", "--omega-step", "0.01",
+      "--count", "8"], ["scipy.linalg._flapack"]),
+    (["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
+      "--amplitude-factor", "0.7", "--periods", "1", "--points", "256",
+      "--dt", "1.6e-2"], ["scipy.linalg._flapack"])],
+    ids=["phaseplane", "bifurcate", "spectrum", "groundstate", "shadow"])
+def test_scipy_loads_only_for_a_solve(argv, loads, tmp_path):
+    # the reduced-model commands run on numpy alone; the grid commands load
+    # scipy's compiled LAPACK module and nothing else of scipy: neither
+    # scipy nor scipy.linalg, and no scipy.optimize, since every root find
+    # goes through dwnls.roots.brentq
     rc, loaded = _run_listing_scipy(argv, tmp_path)
     assert rc == 0
-    assert (bool(loaded), "scipy.linalg" in loaded) == (linalg, linalg)
-
-
-@pytest.mark.parametrize("argv", [
-    ["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
-     "--amplitude-factor", "0.7", "--periods", "1", "--points", "256",
-     "--dt", "1.6e-2"],
-    ["groundstate", "--points", "1024", "--omega-step", "0.01",
-     "--count", "8"]], ids=["shadow", "groundstate"])
-def test_runs_leave_scipy_optimize_unloaded(argv, tmp_path):
-    # every root find goes through dwnls.roots.brentq, so a whole run
-    # never pays for importing scipy.optimize
-    rc, loaded = _run_listing_scipy(argv, tmp_path)
-    assert rc == 0 and "scipy.optimize" not in loaded
+    assert loaded == loads
