@@ -31,7 +31,8 @@ from .errors import (
 from .grids import Grid
 from .io_utils import csv_text
 from .lapack import dgtsv, dpttrf, eigh_tridiagonal
-from .linear_spectrum import PotentialSpec, pinned_hamiltonian, reflect
+from .linear_spectrum import (PinnedHamiltonian, PotentialSpec,
+                              pinned_hamiltonian, reflect)
 from .roots import brentq
 
 SYMMETRIC = "symmetric"
@@ -80,11 +81,12 @@ def _asymmetry(profile: np.ndarray, grid: Grid) -> float:
     return float(np.sum(w[grid.x > 0]) - np.sum(w[grid.x < 0]))
 
 
-def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
+def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
                          seed_profile: np.ndarray, max_iter: int = 50,
                          symmetrize: bool = False,
                          best_effort: bool = False) -> BoundState:
-    """Converge the bound state at frequency omega from seed_profile.
+    """Converge the bound state at frequency omega from seed_profile, with
+    h the pinned H of the well on grid (its caller builds it once).
 
     Newton's method on F(psi) = (H - omega) psi - psi^3 over the free nodes
     1..n-1: each step solves L+ delta = F, with L+ = H - omega - 3 psi^2
@@ -102,7 +104,6 @@ def spectral_renormalize(potential: PotentialSpec, grid: Grid, omega: float,
     instead of raising when max_iter Newton steps run out.  Raises
     IterationDiverged (naming omega) / ConvergedToZero.
     """
-    h = pinned_hamiltonian(potential, grid)
     lin = h.shifted(omega)                 # L = H - omega
     d, e = lin.diag, lin.off
     if dpttrf(d, e)[2] != 0:
@@ -208,6 +209,7 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
     if step <= 0:
         raise ValueError("step must be positive (applied downward)")
     omegas = np.arange(omega_start, omega_end - 0.5 * step, -step)
+    h = pinned_hamiltonian(potential, grid)
     out_omega, out_n, out_asym, out_branch, out_it = [], [], [], [], []
     for family, seed in seeds.items():
         seed = np.asarray(seed, dtype=float)
@@ -218,7 +220,7 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
         profile = seed
         for om in omegas:
             try:
-                st = spectral_renormalize(potential, grid, float(om), profile,
+                st = spectral_renormalize(h, grid, float(om), profile,
                                           symmetrize=family == "symmetric")
             except (IterationDiverged, ConvergedToZero) as exc:
                 raise BranchLost(
@@ -303,7 +305,7 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
         nonlocal profile
         om = float(om)
         if om not in solved:
-            st = spectral_renormalize(potential, grid, om, profile,
+            st = spectral_renormalize(h, grid, om, profile,
                                       symmetrize=True)
             profile = st.profile
             # L+ = H - omega - 3 psi^2, the linearization about st

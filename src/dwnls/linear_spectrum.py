@@ -73,12 +73,6 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class DeltaDescriptor:
-    locations: tuple[float, float]
-    strength: float
-
-
-@dataclass(frozen=True)
 class EigenPair:
     eigenvalue: float
     eigenfunction: np.ndarray = field(repr=False)
@@ -170,19 +164,19 @@ def solve_double_delta_levels(strength: float, separation: float):
     return float(kappa_even), float(kappa_odd)
 
 
-def build_potential(spec: PotentialSpec, grid: Grid):
-    """Sampled potential (Gaussian) or DeltaDescriptor (delta wells).
+def potential_samples(spec: PotentialSpec, grid: Grid) -> np.ndarray:
+    """Grid samples of V, with delta wells folded in as -s/dx at their
+    nodes +-snap(L/2).
 
     Raises DomainTooSmall when the well tails (potential for Gaussians,
     estimated bound-state decay for deltas) exceed 1e-12 at the boundary.
     """
     if spec.kind == "gauss":
-        v = potential_value(spec, grid.x)
         if abs(potential_value(spec, grid.x_max)) > 1e-12:
             raise DomainTooSmall(
                 "Gaussian tails exceed 1e-12 at the domain boundary"
             )
-        return v
+        return potential_value(spec, grid.x)
     half = spec.separation / 2.0
     # single-well decay length is ~2/s; demand 10 of them inside the boundary
     margin = grid.x_max - half
@@ -190,19 +184,9 @@ def build_potential(spec: PotentialSpec, grid: Grid):
         raise DomainTooSmall(
             "wells sit closer than 10 decay lengths to the domain boundary"
         )
-    left = grid.snap(-half)
-    right = grid.snap(half)
-    return DeltaDescriptor(locations=(left, right), strength=spec.strength)
-
-
-def potential_samples(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Grid samples of V, with delta wells folded in as -s/dx at their nodes."""
-    if spec.kind == "gauss":
-        return build_potential(spec, grid)
-    desc = build_potential(spec, grid)
     v = np.zeros(grid.n_points)
-    for x0 in desc.locations:
-        v[grid.node_index(x0)] -= desc.strength / grid.dx
+    for x0 in (-half, half):
+        v[grid.node_index(grid.snap(x0))] -= spec.strength / grid.dx
     return v
 
 
@@ -354,14 +338,9 @@ def overlap_coefficients(psi0: EigenPair, psi1: EigenPair) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CriticalPower:
-    unit: float      # Omega10 / 2, the unit-coefficient value
-    general: float   # Omega10 / (3 a0011 - a0000)
-
-
-def critical_power(omega0: float, omega1: float, a: np.ndarray):
-    """Critical powers of the reduction; requires Omega10 > 0."""
+def critical_power(omega0: float, omega1: float, a: np.ndarray) -> float:
+    """Omega10 / (3 a0011 - a0000), the critical power of the reduction
+    with the measured tensor a; requires Omega10 > 0."""
     omega10 = omega1 - omega0
     if omega10 <= 0:
         raise ValueError("requires Omega1 > Omega0")
@@ -370,13 +349,12 @@ def critical_power(omega0: float, omega1: float, a: np.ndarray):
         raise DegenerateDenominator(
             "3 a0011 - a0000 vanishes; general critical power undefined"
         )
-    unit = omega10 / 2.0
     general = omega10 / denom
     if general <= 0:
         raise DegenerateDenominator(
             "critical power not positive; check nonlinearity sign"
         )
-    return CriticalPower(unit=unit, general=general)
+    return general
 
 
 def spectral_data(spec: PotentialSpec, grid: Grid) -> SpectralData:
@@ -385,7 +363,6 @@ def spectral_data(spec: PotentialSpec, grid: Grid) -> SpectralData:
     if abs(inner(psi0.eigenfunction, psi1.eigenfunction, grid)) > _ORTHO_TOL:
         raise ConvergenceFailure("eigenfunctions not orthogonal")
     a = overlap_coefficients(psi0, psi1)
-    ncr = critical_power(psi0.eigenvalue, psi1.eigenvalue, a)
     return SpectralData(
         spec=spec,
         grid=grid,
@@ -394,7 +371,7 @@ def spectral_data(spec: PotentialSpec, grid: Grid) -> SpectralData:
         psi0=psi0,
         psi1=psi1,
         a=a,
-        n_cr_fd=ncr.general,
+        n_cr_fd=critical_power(psi0.eigenvalue, psi1.eigenvalue, a),
     )
 
 

@@ -308,14 +308,6 @@ def _samples(grid: Grid, potential: PotentialSpec | np.ndarray | None) -> np.nda
     return potential_samples(potential, grid)
 
 
-def make_stepper(grid: Grid, potential: PotentialSpec | np.ndarray | None,
-                 params: EvolveParams):
-    v = _samples(grid, potential)
-    if params.scheme == "split_step":
-        return SplitStepper(grid, v, params.dt, params.nonlinear)
-    return CrankNicolsonStepper(grid, v, params.dt, params.nonlinear)
-
-
 # ----------------------------------------------------------------------
 # evolution driver
 # ----------------------------------------------------------------------
@@ -361,11 +353,15 @@ def march(u: np.ndarray, stepper, n_steps: int, record_every: int,
 def evolve(state0: FieldState, params: EvolveParams,
            potential: PotentialSpec | np.ndarray | None):
     """March state0 to t_end, recording diagnostics every record_every steps.
+    V is sampled once, for the stepper and for every record's energy.
 
     Returns (final_state, PdeDiagnostics).
     """
     grid = state0.grid
     t0, dt = state0.time, params.dt
+    v = _samples(grid, potential)
+    stepper = (SplitStepper if params.scheme == "split_step"
+               else CrankNicolsonStepper)(grid, v, dt, params.nonlinear)
     rows = []
 
     def record(u, t, removed):
@@ -373,15 +369,14 @@ def evolve(state0: FieldState, params: EvolveParams,
         i = int(np.argmax(np.abs(u)))
         amp = float(np.abs(u[i]))
         rows.append((t, mass(st, params.scheme),
-                     hamiltonian(st, potential, params.scheme),
+                     hamiltonian(st, v, params.scheme),
                      center_of_mass(st), amp,
                      float(grid.x[i]) if amp > 0.0 else 0.0, removed))
 
     u = state0.values.astype(complex)
     n_steps = int(round(params.t_end / dt))
     record(u, t0, 0.0)
-    u = march(u, make_stepper(grid, potential, params), n_steps,
-              params.record_every,
+    u = march(u, stepper, n_steps, params.record_every,
               lambda k, f, removed: record(f, t0 + k * dt, removed),
               params.tail_filter)
     diags = PdeDiagnostics(*np.array(rows).T)

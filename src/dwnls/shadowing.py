@@ -129,16 +129,6 @@ def project(u: FieldState, spectral: SpectralData) -> ProjectionResult:
                             defect=float(defect))
 
 
-def to_moving_frame(c0: complex, c1: complex):
-    """(A, alpha, beta, theta) with c0 = A e^{i theta}, c1 = (alpha+i beta) e^{i theta}."""
-    a = abs(c0)
-    if a <= 1e-8:
-        raise ChartBreakdown("moving frame requires |c0| > 1e-8")
-    theta = math.atan2(c0.imag, c0.real)
-    z = c1 * complex(math.cos(-theta), math.sin(-theta))
-    return a, z.real, z.imag, theta
-
-
 def build_initial_data(point, spectral: SpectralData,
                        theta0: float = 0.0) -> FieldState:
     """Two-mode field e^{i theta0}(A psi0 + (alpha + i beta) psi1)."""
@@ -224,43 +214,21 @@ def reduced_reference(state0: ModeAmplitudes, params: ReducedParams,
     return _ReferenceOrbit(traj)
 
 
-def _tail_filter(every: Optional[float], grid: Grid,
-                 dt: float) -> Optional[TailFilter]:
-    """The filter that acts every `every` time units (None: no filter)."""
-    return None if every is None else TailFilter(
-        max(1, int(round(every / dt))), CUTOFF_FRACTION * grid.x_max)
+def tilde_r_evolve(spectral: SpectralData, dt: float,
+                   orbit: _ReferenceOrbit | Trajectory, n_steps: int, steps,
+                   tail_filter: Optional[TailFilter] = None) -> np.ndarray:
+    """R~ on the grid, from R~(0) = 0 driven by the reference orbit (a
+    Trajectory is interpolated as one), at each of the ascending steps
+    (one row each) of a run of n_steps steps of dt.
 
-
-def tilde_r_evolve(orbit: _ReferenceOrbit | Trajectory, spectral: SpectralData,
-                   horizon: float, dt: float, record_every: int = 50,
-                   tail_filter_every: float = None):
-    """Evolve the orbit-driven linear radiation equation from R~(0) = 0.
-
-    Returns (times, fields, sup_abs_series), the fields on the grid (one
-    row per record) at t = 0, after every record_every-th step and after
-    the last.  The stepper (_TildeREvolver) is exact in the eigenbasis of
-    the pinned finite-difference H, the operator that defines psi0 and
-    psi1, with the source held at each step's midpoint.  The optional tail
-    filter zeroes |x| beyond CUTOFF_FRACTION of x_max every
-    tail_filter_every time units, the same truncate-and-continue device
-    the PDE runs use to stop outgoing radiation from re-entering.
+    The stepper (_TildeREvolver) is exact in the eigenbasis of the pinned
+    finite-difference H, the operator that defines psi0 and psi1, with the
+    source held at each step's midpoint.  The optional tail filter cuts
+    R~ as pde.march cuts the PDE field, to stop outgoing radiation from
+    re-entering.  The stepper and its eigenvectors are freed on return.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
     if isinstance(orbit, Trajectory):
         orbit = _ReferenceOrbit(orbit)
-    n_steps = int(round(horizon / dt))
-    steps = np.unique(np.r_[0:n_steps + 1:record_every, n_steps])
-    fields = _tilde_r_fields(spectral, dt, orbit, n_steps, steps,
-                             _tail_filter(tail_filter_every, spectral.grid, dt))
-    return steps * dt, fields, np.max(np.abs(fields), axis=1)
-
-
-def _tilde_r_fields(spectral: SpectralData, dt: float, orbit: _ReferenceOrbit,
-                    n_steps: int, steps, tail_filter: Optional[TailFilter]):
-    """R~ on the grid at each of the ascending steps (one row each) of a
-    run of n_steps steps; the stepper and its eigenvectors are freed on
-    return."""
     stepper = _TildeREvolver(spectral, dt, orbit, n_steps)
     return stepper.to_grid(stepper.at_steps(steps, tail_filter), steps)
 
@@ -646,7 +614,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     # all come from the pinned finite-difference H
     v = potential_samples(spectral.spec, grid)
     stepper = CrankNicolsonStepper(grid, v, dt)
-    tail_filter = _tail_filter(TAIL_FILTER_EVERY, grid, dt)
+    tail_filter = TailFilter(max(1, int(round(TAIL_FILTER_EVERY / dt))),
+                             CUTOFF_FRACTION * grid.x_max)
 
     def energy(u):
         return hamiltonian(FieldState(grid, u), v)
@@ -671,7 +640,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         t = k * dt
         st = FieldState(grid, u, t)
         pr = project(st, spectral)
-        a_p, al_p, be_p, th_p = to_moving_frame(pr.c0, pr.c1)
+        fr = convert(ModeAmplitudes(pr.c0, pr.c1), CARTESIAN)
+        a_p, al_p, be_p, th_p = fr.A, fr.alpha, fr.beta, fr.theta
         a_r, al_r, be_r = ref.sample(t)
         steps.append(k)
         times.append(t)
@@ -708,7 +678,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     # reached, with the march's cuts, and w = R - R~ there
     w_h1 = w_l4 = sup_tr = 0.0
     if orbit.compute_w:
-        r_t = _tilde_r_fields(spectral, dt, ref, n_steps, steps, tail_filter)
+        r_t = tilde_r_evolve(spectral, dt, ref, n_steps, steps, tail_filter)
         sup_tr = float(np.max(np.abs(r_t)))
         w = np.array(r_rots)
         w -= r_t

@@ -14,6 +14,11 @@ from dwnls import bound_states as bs
 from dwnls import linear_spectrum as ls
 
 
+def _pinned(sd):
+    """The pinned H of sd's well on its grid."""
+    return ls.pinned_hamiltonian(sd.spec, sd.grid)
+
+
 def trace_and_detect(sd, n_steps=60):
     seeds = bs.default_seeds(sd)
     step = 0.05 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
@@ -34,7 +39,7 @@ class TestSpectralRenormalize:
     def test_small_amplitude_limit(self, delta_s1_L10):
         sd = delta_s1_L10
         eps = 1e-3
-        st = bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 - eps,
+        st = bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 - eps,
                                      0.05 * sd.psi0.eigenfunction)
         # bifurcation from the linear ground state: N ~ eps / int psi0^4
         assert st.n == pytest.approx(eps / sd.a[0, 0, 0, 0], rel=5e-3)
@@ -45,7 +50,7 @@ class TestSpectralRenormalize:
         sd = delta_s1_L10
         om = sd.omega0 - 0.5 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
         st = bs.spectral_renormalize(
-            sd.spec, sd.grid, om,
+            _pinned(sd), sd.grid, om,
             0.1 * (sd.psi0.eigenfunction + 0.3 * sd.psi1.eigenfunction))
         assert st.n < sd.n_cr_fd
         assert abs(st.asymmetry) < 1e-6
@@ -56,7 +61,7 @@ class TestSpectralRenormalize:
         for mult in (2.0, 3.0, 4.0):
             om = sd.omega0 - mult * sd.n_cr_fd * sd.a[0, 0, 0, 0]
             st = bs.spectral_renormalize(
-                sd.spec, sd.grid, om,
+                _pinned(sd), sd.grid, om,
                 0.1 * (sd.psi0.eigenfunction + 0.3 * sd.psi1.eigenfunction))
             assert st.n > sd.n_cr_fd
             asyms.append(abs(st.asymmetry))
@@ -67,19 +72,19 @@ class TestSpectralRenormalize:
         sd = delta_s1_L10
         om = sd.omega0 - 2.0 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
         st = bs.spectral_renormalize(
-            sd.spec, sd.grid, om,
+            _pinned(sd), sd.grid, om,
             0.1 * (sd.psi0.eigenfunction + 0.3 * sd.psi1.eigenfunction))
         assert st.residual <= 1e-8
 
     def test_zero_seed_raises(self, delta_s1_L10):
         sd = delta_s1_L10
         with pytest.raises(ConvergedToZero):
-            bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 - 1e-3,
+            bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 - 1e-3,
                                     np.zeros(sd.grid.n_points))
 
     def test_phase_fix_positive_maximum(self, delta_s1_L10):
         sd = delta_s1_L10
-        st = bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 - 1e-3,
+        st = bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 - 1e-3,
                                      -0.05 * sd.psi0.eigenfunction)
         assert st.profile[np.argmax(np.abs(st.profile))] > 0
 
@@ -101,8 +106,8 @@ class TestSpectralRenormalize:
         seed = (a0 * sd.psi0.eigenfunction + a1 * sd.psi1.eigenfunction
                 + bump * np.exp(-(grid.x - x0) ** 2))
         seed[0] = 0.0
-        state = bs.spectral_renormalize(sd.spec, grid, om, seed, max_iter=1,
-                                        best_effort=True)
+        state = bs.spectral_renormalize(_pinned(sd), grid, om, seed,
+                                        max_iter=1, best_effort=True)
         p = state.profile
         assert p[0] == 0.0
 
@@ -145,7 +150,7 @@ class TestSpectralRenormalize:
         sd = delta_s1_L10
         with pytest.raises(IterationDiverged,
                            match="H - Omega is not positive definite"):
-            bs.spectral_renormalize(sd.spec, sd.grid, sd.omega0 + above,
+            bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 + above,
                                     0.05 * sd.psi0.eigenfunction)
 
 
@@ -285,7 +290,7 @@ class TestThreshold:
                                                    gauss_threshold):
         sd = gauss_sigma1_L3
         thr, _ = gauss_threshold
-        state = bs.spectral_renormalize(sd.spec, sd.grid, thr.omega_star,
+        state = bs.spectral_renormalize(_pinned(sd), sd.grid, thr.omega_star,
                                         0.1 * sd.psi0.eigenfunction,
                                         symmetrize=True)
         assert state.n == pytest.approx(thr.n_star, rel=1e-8)
@@ -313,8 +318,8 @@ class TestThreshold:
         sd = gauss_sigma1_L3
         thr, seeds = gauss_threshold
         om = thr.omega_star + side * 0.005 * (sd.omega0 - thr.omega_star)
-        st = bs.spectral_renormalize(sd.spec, sd.grid, om, seeds["asymmetric"],
-                                     max_iter=1_000_000)
+        st = bs.spectral_renormalize(_pinned(sd), sd.grid, om,
+                                     seeds["asymmetric"], max_iter=1_000_000)
         if side < 0:
             assert abs(st.asymmetry) > 1e-2 * st.n
         else:

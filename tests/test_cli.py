@@ -215,6 +215,46 @@ class TestEvolveCommand:
                     "--out", str(tmp_path / "ev")]) == 2
 
 
+def _json_lines(path, keys):
+    """The lines of a written JSON bundle that hold `keys`, as text."""
+    return {line.split(":")[0].strip().strip('"'): line.strip().rstrip(",")
+            for line in path.read_text().split("\n")
+            if line.split(":")[0].strip().strip('"') in keys}
+
+
+class TestGoldenBits:
+    def test_shadow_golden_bits(self, tmp_path):
+        # a coarse one-period shadowing run; these report lines, as text,
+        # pin every bit of the projection, R~ and invariant paths
+        out = tmp_path / "sh"
+        rc = run(["shadow", "--side", "above", "--tau", "0.05",
+                  "--ncr", "0.1", "--amplitude-factor", "0.7",
+                  "--periods", "1", "--points", "256", "--dt", "1.6e-2",
+                  "--out", str(out)])
+        assert rc == 0
+        keys = ("sup_eta", "w_sup_h1", "tilde_r_sup", "energy_drift",
+                "removed_energy")
+        assert _json_lines(out / "shadow_report.json", keys) == {
+            "sup_eta": '"sup_eta": 0.012295228184817791',
+            "w_sup_h1": '"w_sup_h1": 0.00327879837903924',
+            "tilde_r_sup": '"tilde_r_sup": 0.0024998119663222928',
+            "energy_drift": '"energy_drift": 1.4961271110891516e-09',
+            "removed_energy": '"removed_energy": 3.8386416506885901e-05',
+        }
+
+    def test_groundstate_golden_bits(self, tmp_path):
+        # a short Gaussian continuation with its threshold bisection; n_star
+        # pins the bound-state path and n_cr_fd the spectral one
+        out = tmp_path / "gs"
+        rc = run(["groundstate", "--points", "1024", "--count", "30",
+                  "--out", str(out)])
+        assert rc == 0
+        assert _json_lines(out / "threshold.json", ("n_star", "n_cr_fd")) == {
+            "n_star": '"n_star": 0.66802882407344022',
+            "n_cr_fd": '"n_cr_fd": 0.82995647678577766',
+        }
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

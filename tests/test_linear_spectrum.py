@@ -71,27 +71,32 @@ class TestDoubleDeltaLevels:
 class TestBuildPotential:
     def test_gaussian_minimum(self, grid40):
         spec = ls.PotentialSpec("gauss", 1.0, 3.0)
-        v = ls.build_potential(spec, grid40)
+        v = ls.potential_samples(spec, grid40)
         expected = -(4 * np.pi) ** -0.5 * (1 + np.exp(-9.0))
         assert ls.potential_value(spec, 3.0) == pytest.approx(expected, rel=1e-14)
         x_min = grid40.x[np.argmin(v)]
         assert abs(abs(x_min) - 3.0) <= grid40.dx
 
     def test_gaussian_symmetric_samples(self, grid40):
-        v = ls.build_potential(ls.PotentialSpec("gauss", 1.0, 3.0), grid40)
+        v = ls.potential_samples(ls.PotentialSpec("gauss", 1.0, 3.0), grid40)
         assert np.array_equal(v, ls.reflect(v))
 
-    def test_delta_descriptor(self, grid40):
-        desc = ls.build_potential(ls.PotentialSpec("delta", 1.0, 10.0), grid40)
-        assert desc.locations == (-5.0, 5.0)
-        assert desc.strength == 1.0
+    def test_delta_nodes(self, grid40):
+        # -s/dx exactly at the nodes +-snap(L/2) = +-5, zero elsewhere; the
+        # second separation puts L/2 between nodes
+        for sep in (10.0, 10.01):
+            v = ls.potential_samples(ls.PotentialSpec("delta", 1.0, sep),
+                                     grid40)
+            nodes = np.flatnonzero(v)
+            assert list(grid40.x[nodes]) == [-5.0, 5.0]
+            assert np.all(v[nodes] == -1.0 / grid40.dx)
 
     def test_domain_too_small(self):
         small = Grid.symmetric(8.0, 256)
         with pytest.raises(DomainTooSmall):
-            ls.build_potential(ls.PotentialSpec("gauss", 1.0, 6.0), small)
+            ls.potential_samples(ls.PotentialSpec("gauss", 1.0, 6.0), small)
         with pytest.raises(DomainTooSmall):
-            ls.build_potential(ls.PotentialSpec("delta", 0.5, 10.0), small)
+            ls.potential_samples(ls.PotentialSpec("delta", 0.5, 10.0), small)
 
 
 class TestPinnedHamiltonian:
@@ -233,9 +238,9 @@ class TestCriticalPower:
         for idx in np.ndindex(2, 2, 2, 2):
             if sum(idx) % 2 == 0:
                 a[idx] = 1.0
-        cp = ls.critical_power(-0.25, -0.20, a)
-        assert cp.general == pytest.approx(cp.unit, rel=1e-14)
-        assert cp.unit == pytest.approx(0.025, rel=1e-14)
+        # with unit coefficients the critical power is Omega10 / 2
+        assert ls.critical_power(-0.25, -0.20, a) == pytest.approx(0.025,
+                                                                   rel=1e-14)
 
     def test_oracle_values(self):
         # double-delta s=1, L=10 oracle eigenvalues via bisection
@@ -249,8 +254,8 @@ class TestCriticalPower:
         for idx in np.ndindex(2, 2, 2, 2):
             if sum(idx) % 2 == 0:
                 a[idx] = 1.0
-        cp = ls.critical_power(omega0, omega1, a)
-        assert cp.unit == pytest.approx((omega1 - omega0) / 2, rel=1e-14)
+        assert ls.critical_power(omega0, omega1, a) == pytest.approx(
+            (omega1 - omega0) / 2, rel=1e-14)
 
     def test_degenerate_denominator(self):
         a = np.zeros((2, 2, 2, 2))

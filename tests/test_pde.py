@@ -94,7 +94,7 @@ class TestSplitStep:
         # nonlinearity disabled: modulus stationary up to O(dx^2)+O(dt^2)
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme="split_step",
                                   nonlinear=False)
-        v = ls.build_potential(sd.spec, sd.grid)
+        v = ls.potential_samples(sd.spec, sd.grid)
         final, _ = pde.evolve(pde.FieldState(sd.grid, u0), params, v)
         # FFT kinetic vs FD eigenvector: O(dx^2) modulus wobble
         assert np.max(np.abs(np.abs(final.values) - np.abs(u0))) < 5e-4
@@ -505,7 +505,7 @@ class TestGridConvergence:
             params = pde.EvolveParams(dt=2.5e-4, t_end=1.0,
                                       scheme="crank_nicolson")
             final, _ = pde.evolve(pde.FieldState(grid, u0), params,
-                                  ls.build_potential(spec, grid))
+                                  ls.potential_samples(spec, grid))
             sols[n] = final.values
         e1 = np.max(np.abs(sols[2048][::2] - sols[1024]))
         e2 = np.max(np.abs(sols[4096][::2] - sols[2048]))
