@@ -234,22 +234,18 @@ class MonodromyReport:
     monodromy: np.ndarray = field(repr=False)
 
 
-def monodromy(orbit: Trajectory, params: ReducedParams, period: float = None,
+def monodromy(orbit: Trajectory, params: ReducedParams, period: float,
               dt: float = None) -> MonodromyReport:
     """Floquet monodromy of a periodic orbit of the reduction.
 
-    The orbit trajectory supplies the initial point (and, when period is
-    None, the detected period); the variational equation uses the analytic
-    Jacobian along a fresh midpoint integration over [0, period] in the
-    (alpha, beta, A, theta) ordering.  dt defaults to the orbit's own
-    sample spacing so the discrete flows share one period.
+    The orbit trajectory supplies the initial point; the variational
+    equation uses the analytic Jacobian along a fresh midpoint integration
+    over [0, period] in the (alpha, beta, A, theta) ordering.  dt defaults
+    to the orbit's own sample spacing so the discrete flows share one
+    period.
     """
     if params.a is not None:
         raise ValueError("monodromy implements the unit-coefficient reduction")
-    if period is None:
-        from .reduced_dynamics import detect_period
-
-        period = detect_period(orbit).period
     n_cr = params.n_cr_fd
     state0 = convert(orbit.state(0), CARTESIAN)
     y0 = pack(state0)

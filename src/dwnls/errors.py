@@ -32,7 +32,7 @@ class ChartBreakdown(DwnlsError):
 
 
 class StepFailure(DwnlsError):
-    """Time stepper could not complete a step (iteration/step-size failure)."""
+    """Implicit midpoint corrector stalled (50 iterations, no convergence)."""
 
 
 class NoCrossing(DwnlsError):
@@ -56,11 +56,11 @@ class BelowThreshold(DwnlsError):
 
 
 class IterationDiverged(DwnlsError):
-    """Fixed-point iteration for a bound state diverged."""
+    """Newton's iteration for a bound state failed or did not converge."""
 
 
 class ConvergedToZero(DwnlsError):
-    """Fixed-point iteration collapsed onto the zero solution."""
+    """Newton's iteration for a bound state fell into the zero solution."""
 
 
 class BranchLost(DwnlsError):
@@ -72,4 +72,5 @@ class NoBifurcationFound(DwnlsError):
 
 
 class NonlinearIterationDiverged(DwnlsError):
-    """Nonlinear closure of the implicit PDE step failed to converge."""
+    """Crank-Nicolson tridiagonal solve failed (zgtsv info != 0); the name
+    predates Besse's relaxation and stays because failure records carry it."""

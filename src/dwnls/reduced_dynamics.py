@@ -25,8 +25,9 @@ the exact push-forward of the modes system):
     r1'     = +r0^2 r1 sin(2 dtheta)
     dtheta' = -Omega10 + (r0^2 - r1^2)(1 + cos(2 dtheta))
 
-General overlap tensors are supported in the modes chart only; the closed
-chart forms above assume unit coefficients (a_ijkl = 1 on even channels).
+Measured overlap tensors enter the modes chart only, through a0000, a0011
+and a1111 (the odd channels vanish by parity); the closed chart forms
+above assume unit coefficients (a_ijkl = 1 on even channels).
 """
 
 from __future__ import annotations
@@ -131,13 +132,12 @@ def _require_unit(params: ReducedParams, chart: str) -> None:
 # ----------------------------------------------------------------------
 
 def _coefficients(params: ReducedParams):
-    """(a0000, a0011, a1111, a0001, a0111) as floats; unit coefficients
-    without a measured tensor."""
+    """(a0000, a0011, a1111) as floats; unit coefficients without a
+    measured tensor.  The odd channels are parity zeros."""
     if params.a is None:
-        return 1.0, 1.0, 1.0, 0.0, 0.0
+        return 1.0, 1.0, 1.0
     a = params.a
-    return (float(a[0, 0, 0, 0]), float(a[0, 0, 1, 1]), float(a[1, 1, 1, 1]),
-            float(a[0, 0, 0, 1]), float(a[0, 1, 1, 1]))
+    return float(a[0, 0, 0, 0]), float(a[0, 0, 1, 1]), float(a[1, 1, 1, 1])
 
 
 def chart_field(chart: str, params: ReducedParams):
@@ -147,7 +147,7 @@ def chart_field(chart: str, params: ReducedParams):
     # plain floats: numpy scalars would make every operation below slow
     om0, om1 = float(params.omega0), float(params.omega1)
     if chart == MODES:
-        a0000, a0011, a1111, a0001, a0111 = _coefficients(params)
+        a0000, a0011, a1111 = _coefficients(params)
 
         def modes(x0, y0, x1, y1):
             r0, r1 = complex(x0, y0), complex(x1, y1)
@@ -155,10 +155,8 @@ def chart_field(chart: str, params: ReducedParams):
             p0, p1 = n0 * r0, n1 * r1
             m01 = r1 * r1 * r0.conjugate() + 2.0 * n1 * r0
             m10 = r0 * r0 * r1.conjugate() + 2.0 * n0 * r1
-            d0 = om0 * r0 - (a0000 * p0 + a0011 * m01 + a0001 * m10
-                             + a0111 * p1)
-            d1 = om1 * r1 - (a1111 * p1 + a0011 * m10 + a0111 * m01
-                             + a0001 * p0)
+            d0 = om0 * r0 - (a0000 * p0 + a0011 * m01)
+            d1 = om1 * r1 - (a1111 * p1 + a0011 * m10)
             # rho' = -i d
             return d0.imag, -d0.real, d1.imag, -d1.real
 
@@ -281,15 +279,12 @@ def invariants(state, params: ReducedParams):
     m = convert(state, MODES)
     r0, r1 = m.rho0, m.rho1
     n = abs(r0) ** 2 + abs(r1) ** 2
-    a0000, a0011, a1111, a0001, a0111 = _coefficients(params)
+    a0000, a0011, a1111 = _coefficients(params)
     cross = (r0 * r0 * (r1.conjugate() ** 2)).real
-    mixed = (r0 * r1.conjugate()).real
     h = (params.omega0 * abs(r0) ** 2 + params.omega1 * abs(r1) ** 2
          - 0.5 * (a0000 * abs(r0) ** 4 + a1111 * abs(r1) ** 4
                   + 4.0 * a0011 * abs(r0) ** 2 * abs(r1) ** 2
-                  + 2.0 * a0011 * cross
-                  + 4.0 * a0001 * abs(r0) ** 2 * mixed
-                  + 4.0 * a0111 * abs(r1) ** 2 * mixed))
+                  + 2.0 * a0011 * cross))
     return n, h
 
 
@@ -460,60 +455,31 @@ def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,
 
 
 def integrate(state0, params: ReducedParams, t_span, dt,
-              method: str = "implicit_midpoint", record_every: int = 1,
-              rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
-    """Integrate the reduction in the chart of state0.
-
-    'implicit_midpoint' is the symplectic default; 'adaptive_rk' wraps a
-    Dormand-Prince 4(5) pair sampled on the dt grid.  A cartesian-chart
-    breakdown (A ~ 0) is retried once in the modes chart.
+              record_every: int = 1) -> Trajectory:
+    """Integrate the reduction in the chart of state0 by the symplectic
+    implicit midpoint.  A cartesian-chart breakdown (A ~ 0) is retried
+    once in the modes chart.
     """
     chart = {ModeAmplitudes: MODES, CartesianChart: CARTESIAN,
              PolarChart: POLAR}[type(state0)]
-    y0 = pack(state0)
     try:
-        if method == "implicit_midpoint":
-            times, states = _implicit_midpoint_path(
-                chart, y0, params, t_span, dt, record_every)
-        elif method == "adaptive_rk":
-            from scipy.integrate import solve_ivp
-
-            # the last grid point may overshoot t_span[1] by roundoff
-            t_eval = np.minimum(
-                np.arange(t_span[0], t_span[1] + 0.5 * dt * record_every,
-                          dt * record_every), t_span[1])
-            sol = solve_ivp(
-                lambda t, y: vf_packed(chart, y, params),
-                t_span, y0, method="RK45", rtol=rtol, atol=atol, t_eval=t_eval,
-                dense_output=False)
-            if not sol.success:
-                raise StepFailure(sol.message)
-            times, states = sol.t, sol.y.T
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        times, states = _implicit_midpoint_path(
+            chart, pack(state0), params, t_span, dt, record_every)
     except ChartBreakdown:
         if chart == MODES:
             raise
         return integrate(convert(state0, MODES), params, t_span, dt,
-                         method=method, record_every=record_every,
-                         rtol=rtol, atol=atol)
+                         record_every)
     return Trajectory(chart=chart, times=times, states=states, params=params)
 
 
-@dataclass(frozen=True)
-class PeriodEstimate:
-    period: float
-    uncertainty: float
-    crossings: np.ndarray
-
-
-def detect_period(traj: Trajectory) -> PeriodEstimate:
-    """Oscillation period from Poincare-section crossings.
+def detect_period(traj: Trajectory) -> float:
+    """Oscillation period from Poincare-section crossings: the mean
+    crossing-to-crossing interval.
 
     Cartesian/modes trajectories use the section beta = 0 with beta
     decreasing; polar trajectories use dtheta = 0 (mod 2 pi) increasing.
-    Crossing times come from linear interpolation; the uncertainty is the
-    sample standard deviation of the crossing-to-crossing intervals.
+    Crossing times come from linear interpolation.
     """
     t = traj.times
     if traj.chart == POLAR:
@@ -536,11 +502,7 @@ def detect_period(traj: Trajectory) -> PeriodEstimate:
         crossings.append(t[i] - s[i] / slope)
     if len(crossings) < 2:
         raise NoCrossing("fewer than two same-direction section crossings")
-    crossings = np.array(crossings)
-    gaps = np.diff(crossings)
-    period = float(np.mean(gaps))
-    unc = float(np.std(gaps, ddof=1)) if len(gaps) > 1 else float("nan")
-    return PeriodEstimate(period=period, uncertainty=unc, crossings=crossings)
+    return float(np.mean(np.diff(crossings)))
 
 
 def land_period(state0, params: ReducedParams, dt: float,

@@ -111,7 +111,6 @@ class ProjectionResult:
     c0: complex
     c1: complex
     residual: FieldState
-    defect: float
 
 
 def project(u: FieldState, spectral: SpectralData) -> ProjectionResult:
@@ -123,10 +122,8 @@ def project(u: FieldState, spectral: SpectralData) -> ProjectionResult:
     c0 = complex(np.sum(w * psi0 * u.values))
     c1 = complex(np.sum(w * psi1 * u.values))
     r = u.values - c0 * psi0 - c1 * psi1
-    defect = abs(np.sum(w * psi0 * r)) + abs(np.sum(w * psi1 * r))
     return ProjectionResult(c0=c0, c1=c1,
-                            residual=FieldState(u.grid, r, u.time),
-                            defect=float(defect))
+                            residual=FieldState(u.grid, r, u.time))
 
 
 def build_initial_data(point, spectral: SpectralData,
@@ -209,17 +206,15 @@ class _ReferenceOrbit:
 
 def reduced_reference(state0: ModeAmplitudes, params: ReducedParams,
                       horizon: float, dt: float) -> _ReferenceOrbit:
-    traj = integrate(state0, params, (0.0, horizon), dt,
-                     method="implicit_midpoint")
-    return _ReferenceOrbit(traj)
+    return _ReferenceOrbit(integrate(state0, params, (0.0, horizon), dt))
 
 
-def tilde_r_evolve(spectral: SpectralData, dt: float,
-                   orbit: _ReferenceOrbit | Trajectory, n_steps: int, steps,
+def tilde_r_evolve(spectral: SpectralData, dt: float, orbit: _ReferenceOrbit,
+                   n_steps: int, steps,
                    tail_filter: Optional[TailFilter] = None) -> np.ndarray:
-    """R~ on the grid, from R~(0) = 0 driven by the reference orbit (a
-    Trajectory is interpolated as one), at each of the ascending steps
-    (one row each) of a run of n_steps steps of dt.
+    """R~ on the grid, from R~(0) = 0 driven by the reference orbit, at
+    each of the ascending steps (one row each) of a run of n_steps steps
+    of dt.
 
     The stepper (_TildeREvolver) is exact in the eigenbasis of the pinned
     finite-difference H, the operator that defines psi0 and psi1, with the
@@ -227,8 +222,6 @@ def tilde_r_evolve(spectral: SpectralData, dt: float,
     R~ as pde.march cuts the PDE field, to stop outgoing radiation from
     re-entering.  The stepper and its eigenvectors are freed on return.
     """
-    if isinstance(orbit, Trajectory):
-        orbit = _ReferenceOrbit(orbit)
     stepper = _TildeREvolver(spectral, dt, orbit, n_steps)
     return stepper.to_grid(stepper.at_steps(steps, tail_filter), steps)
 
@@ -454,7 +447,6 @@ class OrbitSpec:
     theta0: float = 0.0
     horizon_periods: Optional[float] = None   # default tau**-EPSILON
     dt_pde: float = 2e-3
-    compute_w: bool = True
 
     def __post_init__(self):
         if self.side not in ("above", "below"):
@@ -659,8 +651,7 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
                                FieldState(grid, r_rot, t), spectral)
         for j in range(4):
             coupling_max[j] = max(coupling_max[j], abs(errs[j]))
-        if orbit.compute_w:
-            r_rots.append(r_rot)
+        r_rots.append(r_rot)
 
     take_sample(0, u0.values, 0.0)
     try:
@@ -676,13 +667,11 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
 
     # R~ does not depend on the PDE: form it at the samples the march
     # reached, with the march's cuts, and w = R - R~ there
-    w_h1 = w_l4 = sup_tr = 0.0
-    if orbit.compute_w:
-        r_t = tilde_r_evolve(spectral, dt, ref, n_steps, steps, tail_filter)
-        sup_tr = float(np.max(np.abs(r_t)))
-        w = np.array(r_rots)
-        w -= r_t
-        w_h1, w_l4 = strichartz_monitor(times, w, grid)
+    r_t = tilde_r_evolve(spectral, dt, ref, n_steps, steps, tail_filter)
+    sup_tr = float(np.max(np.abs(r_t)))
+    w = np.array(r_rots)
+    w -= r_t
+    w_h1, w_l4 = strichartz_monitor(times, w, grid)
 
     # minimal annulus about one dense period of the reference orbit that
     # contains the projected samples, width relative to the orbit radius

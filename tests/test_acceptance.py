@@ -128,7 +128,7 @@ def _measured_period(n_level, ncr, amp):
     ic = rd.CartesianChart(A=np.sqrt(n_level - (eq.alpha + amp) ** 2),
                            alpha=eq.alpha + amp, beta=0.0)
     traj = rd.integrate(ic, params, (0.0, 8.5 * t_lin), t_lin / 4000)
-    return rd.detect_period(traj).period, t_lin
+    return rd.detect_period(traj), t_lin
 
 
 def test_criterion_03_period_asymptotics():
@@ -178,8 +178,7 @@ def test_criterion_05_floquet_structure():
     ic = rd.CartesianChart(A=np.sqrt(0.15 - (eq.alpha + 0.01) ** 2),
                            alpha=eq.alpha + 0.01, beta=0.0)
     traj = rd.integrate(ic, params, (0.0, 3.2 * t_lin), t_lin / 4000)
-    per = rd.detect_period(traj)
-    rep = bf.monodromy(traj, params, period=per.period)
+    rep = bf.monodromy(traj, params, period=rd.detect_period(traj))
     circle = float(np.max(np.abs(np.abs(rep.multipliers_full) - 1.0)))
     ok = (rep.defect_of_unit_pair < 1e-6 and rep.product_defect <= 1e-8
           and circle < 1e-6)
@@ -403,11 +402,11 @@ def test_criterion_10_transport_dichotomy(shadow_well):
     transport = sh.run_shadow_experiment(
         sp, shadow_well,
         sh.OrbitSpec(side="above", dtheta0=1.0, horizon_periods=5.0,
-                     dt_pde=4e-3, compute_w=False))
+                     dt_pde=4e-3))
     libration = sh.run_shadow_experiment(
         sp, shadow_well,
         sh.OrbitSpec(side="above", amplitude_factor=0.3,
-                     horizon_periods=5.0, dt_pde=4e-3, compute_w=False))
+                     horizon_periods=5.0, dt_pde=4e-3))
     ok = transport.com_sign_changes >= 3 and libration.com_sign_changes == 0
     assert report(10, ok, f"transport changes {transport.com_sign_changes}, "
                   f"libration changes {libration.com_sign_changes}",

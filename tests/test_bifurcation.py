@@ -224,8 +224,7 @@ class TestMonodromy:
 
     def test_floquet_structure_small_orbit(self):
         _, _, traj = small_orbit(0.15, 0.1, 0.01)
-        per = rd.detect_period(traj)
-        rep = bf.monodromy(traj, PARAMS, period=per.period)
+        rep = bf.monodromy(traj, PARAMS, period=rd.detect_period(traj))
         assert rep.defect_of_unit_pair < 1e-6
         assert rep.product_defect < 1e-8
         assert np.max(np.abs(np.abs(rep.multipliers_full) - 1.0)) < 1e-6
@@ -235,9 +234,9 @@ class TestMonodromy:
         gaps = []
         for amp_frac in (1e-2, 1e-3, 1e-4):
             eq, t_lin, traj = small_orbit(0.15, 0.1, amp_frac * 0.05)
-            per = rd.detect_period(traj)
-            rep = bf.monodromy(traj, PARAMS, period=per.period)
-            ebt = bf.linear_flow(eq, per.period, 0.15, 0.1)
+            period = rd.detect_period(traj)
+            rep = bf.monodromy(traj, PARAMS, period=period)
+            ebt = bf.linear_flow(eq, period, 0.15, 0.1)
             gaps.append(np.max(np.abs(rep.monodromy[:3, :3] - ebt[:3, :3])))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -245,7 +244,7 @@ class TestMonodromy:
         # the monodromy's orbit is integrate's implicit midpoint at the
         # same dt, bit for bit
         _, _, traj = small_orbit(0.15, 0.1, 0.01)
-        period = rd.detect_period(traj).period
+        period = rd.detect_period(traj)
         dt = period / 3000
         ends = []
         path = bf._implicit_midpoint_path

@@ -232,13 +232,18 @@ class TestGoldenBits:
                   "--periods", "1", "--points", "256", "--dt", "1.6e-2",
                   "--out", str(out)])
         assert rc == 0
-        keys = ("sup_eta", "w_sup_h1", "tilde_r_sup", "energy_drift",
+        keys = ("period", "sup_eta", "annulus_ratio", "w_sup_h1",
+                "w_l4_linf", "tilde_r_sup", "energy_drift", "removed_mass",
                 "removed_energy")
         assert _json_lines(out / "shadow_report.json", keys) == {
+            "period": '"period": 60.515791329204227',
             "sup_eta": '"sup_eta": 0.012295228184817791',
+            "annulus_ratio": '"annulus_ratio": 0.09835137777347791',
             "w_sup_h1": '"w_sup_h1": 0.00327879837903924',
+            "w_l4_linf": '"w_l4_linf": 0.00043459974969029333',
             "tilde_r_sup": '"tilde_r_sup": 0.0024998119663222928',
             "energy_drift": '"energy_drift": 1.4961271110891516e-09',
+            "removed_mass": '"removed_mass": 6.640445836638035e-06',
             "removed_energy": '"removed_energy": 3.8386416506885901e-05',
         }
 

@@ -5,6 +5,7 @@ from dwnls.errors import ChartBreakdown, NoCrossing
 from dwnls import linear_spectrum as ls
 from dwnls import reduced_dynamics as rd
 from dwnls import bifurcation as bf
+from rk45 import rk45_integrate
 
 
 PARAMS = rd.ReducedParams.from_ncr(0.1, omega0=-1.0)
@@ -261,11 +262,10 @@ class TestIntegration:
         m0 = rd.convert(ic, rd.MODES)
         p0 = rd.convert(ic, rd.POLAR)
         span = (0.0, 10 * t_lin)
-        kw = dict(method="adaptive_rk", rtol=1e-10, atol=1e-13,
-                  record_every=20)
-        t_c = rd.integrate(ic, PARAMS, span, t_lin / 500, **kw)
-        t_m = rd.integrate(m0, PARAMS, span, t_lin / 500, **kw)
-        t_p = rd.integrate(p0, PARAMS, span, t_lin / 500, **kw)
+        kw = dict(rtol=1e-10, atol=1e-13, record_every=20)
+        t_c = rk45_integrate(ic, PARAMS, span, t_lin / 500, **kw)
+        t_m = rk45_integrate(m0, PARAMS, span, t_lin / 500, **kw)
+        t_p = rk45_integrate(p0, PARAMS, span, t_lin / 500, **kw)
         for traj in (t_m, t_p):
             assert np.allclose(traj.times, t_c.times)
         for other in (t_m, t_p):
@@ -293,9 +293,9 @@ class TestIntegration:
         ic = rd.CartesianChart(A=np.sqrt(0.15 - (eq.alpha + 0.03)**2),
                                alpha=eq.alpha + 0.03, beta=0.0)
         traj = rd.integrate(ic, PARAMS, (0.0, 3 * t_lin), t_lin / 4000)
-        per = rd.detect_period(traj)
+        period = rd.detect_period(traj)
         tt = traj.times
-        mask = tt <= per.period
+        mask = tt <= period
         integrand = traj.states[mask, 1] * traj.states[mask, 2]
         integral = np.trapezoid(integrand, tt[mask])
         assert abs(integral) < 1e-6
@@ -311,8 +311,7 @@ class TestIntegration:
             ic = rd.CartesianChart(A=np.sqrt(0.15 - (eq.alpha + amp)**2),
                                    alpha=eq.alpha + amp, beta=0.0)
             traj = rd.integrate(ic, PARAMS, (0.0, 3.2 * t_lin), t_lin / 3000)
-            per = rd.detect_period(traj)
-            assert per.period < 3 * t_lin
+            assert rd.detect_period(traj) < 3 * t_lin
 
     def test_chart_breakdown_fallback_to_modes(self):
         # starting almost at A = 0 forces the modes-chart retry
@@ -353,15 +352,6 @@ class TestIntegration:
                      (np.float64(0.0), np.float64(1.0)), np.float64(0.01))
         assert seen == {float}
 
-    def test_adaptive_rk_samples_stay_inside_span(self):
-        # arange over the dt grid lands at 2.3000000000000003 here, which
-        # solve_ivp rejects as outside t_span
-        traj = rd.integrate(rd.CartesianChart(A=0.3, alpha=0.1, beta=0.0),
-                            rd.ReducedParams.from_ncr(0.1, omega0=-1.0),
-                            (0.0, 2.3), 0.01, method="adaptive_rk")
-        assert traj.times[-1] == 2.3
-        assert len(traj.times) == 231
-
 
 class TestDetectPeriod:
     def test_small_orbit_period_below(self):
@@ -370,8 +360,7 @@ class TestDetectPeriod:
         t_lin = np.pi / np.sqrt((ncr - n_level) * ncr)
         ic = rd.CartesianChart(A=np.sqrt(n_level - 1e-8), alpha=1e-4, beta=0.0)
         traj = rd.integrate(ic, PARAMS, (0.0, 6 * t_lin), t_lin / 4000)
-        per = rd.detect_period(traj)
-        assert per.period == pytest.approx(t_lin, rel=1e-4)
+        assert rd.detect_period(traj) == pytest.approx(t_lin, rel=1e-4)
 
     def test_small_orbit_period_above(self):
         # asymmetric center: T -> pi / sqrt(N^2 - n_cr^2)
@@ -381,8 +370,7 @@ class TestDetectPeriod:
         ic = rd.CartesianChart(A=np.sqrt(n_level - (eq.alpha + 1e-4)**2),
                                alpha=eq.alpha + 1e-4, beta=0.0)
         traj = rd.integrate(ic, PARAMS, (0.0, 6 * t_lin), t_lin / 4000)
-        per = rd.detect_period(traj)
-        assert per.period == pytest.approx(t_lin, rel=1e-4)
+        assert rd.detect_period(traj) == pytest.approx(t_lin, rel=1e-4)
 
     def test_no_crossing_at_equilibrium(self):
         st = rd.CartesianChart(A=np.sqrt(0.05), alpha=0.0, beta=0.0)
@@ -398,8 +386,8 @@ class TestDetectPeriod:
         r0 = np.sqrt(ncr + n - eps1**2)
         ic = rd.PolarChart(r0=r0, r1=eps1, dtheta=0.0)
         traj = rd.integrate(ic, params, (0.0, 300.0), 0.02, record_every=5)
-        per = rd.detect_period(traj)
-        assert np.isfinite(per.period) and per.period > 0
+        period = rd.detect_period(traj)
+        assert np.isfinite(period) and period > 0
 
 
 class TestLandPeriod:
@@ -417,7 +405,7 @@ class TestLandPeriod:
         ic = rd.convert(self._start(), rd.MODES)
         dt = 0.01
         traj = rd.integrate(ic, PARAMS, (0.0, 80.0), dt)
-        per = rd.detect_period(traj).period
+        per = rd.detect_period(traj)
         landed, steps = rd.land_period(ic, PARAMS, dt, 100.0)
         assert landed == pytest.approx(per, rel=1e-7)
         # one landing: the start is on the section with beta decreasing

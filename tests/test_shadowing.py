@@ -17,6 +17,7 @@ from dwnls import linear_spectrum as ls
 from dwnls import pde
 from dwnls import reduced_dynamics as rd
 from dwnls import shadowing as sh
+from rk45 import rk45_integrate
 
 
 class TestProjection:
@@ -27,7 +28,9 @@ class TestProjection:
         assert pr.c0 == pytest.approx(2.0, abs=1e-12)
         assert pr.c1 == pytest.approx(0.0, abs=1e-12)
         assert norm2(pr.residual.values, sd.grid) < 1e-12
-        assert pr.defect < 1e-12
+        w, r = sd.grid.quad_weights(), pr.residual.values
+        assert abs(np.sum(w * sd.psi0.eigenfunction * r)) \
+            + abs(np.sum(w * sd.psi1.eigenfunction * r)) < 1e-12
 
     def test_orthogonal_decomposition(self, shadow_well):
         sd = shadow_well
@@ -161,9 +164,9 @@ class TestModeSource:
 class TestTildeR:
     def test_zero_orbit_stays_zero(self, shadow_well):
         sd = shadow_well
-        zero = rd.integrate(rd.ModeAmplitudes(0j, 0j),
-                            rd.ReducedParams.from_spectral(sd),
-                            (0.0, 5.0), 0.01)
+        zero = sh._ReferenceOrbit(rd.integrate(
+            rd.ModeAmplitudes(0j, 0j), rd.ReducedParams.from_spectral(sd),
+            (0.0, 5.0), 0.01))
         fields = sh.tilde_r_evolve(sd, 0.01, zero, 500, _record_steps(500))
         assert np.all(fields == 0.0)
 
@@ -176,7 +179,8 @@ class TestTildeR:
         n_level = 0.05
         ic = rd.ModeAmplitudes(complex(np.sqrt(n_level - 1e-4), 0.0),
                                complex(0.01, 0.0))
-        orbit = rd.integrate(ic, params, (0.0, 60.0), 0.02)
+        orbit = sh._ReferenceOrbit(rd.integrate(ic, params, (0.0, 60.0),
+                                                0.02))
         fields = sh.tilde_r_evolve(sd, 4e-3, orbit, 15000,
                                    _record_steps(15000))
         assert 0 < np.max(np.abs(fields[-1])) < 1e-2
@@ -379,8 +383,8 @@ class TestTildeRLadder:
                                    complex(al0, 0.0))
             a_eff = 0.5 * (3 * params.a[0, 0, 1, 1] - params.a[0, 0, 0, 0])
             period = np.pi / (a_eff * np.sqrt(n_level**2 - tau**(2 * gamma)))
-            orbit = rd.integrate(ic, params, (0.0, 2.0 * period),
-                                 period / 2000)
+            orbit = sh._ReferenceOrbit(rd.integrate(
+                ic, params, (0.0, 2.0 * period), period / 2000))
             n_steps = int(round(2.0 * period / 4e-3))
             fields = sh.tilde_r_evolve(sd, 4e-3, orbit, n_steps,
                                        _record_steps(n_steps),
@@ -586,8 +590,7 @@ class TestReportSerialization:
     def test_full_run_has_no_truncation(self, shadow_well):
         sd = shadow_well
         sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
-        orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3,
-                           compute_w=False)
+        orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3)
         rep = sh.run_shadow_experiment(sp, sd, orb)
         assert not rep.horizon_truncated
         assert rep.truncation is None
@@ -602,7 +605,7 @@ class TestInvariants:
         # thousands of times more energy than that
         sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
         orb = sh.OrbitSpec(side="above", amplitude_factor=0.7,
-                           horizon_periods=0.1, dt_pde=4e-3, compute_w=False)
+                           horizon_periods=0.1, dt_pde=4e-3)
         rep = sh.run_shadow_experiment(sp, shadow_well, orb)
         assert rep.removed_mass > 1e-6
         assert rep.mass_drift <= 1e-14
@@ -622,7 +625,7 @@ def _old_pilot_period(sd, sp, orb):
     span = (8.0 if orb.dtheta0 is not None else 4.0) * t_est
     traj = rd.integrate(state0, params, (0.0, span),
                         t_est * sh.DT_REDUCED_FRACTION, record_every=5)
-    return rd.detect_period(traj).period
+    return rd.detect_period(traj)
 
 
 class TestPilotLanding:
@@ -638,8 +641,7 @@ class TestPilotLanding:
         sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
         short = sh.OrbitSpec(side=orb.side,
                              amplitude_factor=orb.amplitude_factor,
-                             dtheta0=orb.dtheta0, horizon_periods=0.02,
-                             compute_w=False)
+                             dtheta0=orb.dtheta0, horizon_periods=0.02)
         rep = sh.run_shadow_experiment(sp, shadow_well, short)
         assert rep.period == pytest.approx(
             _old_pilot_period(shadow_well, sp, orb), rel=1e-8)
@@ -657,12 +659,11 @@ class TestReferencePeriod:
         tau = 0.0125
         sd = ls.tune_delta_well_for_ncr(tau**0.8, shadow_grid)
         sp = sh.ShadowParams(tau=tau, gamma=0.8)
-        orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3,
-                           compute_w=False)
+        orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3)
         rep = sh.run_shadow_experiment(sp, sd, orb)
         params = rd.ReducedParams.from_spectral(sd)
         state0 = sh._orbit_initial_state(params, sp, orb)[0]
-        traj = rd.integrate(state0, params, (0.0, 700.0), 0.25,
-                            method="adaptive_rk", rtol=1e-9, atol=1e-11)
-        period = rd.detect_period(traj).period
+        traj = rk45_integrate(state0, params, (0.0, 700.0), 0.25,
+                              rtol=1e-9, atol=1e-11)
+        period = rd.detect_period(traj)
         assert rep.period == pytest.approx(period, rel=1e-4)
