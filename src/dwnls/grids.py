@@ -1,8 +1,10 @@
 """Uniform symmetric 1D grids and trapezoid quadrature helpers.
 
-Nodes are x_i = x_min + i*dx for i = 0..n-1 with x_min = -x_max, so x = 0
-is a node and the spacing is FFT-compatible (the right endpoint x_max is
-the periodic image of x_min).
+Nodes are x_i = (i - n/2) dx for i = 0..n-1 with dx = 2 x_max / n, so
+x_0 = x_min = -x_max, x = 0 is a node and the spacing is FFT-compatible
+(the right endpoint x_max is the periodic image of x_min).  Each node is
+one rounded product, so nodes 1..n-1 are reflection-symmetric bit for bit
+(x_{n-i} = -x_i).
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ class Grid:
         n = self.n_points
         if n < 4 or n & (n - 1):
             raise ValueError("n_points must be a power of two >= 4")
-        object.__setattr__(
-            self, "x", self.x_min + self.dx * np.arange(n)
-        )
+        object.__setattr__(self, "x", self.dx * (np.arange(n) - n // 2))
 
     @property
     def dx(self) -> float:

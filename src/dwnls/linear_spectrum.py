@@ -165,8 +165,8 @@ def solve_double_delta_levels(strength: float, separation: float):
 
 
 def potential_samples(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Grid samples of V, with delta wells folded in as -s/dx at their
-    nodes +-snap(L/2).
+    """Grid samples of V, with delta wells folded in as -s/dx at the node
+    snap(L/2) and its mirror node, so that samples 1..n-1 are symmetric.
 
     Raises DomainTooSmall when the well tails (potential for Gaussians,
     estimated bound-state decay for deltas) exceed 1e-12 at the boundary.
@@ -185,8 +185,9 @@ def potential_samples(spec: PotentialSpec, grid: Grid) -> np.ndarray:
             "wells sit closer than 10 decay lengths to the domain boundary"
         )
     v = np.zeros(grid.n_points)
-    for x0 in (-half, half):
-        v[grid.node_index(grid.snap(x0))] -= spec.strength / grid.dx
+    i = grid.node_index(grid.snap(half))
+    for j in (grid.n_points - i, i):          # the left well mirrors the right
+        v[j] -= spec.strength / grid.dx
     return v
 
 

@@ -31,7 +31,10 @@ Pipeline per run:
    tail filter.  R~ is exact in the eigenbasis of that H with psi0, psi1
    left out (so it stays in the continuous spectrum by construction and
    is exactly zero at the pinned node), m(t) as a global phase and the
-   source held at each step's midpoint.  It does not depend on the PDE,
+   source held at each step's midpoint.  Node 0 is pinned, so the free
+   nodes are reflection-symmetric about x = 0 and the eigenbasis is
+   exactly that of two half-size blocks, even and odd; psi0 and psi1
+   are the lowest pair of each.  It does not depend on the PDE,
    so after the march it is formed in closed form only at the samples
    and the filter's cuts, and w from the residuals kept at the samples;
 5. report sup|eta|, the annulus verdict around the reference orbit, the
@@ -218,12 +221,17 @@ def tilde_r_evolve(spectral: SpectralData, dt: float, orbit: _ReferenceOrbit,
 
     The stepper (_TildeREvolver) is exact in the eigenbasis of the pinned
     finite-difference H, the operator that defines psi0 and psi1, with the
-    source held at each step's midpoint.  The optional tail filter cuts
-    R~ as pde.march cuts the PDE field, to stop outgoing radiation from
-    re-entering.  The stepper and its eigenvectors are freed on return.
+    source held at each step's midpoint; node 0 is pinned, so the free
+    nodes are reflection-symmetric and that basis comes from the even and
+    odd blocks of H exactly.  The optional tail filter cuts R~ as
+    pde.march cuts the PDE field, to stop outgoing radiation from
+    re-entering.  The step tables are freed once at_steps is done with
+    them, the stepper and its eigenvectors on return.
     """
     stepper = _TildeREvolver(spectral, dt, orbit, n_steps)
-    return stepper.to_grid(stepper.at_steps(steps, tail_filter), steps)
+    ss = stepper.at_steps(steps, tail_filter)
+    stepper._powers = stepper.c = None
+    return stepper.to_grid(ss, steps)
 
 
 class _TildeREvolver:
@@ -231,13 +239,21 @@ class _TildeREvolver:
 
         i R~_t = (H - Omega0) R~ + m(t) R~ + P_c F_b(sigma*(t))
 
-    in the eigenbasis of the pinned finite-difference H.  V holds the
-    eigenvectors of H on the free nodes 1..n-1 (eigh_tridiagonal, MRRR
-    driver) except the lowest two, which are psi0 and psi1; the field is
-    R~ = e^{-i theta(t)} V S with theta = int m, so it lies in the
-    continuous spectrum by construction and node 0 stays exactly zero.
-    With mu = lambda - Omega0 and the source held at the step midpoint,
-    step k is exact for every mode:
+    in the eigenbasis of the pinned finite-difference H.  Node 0 is
+    pinned, so the free nodes 1..n-1 are reflection-symmetric about the
+    centre free node c = n/2 - 1 (x = 0), and H on them commutes with
+    x -> -x exactly: its eigenvectors are even or odd, the eigenvectors
+    of two tridiagonal blocks over the half grid 0..c of free nodes.  The
+    even block is H on nodes 0..c with the coupling to c scaled by
+    sqrt(2), the odd block H on nodes 0..c-1.  Ve and Vo hold the values
+    of those eigenvectors (eigh_tridiagonal, MRRR driver) on the half
+    grid, except the lowest of each block, which are psi0 and psi1; an
+    even vector takes the same values at the mirror nodes, an odd one
+    their negatives.  S holds the even modes first, the odd ones after;
+    the field is R~ = e^{-i theta(t)} V S with theta = int m, so it lies
+    in the continuous spectrum by construction and node 0 stays exactly
+    zero.  With mu = lambda - Omega0 and the source held at the step
+    midpoint, step k is exact for every mode:
 
         S <- E S + Phi G c_k,   E = e^{-i dt mu},  Phi = (E - 1) / mu,
 
@@ -246,18 +262,26 @@ class _TildeREvolver:
     there.  R~ does not depend on the PDE, so it is formed only where it
     is needed: step(s, m) makes m steps at once in closed form, and
     at_steps runs from S = 0 to a list of steps with the tail filter's
-    cuts on the way.  to_grid costs one product with V per few samples,
-    and cut two with the rows of V outside the filter.  V costs
-    8 (n-1)^2 bytes: 8.4 MB at 1,024 points, 134 MB at 4,096.
+    cuts on the way.  Only G, to_grid and cut fold or unfold across
+    x = 0: to_grid costs two products (one per block) per few samples,
+    cut two per block with the rows outside the filter.  Ve and Vo cost
+    about 4 n^2 bytes: 4.2 MB at 1,024 points, 67 MB at 4,096.
     """
 
     def __init__(self, spectral: SpectralData, dt: float,
                  orbit: _ReferenceOrbit, n_steps: int):
         self.grid = spectral.grid
         h = pinned_hamiltonian(spectral.spec, self.grid)
-        lam, v = eigh_tridiagonal(h.diag, h.off)
-        self.v = v[:, 2:]
-        mu = lam[2:] - spectral.omega0
+        c = self.centre = self.grid.n_points // 2 - 1
+        off_even = h.off[:c].copy()
+        off_even[-1] *= math.sqrt(2.0)
+        lam_e, ve = eigh_tridiagonal(h.diag[:c + 1], off_even)
+        lam_o, vo = eigh_tridiagonal(h.diag[:c], h.off[:c - 1])
+        # block eigenvectors to the half-grid values of the whole ones
+        ve[:c] *= math.sqrt(0.5)
+        vo *= math.sqrt(0.5)
+        self.ve, self.vo = ve[:, 1:], vo[:, 1:]
+        mu = np.concatenate((lam_e[1:], lam_o[1:])) - spectral.omega0
         self.e = np.exp(-1j * dt * mu)
         # E^BLOCK, ..., E, 1 by repeated products, as single steps form them
         self._powers = np.ones((BLOCK + 1, len(mu)), complex)
@@ -266,7 +290,11 @@ class _TildeREvolver:
         # (E - 1)/mu without the cancellation of E - 1 at small dt mu
         phi = -2j * np.sin(0.5 * dt * mu) * np.exp(-0.5j * dt * mu) / mu
         products = _Basis(spectral).products[:, 1:]
-        self.g_phi = phi[:, None] * (self.v.T @ products.T)
+        mirror = products[:, :c:-1]               # free nodes 2c, ..., c+1
+        even = products[:, :c + 1].copy()
+        even[:, :c] += mirror
+        self.g_phi = phi[:, None] * np.concatenate(
+            (self.ve.T @ even.T, self.vo.T @ (products[:, :c] - mirror).T))
         a, al, be = orbit.sample((np.arange(n_steps) + 0.5) * dt)
         # m = a0000 A^2 + a0011 (3 alpha^2 + beta^2), the rotating-frame
         # phase velocity of the reference orbit, held over each step
@@ -317,26 +345,39 @@ class _TildeREvolver:
 
     def to_grid(self, ss: np.ndarray, steps) -> np.ndarray:
         """R~ on the grid (one row each) from the rows of ss, the S of the
-        steps: real products with V, SAMPLE_CHUNK samples at a time."""
+        steps: real products with Ve and Vo, SAMPLE_CHUNK samples at a
+        time, unfolded to the half grid (even + odd), the centre (even
+        alone) and the mirror half (even - odd)."""
+        c, n_even = self.centre, self.ve.shape[1]
         out = np.zeros((len(steps), self.grid.n_points), complex)
         for i in range(0, len(steps), SAMPLE_CHUNK):
             z = ss[i:i + SAMPLE_CHUNK]
             n = len(z)
-            parts = np.concatenate((z.real, z.imag)) @ self.v.T
-            out[i:i + n, 1:] = ((parts[:n] + 1j * parts[n:])
+            parts = np.concatenate((z.real, z.imag))
+            even = parts[:, :n_even] @ self.ve.T
+            odd = parts[:, n_even:] @ self.vo.T
+            half = even[:, :c]
+            free = np.concatenate((half + odd, even[:, c:],
+                                   (half - odd)[:, ::-1]), axis=1)
+            out[i:i + n, 1:] = ((free[:n] + 1j * free[n:])
                                 * self.phase[steps[i:i + n], None])
         return out
 
     def cut(self, s: np.ndarray, keep: np.ndarray):
         """(S of P_c(R~ zeroed where keep is False), the mass removed as a
-        dx-sum): S - V_out^T V_out S, one run of free nodes outside keep at
-        a time (row blocks of V, so no copy of it)."""
-        edges = np.flatnonzero(np.diff(~keep[1:], prepend=False, append=False))
+        dx-sum) for the tail filter's |x| <= r mask.  The mask is
+        symmetric, so the free nodes outside it are the first p of the
+        half grid and their mirrors: in each block, with a = V[:p] S,
+        S <- S - 2 V[:p]^T a removes the mass 2 dx |a|^2 (row blocks of
+        Ve and Vo, so no copy of them)."""
+        p = int(np.count_nonzero(~keep[1:self.centre + 1]))
+        s = s.copy()
+        n_even = self.ve.shape[1]
         removed = 0.0
-        for i, j in zip(edges[::2], edges[1::2]):
-            r_out = _real_product(self.v[i:j], s)
-            removed += self.grid.dx * float(np.vdot(r_out, r_out).real)
-            s = s - _real_product(self.v[i:j].T, r_out)
+        for v, part in ((self.ve, s[:n_even]), (self.vo, s[n_even:])):
+            r_out = _real_product(v[:p], part)
+            removed += 2.0 * self.grid.dx * float(np.vdot(r_out, r_out).real)
+            part -= 2.0 * _real_product(v[:p].T, r_out)
         return s, removed
 
 

@@ -239,9 +239,9 @@ class TestGoldenBits:
             "period": '"period": 60.515791329204227',
             "sup_eta": '"sup_eta": 0.012295228184817791',
             "annulus_ratio": '"annulus_ratio": 0.09835137777347791',
-            "w_sup_h1": '"w_sup_h1": 0.00327879837903924',
-            "w_l4_linf": '"w_l4_linf": 0.00043459974969029333',
-            "tilde_r_sup": '"tilde_r_sup": 0.0024998119663222928',
+            "w_sup_h1": '"w_sup_h1": 0.0032787983790389884',
+            "w_l4_linf": '"w_l4_linf": 0.00043459974969016198',
+            "tilde_r_sup": '"tilde_r_sup": 0.002499811966322386',
             "energy_drift": '"energy_drift": 1.4961271110891516e-09',
             "removed_mass": '"removed_mass": 6.640445836638035e-06',
             "removed_energy": '"removed_energy": 3.8386416506885901e-05',

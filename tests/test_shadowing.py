@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.linalg.lapack import zgttrf, zgttrs
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dwnls.errors import (
     BelowThreshold,
     ChartBreakdown,
+    DomainTooSmall,
     NonlinearIterationDiverged,
 )
 from dwnls.io_utils import dumps_17g
@@ -18,6 +19,7 @@ from dwnls import pde
 from dwnls import reduced_dynamics as rd
 from dwnls import shadowing as sh
 from rk45 import rk45_integrate
+from tilde_r_full import FullTildeREvolver, full_tilde_r_evolve
 
 
 class TestProjection:
@@ -201,8 +203,8 @@ class TestTildeR:
         stepper = sh._TildeREvolver(sd, dt, _ConstantOrbit(a_amp), 1)
         stepper.c[:] = 0
         rng = np.random.default_rng(4)
-        s0 = rng.normal(size=stepper.v.shape[1]) \
-            + 1j * rng.normal(size=stepper.v.shape[1])
+        s0 = rng.normal(size=len(stepper.e)) \
+            + 1j * rng.normal(size=len(stepper.e))
         r0, r1 = stepper.to_grid(np.array([s0, stepper.step(s0)]), [0, 1])
         hp = ls.pinned_hamiltonian(sd.spec, grid)
         m = sd.a[0, 0, 0, 0] * a_amp**2
@@ -218,8 +220,8 @@ class TestTildeR:
         sd = shadow_well
         stepper = sh._TildeREvolver(sd, 4e-3, _ConstantOrbit(0.2), 1)
         rng = np.random.default_rng(6)
-        s0 = rng.normal(size=stepper.v.shape[1]) \
-            + 1j * rng.normal(size=stepper.v.shape[1])
+        s0 = rng.normal(size=len(stepper.e)) \
+            + 1j * rng.normal(size=len(stepper.e))
         keep = np.abs(sd.grid.x) <= 0.75 * sd.grid.x_max
         s1, got_removed = stepper.cut(s0, keep)
         r, got = stepper.to_grid(np.array([s0, s1]), [0, 0])
@@ -323,6 +325,96 @@ class TestTildeR:
         orbit = _libration_orbit(sd, 0.9)         # integrated to t = 1.0
         with pytest.raises(ValueError, match="sampled at t = "):
             sh.tilde_r_evolve(sd, 4e-3, orbit, 750, _record_steps(750))
+
+
+class TestParityBlocks:
+    """R~ from the even and odd blocks of the pinned H against the whole
+    matrix (tests/tilde_r_full.py), and the symmetry that makes them
+    exact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["delta", "gauss"]),
+           strength=st.floats(0.5, 5.0), separation=st.floats(0.5, 20.0),
+           x_max=st.floats(4.0, 100.0), log2_n=st.integers(2, 12))
+    def test_free_nodes_reflection_symmetric(self, kind, strength,
+                                             separation, x_max, log2_n):
+        grid = Grid.symmetric(x_max, 2**log2_n)
+        assert np.array_equal(grid.x[1:], -grid.x[:0:-1])
+        try:
+            v = ls.potential_samples(
+                ls.PotentialSpec(kind, strength, separation), grid)
+        except DomainTooSmall:
+            assume(False)
+        assert np.array_equal(v[1:], v[:0:-1])
+
+    @pytest.mark.parametrize("well", ["delta_256", "gauss_256"])
+    def test_matches_full_basis(self, well, request):
+        sd = request.getfixturevalue(well)
+        orbit = _libration_orbit(sd, 3.0)
+        dt = 4e-3
+        n_steps = int(round(3.0 / dt))
+        steps = _record_steps(n_steps)
+        tail_filter = _shadow_tail_filter(sd, dt)
+        got = sh.tilde_r_evolve(sd, dt, orbit, n_steps, steps, tail_filter)
+        want = full_tilde_r_evolve(sd, dt, orbit, n_steps, steps,
+                                   tail_filter)
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        for got_k, want_k in zip(got, want):
+            assert np.max(np.abs(got_k - want_k)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("outside", ["none", "outermost_pair", "shadow"])
+    def test_cut_cases(self, gauss_256, outside):
+        # one field cut in both bases; on the Gaussian well psi0, psi1
+        # reach ~1e-5 at the cutoff, so the cut must remove both tails at
+        # once to be P_c of the zeroing
+        sd = gauss_256
+        blocks = sh._TildeREvolver(sd, 4e-3, _ConstantOrbit(0.2), 1)
+        full = FullTildeREvolver(sd, 4e-3, _ConstantOrbit(0.2), 1)
+        rng = np.random.default_rng(7)
+        s0 = rng.normal(size=len(blocks.e)) \
+            + 1j * rng.normal(size=len(blocks.e))
+        r = blocks.to_grid(s0[None], [0])[0]
+        keep = np.ones(sd.grid.n_points, bool)
+        if outside == "outermost_pair":
+            keep[[1, -1]] = False
+        elif outside == "shadow":
+            keep = np.abs(sd.grid.x) <= sh.CUTOFF_FRACTION * sd.grid.x_max
+        s1, got_removed = blocks.cut(s0, keep)
+        f1, removed = full.cut(r[1:] @ full.v, keep)
+        got = blocks.to_grid(s1[None], [0])[0]
+        want = full.to_grid(f1[None], [0])[0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(r))
+        assert got_removed == pytest.approx(removed, rel=1e-12)
+        if outside == "none":
+            assert np.array_equal(s1, s0) and got_removed == 0.0
+
+    def test_half_the_eigenvector_memory(self, delta_256):
+        # the whole basis is (n - 1)^2 doubles; the blocks about half
+        stepper = sh._TildeREvolver(delta_256, 4e-3, _ConstantOrbit(0.2), 1)
+        owners = {}
+        for a in vars(stepper).values():
+            if isinstance(a, np.ndarray) and a.ndim == 2 \
+                    and a.dtype == np.float64:
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                owners[id(a)] = a.nbytes
+        n = delta_256.grid.n_points
+        assert 0 < sum(owners.values()) <= 0.51 * 8 * (n - 1) ** 2
+
+
+@pytest.fixture(scope="module")
+def delta_256():
+    return ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5),
+                            Grid.symmetric(16.0, 256))
+
+
+@pytest.fixture(scope="module")
+def gauss_256():
+    """The Gaussian sigma = 1, L = 3 well of the gauss_sigma1_L3 fixture
+    on 256 points."""
+    return ls.spectral_data(ls.PotentialSpec("gauss", 1.0, 3.0),
+                            Grid.symmetric(40.0, 256))
 
 
 @pytest.fixture(scope="module")
