@@ -289,7 +289,10 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     if not flagged:
         raise NoBifurcationFound("asymmetry never exceeds the noise floor")
     first = min(flagged, key=lambda i: curve.n[i])
-    omegas = np.unique(curve.omega)        # ascending
+    # the distinct omegas, ascending: np.unique's result, without the
+    # import of numpy.ma that np.unique makes
+    omegas = np.sort(curve.omega)
+    omegas = omegas[np.r_[True, omegas[1:] != omegas[:-1]]]
     lo = int(np.searchsorted(omegas, curve.omega[first]))
     if potential is None or grid is None or seeds is None \
             or lo + 1 == len(omegas):

@@ -1,7 +1,9 @@
-"""LAPACK for dwnls: scipy's f2py module scipy.linalg._flapack, loaded from
-its file on first use (or reused from sys.modules, and registered there),
-without scipy.linalg's package import and its array-API layer.  Callers
-import the routines by name (pde.zgtsv), the name looked up on each call."""
+"""LAPACK and FFT for dwnls from two of scipy's compiled modules,
+scipy.linalg._flapack (f2py) and scipy.fft._pocketfft.pypocketfft, each
+loaded from its file on first use (or reused from sys.modules, and
+registered there), without the package imports of scipy.linalg and
+scipy.fft and their array-API layers.  Callers import the routines by name
+(pde.zgtsv, pde.fft), the name looked up on each call."""
 
 import sys
 from importlib.machinery import PathFinder
@@ -10,20 +12,50 @@ from pathlib import Path
 
 import numpy as np
 
-_NAME = "scipy.linalg._flapack"
-_lib = None
+_lib = None                 # scipy.linalg._flapack
+_fft = None                 # scipy.fft._pocketfft.pypocketfft
+
+
+def _load(package, name):
+    """scipy.<package>.<name> from sys.modules, or else loaded from its
+    file in scipy's package directory and registered under that name."""
+    full = f"scipy.{package}.{name}"
+    if (lib := sys.modules.get(full)) is None:
+        where = str(Path(find_spec("scipy").origin).parent.joinpath(
+            *package.split(".")))
+        if (found := PathFinder.find_spec(name, [where])) is None:
+            raise ImportError(f"scipy's module {name} not found in {where}")
+        spec = spec_from_file_location(full, found.origin)
+        spec.loader.exec_module(lib := module_from_spec(spec))
+        sys.modules[full] = lib
+    return lib
 
 
 def _flapack():
     global _lib
-    if _lib is None and (_lib := sys.modules.get(_NAME)) is None:
-        where = str(Path(find_spec("scipy").origin).parent / "linalg")
-        if (found := PathFinder.find_spec("_flapack", [where])) is None:
-            raise ImportError(f"scipy's LAPACK module _flapack not found in {where}")
-        spec = spec_from_file_location(_NAME, found.origin)
-        spec.loader.exec_module(lib := module_from_spec(spec))
-        _lib = sys.modules[_NAME] = lib
+    if _lib is None:
+        _lib = _load("linalg", "_flapack")
     return _lib
+
+
+def _pocketfft():
+    global _fft
+    if _fft is None:
+        _fft = _load("fft._pocketfft", "pypocketfft")
+    return _fft
+
+
+def fft(a, out=None):
+    """np.fft.fft(a) bit for bit, into out if given (out may be a)."""
+    return (_fft or _pocketfft()).c2c(np.asarray(a, dtype=complex), None,
+                                       True, 0, out)
+
+
+def ifft(a, out=None):
+    """np.fft.ifft(a), scaled by 1/n, bit for bit, into out if given (out
+    may be a)."""
+    return (_fft or _pocketfft()).c2c(np.asarray(a, dtype=complex), None,
+                                       False, 2, out)
 
 
 def zgtsv(*args, **kwargs):

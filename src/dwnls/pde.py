@@ -58,7 +58,7 @@ import numpy as np
 from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
 from .io_utils import csv_text
-from .lapack import zgtsv
+from .lapack import fft, ifft, zgtsv
 from .linear_spectrum import PinnedHamiltonian, PotentialSpec, potential_samples
 
 
@@ -152,11 +152,19 @@ def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
         h = PinnedHamiltonian(grid, v)
         return h.shifted(0.5 * np.abs(free) ** 2).quadratic_form(free)
     dx = grid.dx
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=dx)
-    kinetic = dx / grid.n_points * float(
-        np.sum(k * k * np.abs(np.fft.fft(u)) ** 2))
+    k = wavenumbers(grid)
+    kinetic = dx / grid.n_points * float(np.sum(k * k * np.abs(fft(u)) ** 2))
     a2 = np.abs(u) ** 2
     return kinetic + dx * float(np.sum((v - 0.5 * a2) * a2))
+
+
+def wavenumbers(grid: Grid) -> np.ndarray:
+    """2 pi np.fft.fftfreq(n, dx), the angular wavenumbers of the periodic
+    grid in FFT order, by the same operations in the same order."""
+    n = grid.n_points
+    m = np.arange(n)
+    m[(n + 1) // 2:] -= n
+    return 2.0 * np.pi * (m * (1.0 / (n * grid.dx)))
 
 
 def center_of_mass(state: FieldState) -> float:
@@ -186,9 +194,15 @@ class SplitStepper:
     The phase is built as cos(theta) + i sin(theta) of the real angle
     theta = -dt/2 (V - |u|^2), written straight into one complex array;
     that gives the same bits as complex exp of the purely imaginary
-    argument at a fraction of its cost.  The kinetic product is formed in
-    place as kinetic_phase * f, in that order: numpy's complex product
-    uses FMA, so f * kinetic_phase can differ in the last bit.
+    argument at a fraction of its cost.
+
+    A step allocates one field: f = opening phase * u.  The forward
+    transform, the kinetic product, the inverse transform and the closing
+    phase all run in place on f, which is the array returned.  The
+    transforms are scipy's pocketfft (dwnls.lapack.fft and ifft, the bits
+    of np.fft.fft and np.fft.ifft).  Each product keeps its operand order,
+    phase first: numpy's complex product uses FMA, so f * kinetic_phase
+    can differ from kinetic_phase * f in the last bit.
     """
 
     def __init__(self, grid: Grid, v_samples: np.ndarray, dt: float,
@@ -197,7 +211,7 @@ class SplitStepper:
         self.v = np.asarray(v_samples, dtype=float)
         self.dt = dt
         self.nonlinear = nonlinear
-        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+        k = wavenumbers(grid)
         self.kinetic_phase = np.exp(-1j * dt * k * k)
         # without the cubic term the half step is a constant phase
         self._phase = None if nonlinear else np.exp(-0.5j * dt * self.v)
@@ -205,7 +219,10 @@ class SplitStepper:
 
     def _half_phase(self, u):
         """exp(-i dt/2 (V - |u|^2)), the pointwise half step at u."""
-        theta = -0.5 * self.dt * (self.v - np.abs(u) ** 2)
+        theta = np.abs(u)             # -dt/2 (V - |u|^2), formed in place
+        np.multiply(theta, theta, out=theta)
+        np.subtract(self.v, theta, out=theta)
+        theta *= -0.5 * self.dt
         phase = np.empty(theta.shape, dtype=complex)
         np.cos(theta, out=phase.real)
         np.sin(theta, out=phase.imag)
@@ -222,15 +239,16 @@ class SplitStepper:
             opening = self._phase
         else:
             opening = self._half_phase(u)
-        f = np.fft.fft(opening * u)
+        f = opening * u
+        fft(f, out=f)
         np.multiply(self.kinetic_phase, f, out=f)
-        w = np.fft.ifft(f)
+        ifft(f, out=f)
         if self.nonlinear:
-            self._phase = self._half_phase(w)
-        out = self._phase * w
-        out.flags.writeable = False
-        self._last = out
-        return out
+            self._phase = self._half_phase(f)
+        np.multiply(self._phase, f, out=f)
+        f.flags.writeable = False
+        self._last = f
+        return f
 
 
 # ----------------------------------------------------------------------

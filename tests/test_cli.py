@@ -351,6 +351,13 @@ def _run_listing_scipy(argv, tmp_path):
     return int(rc), loaded
 
 
+# the Gaussian well, split step, at the smallest size that has the
+# asymmetric equilibrium of the two-mode start
+EVOLVE_SPLIT = ["evolve", "--well", "gauss", "--sep", "3", "--init", "twomode",
+                "--N", "1", "--dtheta0", "1", "--points", "1024",
+                "--t-end", "0.01"]
+
+
 @pytest.mark.parametrize("argv,loads", [
     (["phaseplane", "--orbits", "2", "--t-end", "50"], []),
     (["bifurcate", "--count", "5"], []),
@@ -359,8 +366,11 @@ def _run_listing_scipy(argv, tmp_path):
       "--count", "8"], ["scipy.linalg._flapack"]),
     (["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
       "--amplitude-factor", "0.7", "--periods", "1", "--points", "256",
-      "--dt", "1.6e-2"], ["scipy.linalg._flapack"])],
-    ids=["phaseplane", "bifurcate", "spectrum", "groundstate", "shadow"])
+      "--dt", "1.6e-2"], ["scipy.linalg._flapack"]),
+    (EVOLVE_SPLIT, ["scipy.fft._pocketfft.pypocketfft",
+                    "scipy.linalg._flapack"])],
+    ids=["phaseplane", "bifurcate", "spectrum", "groundstate", "shadow",
+         "evolve"])
 def test_scipy_loads_only_for_a_solve(argv, loads, tmp_path):
     # the reduced-model commands run on numpy alone; the grid commands load
     # scipy's compiled LAPACK module and nothing else of scipy: neither
@@ -369,3 +379,20 @@ def test_scipy_loads_only_for_a_solve(argv, loads, tmp_path):
     rc, loaded = _run_listing_scipy(argv, tmp_path)
     assert rc == 0
     assert loaded == loads
+
+
+@pytest.mark.parametrize("argv", [
+    None, EVOLVE_SPLIT,
+    ["groundstate", "--points", "1024", "--omega-step", "0.01", "--count", "8"]],
+    ids=["import", "evolve", "groundstate"])
+def test_numpy_fft_and_ma_stay_unloaded(argv, tmp_path):
+    # the split step runs on scipy's pocketfft and its wavenumbers are
+    # formed in pde, so numpy.fft is never imported; the threshold's
+    # distinct omegas are sorted, not np.unique'd, so numpy.ma is not either
+    code = "import sys\nfrom dwnls import cli\n"
+    if argv is not None:
+        code += "assert cli.main(sys.argv[1:]) == 0\n"
+        argv = [*argv, "--out", str(tmp_path / "run")]
+    code += ("print(*sorted(m for m in sys.modules"
+             " if m.split('.')[:2] in (['numpy', 'fft'], ['numpy', 'ma'])))")
+    assert _python(code, *(argv or [])) == ""

@@ -1,5 +1,5 @@
-"""dwnls.lapack against scipy's public LAPACK API: the same bits, the same
-info codes, the same in-place writes and the same errors."""
+"""dwnls.lapack against scipy's public LAPACK API and numpy.fft: the same
+bits, the same info codes, the same in-place writes and the same errors."""
 
 import os
 import re
@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg
 from scipy.linalg import lapack as scipy_lapack
 
@@ -210,3 +211,64 @@ def test_scipy_linalg_imports_after_the_loader():
         "print(before, scipy.linalg.lapack.dstebz is lib.dstebz,"
         " np.array_equal(w, w2) and np.array_equal(v, v2))"
     ) == "['scipy.linalg._flapack'] True True"
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(2, 14), exponent=st.floats(-8.0, 3.0),
+       seed=st.integers(0, 2**32 - 1), real=st.booleans())
+def test_transforms_are_numpy_fft_bit_for_bit(k, exponent, seed, real):
+    # forward, and inverse scaled by 1/n, into a new array and in place;
+    # real input takes numpy's route, the complex transform of its cast
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** exponent * rng.normal(size=2**k)
+    if not real:
+        a = a + 10.0 ** exponent * 1j * rng.normal(size=2**k)
+    before = a.copy()
+    for mine, numpys in ((lapack.fft, np.fft.fft), (lapack.ifft, np.fft.ifft)):
+        want = numpys(a)
+        assert np.array_equal(mine(a), want)
+        assert np.array_equal(a, before)
+        b = a.astype(complex)
+        assert mine(b, out=b) is b
+        assert np.array_equal(b, want)
+
+
+def test_fft_loader_reuses_scipys_module():
+    # with scipy.fft imported first, dwnls calls the module object that
+    # scipy.fft's pocketfft backend holds
+    assert _python(
+        "import sys, scipy.fft\n"
+        "from scipy.fft._pocketfft import basic\n"
+        "from dwnls import lapack\n"
+        "lib = lapack._pocketfft()\n"
+        "print(lib is sys.modules['scipy.fft._pocketfft.pypocketfft'],"
+        " lib is basic.pfft)") == "True True"
+
+
+def test_scipy_fft_imports_after_the_loader():
+    # dwnls loads pypocketfft from its file alone; scipy.fft imported later
+    # takes that module and gives the same bits
+    assert _python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from dwnls import lapack\n"
+        "a = np.random.default_rng(0).normal(size=(64, 2)) @ [1, 1j]\n"
+        "got = lapack.fft(a)\n"
+        "lib = lapack._pocketfft()\n"
+        "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import scipy.fft\n"
+        "from scipy.fft._pocketfft import basic\n"
+        "print(before, basic.pfft is lib,"
+        " np.array_equal(got, scipy.fft.fft(a)))"
+    ) == "['scipy.fft._pocketfft.pypocketfft'] True True"
+
+
+def test_missing_fft_module_names_where_it_looked(monkeypatch):
+    monkeypatch.setattr(lapack, "_fft", None)
+    monkeypatch.delitem(sys.modules, "scipy.fft._pocketfft.pypocketfft",
+                        raising=False)
+    monkeypatch.setattr(lapack, "PathFinder",
+                        SimpleNamespace(find_spec=lambda name, path: None))
+    where = str(Path(scipy.__file__).parent / "fft" / "_pocketfft")
+    with pytest.raises(ImportError, match=re.escape(where)):
+        lapack.ifft(np.ones(4, dtype=complex))

@@ -29,6 +29,43 @@ def two_phase_step(stepper, u):
     return np.exp(-0.5j * stepper.dt * half) * u
 
 
+class NumpyFftStep:
+    """SplitStepper.step as it ran on numpy.fft, out of place, with its own
+    wavenumbers from np.fft.fftfreq: the reference for the step that runs
+    in place on scipy's pocketfft.  Call it with the field; call cut() on
+    a tail-filter cut, after which it builds a fresh opening phase."""
+
+    def __init__(self, grid, v, dt, nonlinear):
+        self.v, self.dt, self.nonlinear = np.asarray(v, float), dt, nonlinear
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+        self.kinetic_phase = np.exp(-1j * dt * k * k)
+        self.phase = None if nonlinear else np.exp(-0.5j * dt * self.v)
+        self.last = None
+
+    def half_phase(self, u):
+        theta = -0.5 * self.dt * (self.v - np.abs(u) ** 2)
+        phase = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        return phase
+
+    def cut(self):
+        self.last = None
+
+    def __call__(self, u):
+        if not self.nonlinear or u is self.last:
+            opening = self.phase
+        else:
+            opening = self.half_phase(u)
+        f = np.fft.fft(opening * u)
+        np.multiply(self.kinetic_phase, f, out=f)
+        w = np.fft.ifft(f)
+        if self.nonlinear:
+            self.phase = self.half_phase(w)
+        self.last = self.phase * w
+        return self.last
+
+
 def split_data(grid, amp, center, width, k0, depth):
     """A smooth moving bump and a smooth well on a small periodic grid."""
     x = grid.x
@@ -158,6 +195,37 @@ class TestSplitStep:
         phase = pde.SplitStepper(grid, v, dt)._half_phase(u)
         assert np.array_equal(phase,
                               np.exp(-0.5j * dt * (v - np.abs(u) ** 2)))
+
+    @pytest.mark.parametrize("nonlinear", [True, False],
+                             ids=["nonlinear", "linear"])
+    def test_step_is_numpy_fft_step_bit_for_bit(self, nonlinear):
+        # 300 steps at the 4,096 points evolve runs, with a tail-filter cut
+        # after step 150: every step, and the mass the cut removes, equal
+        # the out-of-place numpy.fft step's bits
+        grid = Grid.symmetric(40.0, 4096)
+        u, v = split_data(grid, 1.5, 2.0, 1.5, 0.7, 2.0)
+        keep = np.abs(grid.x) <= 6.0
+        dt = 5e-3
+        stepper = pde.SplitStepper(grid, v, dt, nonlinear)
+        ref_step = NumpyFftStep(grid, v, dt, nonlinear)
+        ref = u
+        for k in range(1, 301):
+            u, ref = stepper.step(u), ref_step(ref)
+            assert np.array_equal(u, ref), k
+            if k == 150:
+                u, removed = stepper.cut(u, keep)
+                ref, removed_ref = pde.cut_on_grid(grid, ref, keep)
+                ref_step.cut()
+                assert removed > 0.0 and removed == removed_ref
+                assert np.array_equal(u, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x_max=st.floats(0.5, 500.0), k=st.integers(2, 14))
+    def test_wavenumbers_are_fftfreq_bit_for_bit(self, x_max, k):
+        grid = Grid.symmetric(x_max, 2**k)
+        assert np.array_equal(
+            pde.wavenumbers(grid),
+            2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx))
 
     def test_phase_reused_only_for_the_returned_array(self):
         # a field that is not the array the last step returned (a copy, or
