@@ -34,9 +34,10 @@ Pipeline per run:
    source held at each step's midpoint.  Node 0 is pinned, so the free
    nodes are reflection-symmetric about x = 0 and the eigenbasis is
    exactly that of two half-size blocks, even and odd; psi0 and psi1
-   are the lowest pair of each.  It does not depend on the PDE,
-   so after the march it is formed in closed form only at the samples
-   and the filter's cuts, and w from the residuals kept at the samples;
+   are the lowest pair of each.  It does not depend on the PDE, so it
+   advances alongside the march in closed form from sample to sample,
+   the filter's cuts on the way, and w is formed SAMPLE_CHUNK samples
+   at a time and kept only as its norms;
 5. report sup|eta|, the annulus verdict around the reference orbit, the
    center-of-mass well count, and invariant drifts.
 """
@@ -99,9 +100,11 @@ TAIL_FILTER_EVERY = 1.0
 CUTOFF_FRACTION = 0.75
 
 # R~ advances at most BLOCK steps per product with its table of E^p
-# (BLOCK + 1 rows of the mode count), and goes to the grid SAMPLE_CHUNK
-# samples per product with V
+# (BLOCK + 1 rows of the mode count), forms its source SOURCE_WINDOW
+# steps at a time, and goes to the grid SAMPLE_CHUNK samples per product
+# with V
 BLOCK = 64
+SOURCE_WINDOW = 1024
 SAMPLE_CHUNK = 8
 
 
@@ -212,28 +215,6 @@ def reduced_reference(state0: ModeAmplitudes, params: ReducedParams,
     return _ReferenceOrbit(integrate(state0, params, (0.0, horizon), dt))
 
 
-def tilde_r_evolve(spectral: SpectralData, dt: float, orbit: _ReferenceOrbit,
-                   n_steps: int, steps,
-                   tail_filter: Optional[TailFilter] = None) -> np.ndarray:
-    """R~ on the grid, from R~(0) = 0 driven by the reference orbit, at
-    each of the ascending steps (one row each) of a run of n_steps steps
-    of dt.
-
-    The stepper (_TildeREvolver) is exact in the eigenbasis of the pinned
-    finite-difference H, the operator that defines psi0 and psi1, with the
-    source held at each step's midpoint; node 0 is pinned, so the free
-    nodes are reflection-symmetric and that basis comes from the even and
-    odd blocks of H exactly.  The optional tail filter cuts R~ as
-    pde.march cuts the PDE field, to stop outgoing radiation from
-    re-entering.  The step tables are freed once at_steps is done with
-    them, the stepper and its eigenvectors on return.
-    """
-    stepper = _TildeREvolver(spectral, dt, orbit, n_steps)
-    ss = stepper.at_steps(steps, tail_filter)
-    stepper._powers = stepper.c = None
-    return stepper.to_grid(ss, steps)
-
-
 class _TildeREvolver:
     """Exact stepper of the orbit-driven radiation field
 
@@ -261,8 +242,11 @@ class _TildeREvolver:
     four source_coefficients of sigma*((k + 1/2) dt) times e^{i theta}
     there.  R~ does not depend on the PDE, so it is formed only where it
     is needed: step(s, m) makes m steps at once in closed form, and
-    at_steps runs from S = 0 to a list of steps with the tail filter's
-    cuts on the way.  Only G, to_grid and cut fold or unfold across
+    advance carries S from S = 0 to each step the run samples in turn,
+    with the tail filter's cuts on the way (it cuts R~ as pde.march cuts
+    the PDE field, so that outgoing radiation does not re-enter); c_k and
+    theta come SOURCE_WINDOW steps at a time (_load).  Only G, to_grid
+    and cut fold or unfold across
     x = 0: to_grid costs two products (one per block) per few samples,
     cut two per block with the rows outside the filter.  Ve and Vo cost
     about 4 n^2 bytes: 4.2 MB at 1,024 points, 67 MB at 4,096.
@@ -295,16 +279,26 @@ class _TildeREvolver:
         even[:, :c] += mirror
         self.g_phi = phi[:, None] * np.concatenate(
             (self.ve.T @ even.T, self.vo.T @ (products[:, :c] - mirror).T))
-        a, al, be = orbit.sample((np.arange(n_steps) + 0.5) * dt)
+        self.dt, self.orbit, self.n_steps = dt, orbit, n_steps
+        self.ca, self.cb = spectral.a[0, 0, 0, 0], spectral.a[0, 0, 1, 1]
+        self.s, self.removed_mass, self.k = np.zeros_like(self.e), 0.0, 0
+        self._load(0, 0.0)
+
+    def _load(self, k0: int, carry: float) -> None:
+        """The source coefficients c of the steps from k0 on (SOURCE_WINDOW
+        of them at most, and SOURCE_WINDOW >= BLOCK) and theta from step k0
+        to the step after them, with carry the sum of m before k0: one
+        cumulative sum, so theta has the bits of one sum from step 0."""
+        k = np.arange(k0, min(k0 + SOURCE_WINDOW, self.n_steps))
+        a, al, be = self.orbit.sample((k + 0.5) * self.dt)
         # m = a0000 A^2 + a0011 (3 alpha^2 + beta^2), the rotating-frame
         # phase velocity of the reference orbit, held over each step
-        ca, cb = float(spectral.a[0, 0, 0, 0]), float(spectral.a[0, 0, 1, 1])
-        m = ca * a * a + cb * (3.0 * al * al + be * be)
-        theta = dt * np.concatenate(([0.0], np.cumsum(m)))
-        self.phase = np.exp(-1j * theta)          # grid field at step k
+        m = self.ca * a * a + self.cb * (3.0 * al * al + be * be)
+        self._sums = np.cumsum(np.concatenate(([carry], m)))
+        self.theta = self.dt * self._sums
         self.c = np.stack(source_coefficients(a, al, be), axis=1)
-        self.c *= np.exp(1j * (theta[:-1] + 0.5 * dt * m))[:, None]
-        self.k = 0
+        self.c *= np.exp(1j * (self.theta[:-1] + 0.5 * self.dt * m))[:, None]
+        self.k0 = k0
 
     def step(self, s: np.ndarray, m: int = 1) -> np.ndarray:
         """S after m more steps (m = 1: S <- E S + Phi G c_k):
@@ -315,42 +309,48 @@ class _TildeREvolver:
         the table of E^p with the block's source coefficients."""
         while m > 0:
             b = min(m, BLOCK)
-            k = self.k
+            if self.k + b > self.k0 + len(self.c):
+                self._load(self.k, self._sums[self.k - self.k0])
+            k = self.k - self.k0
             p = self._powers[BLOCK - b:]          # E^b, E^(b-1), ..., 1
             s = p[0] * s + np.sum(self.g_phi * (p[1:].T @ self.c[k:k + b]),
                                   axis=1)
-            self.k = k + b
+            self.k += b
             m -= b
         return s
 
-    def at_steps(self, steps, tail_filter: Optional[TailFilter] = None):
-        """S at each of the ascending steps (one row each), from S = 0 at
-        step 0, cut by the tail filter every trigger_steps steps; a cut
-        acts before the sample at the same step, as in pde.march."""
-        s = np.zeros_like(self.e)
-        self.k = 0
-        out = np.empty((len(steps), len(s)), complex)
+    def advance(self, target: int,
+                tail_filter: Optional[TailFilter] = None):
+        """(S, theta) at step target (not before the current step), cut
+        by the tail filter every trigger_steps steps on the way; a cut acts
+        before the sample at the same step, as in pde.march, and the mass
+        it removes adds to removed_mass."""
         if tail_filter is not None:
             every = tail_filter.trigger_steps
             keep = np.abs(self.grid.x) <= tail_filter.cutoff_radius
-        for i, target in enumerate(steps):
-            if tail_filter is not None:
-                for cut_at in range((self.k // every + 1) * every,
-                                    target + 1, every):
-                    s, _ = self.cut(self.step(s, cut_at - self.k), keep)
-            if target > self.k:
-                s = self.step(s, target - self.k)
-            out[i] = s
-        return out
+            for cut_at in range((self.k // every + 1) * every,
+                                target + 1, every):
+                self.s, removed = self.cut(self.step(self.s, cut_at - self.k),
+                                           keep)
+                self.removed_mass += removed
+        if target > self.k:
+            self.s = self.step(self.s, target - self.k)
+        return self.s, self.theta[self.k - self.k0]
 
-    def to_grid(self, ss: np.ndarray, steps) -> np.ndarray:
-        """R~ on the grid (one row each) from the rows of ss, the S of the
-        steps: real products with Ve and Vo, SAMPLE_CHUNK samples at a
-        time, unfolded to the half grid (even + odd), the centre (even
-        alone) and the mirror half (even - odd)."""
+    def at_steps(self, steps, tail_filter: Optional[TailFilter] = None):
+        """R~ on the grid at each of the ascending steps (one row each)."""
+        ss, theta = zip(*(self.advance(k, tail_filter) for k in steps))
+        return self.to_grid(np.array(ss), theta)
+
+    def to_grid(self, ss: np.ndarray, theta) -> np.ndarray:
+        """R~ on the grid (one row each) from the rows of ss, the S of steps
+        with the given theta: real products with Ve and Vo, SAMPLE_CHUNK
+        samples at a time, unfolded to the half grid (even + odd), the
+        centre (even alone) and the mirror half (even - odd)."""
         c, n_even = self.centre, self.ve.shape[1]
-        out = np.zeros((len(steps), self.grid.n_points), complex)
-        for i in range(0, len(steps), SAMPLE_CHUNK):
+        phase = np.exp(-1j * np.asarray(theta))
+        out = np.zeros((len(ss), self.grid.n_points), complex)
+        for i in range(0, len(ss), SAMPLE_CHUNK):
             z = ss[i:i + SAMPLE_CHUNK]
             n = len(z)
             parts = np.concatenate((z.real, z.imag))
@@ -360,7 +360,7 @@ class _TildeREvolver:
             free = np.concatenate((half + odd, even[:, c:],
                                    (half - odd)[:, ::-1]), axis=1)
             out[i:i + n, 1:] = ((free[:n] + 1j * free[n:])
-                                * self.phase[steps[i:i + n], None])
+                                * phase[i:i + n, None])
         return out
 
     def cut(self, s: np.ndarray, keep: np.ndarray):
@@ -426,19 +426,18 @@ def coupling_errors(a_amp: float, alpha: float, beta: float, r: FieldState,
     return err_a, err_alpha, err_beta, err_theta
 
 
-def strichartz_monitor(times: np.ndarray, fields: list, grid: Grid):
-    """(sup_t H1 norm, L4-in-time of sup_x |w|) of a sampled field series."""
-    w = grid.quad_weights()
-    h1 = np.empty(len(fields))
-    sup = np.empty(len(fields))
-    for i, f in enumerate(fields):
-        df = np.gradient(f, grid.dx)
-        h1[i] = math.sqrt(float(np.sum(w * (np.abs(f) ** 2 + np.abs(df) ** 2))))
-        sup[i] = float(np.max(np.abs(f)))
-    if len(times) < 2:
-        return float(np.max(h1, initial=0.0)), 0.0
-    l4 = float(np.trapezoid(sup**4, times)) ** 0.25
-    return float(np.max(h1)), l4
+def strichartz_monitor(fields, grid: Grid):
+    """(H1 norm, sup_x |w|) of each row of a series of sampled fields, the
+    terms of sup_t H1 and of l4_in_time."""
+    f = np.abs(fields)
+    df = np.abs(np.gradient(fields, grid.dx, axis=1))
+    h1 = np.sqrt(np.sum(grid.quad_weights() * (f**2 + df**2), axis=1))
+    return h1, np.max(f, axis=1)
+
+
+def l4_in_time(times: np.ndarray, sup: np.ndarray) -> float:
+    """The L4-in-time norm of sup_x |w| sampled at times (trapezoid)."""
+    return float(np.trapezoid(sup**4, times)) ** 0.25
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +520,7 @@ class ShadowReport:
     energy_drift: float
     removed_mass: float
     removed_energy: float
+    tilde_r_removed_mass: float    # what the tail filter's cuts took from R~
     coupling_sup: tuple
     orbit_amplitude: float
     pilot_steps: int               # midpoint steps the period cost
@@ -556,6 +556,10 @@ class ShadowReport:
             "energy_drift": self.energy_drift,
             "removed_mass": self.removed_mass,
             "removed_energy": self.removed_energy,
+            "tilde_r_removed_mass": self.tilde_r_removed_mass,
+            "tilde_r_removed_ratio": (
+                self.removed_mass / self.tilde_r_removed_mass
+                if self.tilde_r_removed_mass > 0.0 else None),
             "coupling_sup": list(self.coupling_sup),
             "pilot_steps": self.pilot_steps,
             "horizon_truncated": self.horizon_truncated,
@@ -657,11 +661,22 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     mass0 = field_mass(u0)
     energy0 = energy(u0.values)
 
-    steps, times, etas, albe, coms, r_rots = [], [], [], [], [], []
+    # R~ does not depend on the PDE: every SAMPLE_CHUNK samples it
+    # advances to them, with the march's cuts, and w = R - R~ there goes
+    # to its norms (the H1 norm and sup|w| of each row, and sup|R~|)
+    tilde_r = _TildeREvolver(spectral, dt, ref, n_steps)
+    times, etas, albe, coms, chunk, norms = [], [], [], [], [], []
     coupling_max = [0.0, 0.0, 0.0, 0.0]
     parseval = mass_drift = energy_drift = 0.0
     removed = removed_energy = 0.0
     truncation = None
+
+    def flush():
+        r_rot, ks = zip(*chunk)
+        r_t = tilde_r.at_steps(ks, tail_filter)
+        norms.append((*strichartz_monitor(np.array(r_rot) - r_t, grid),
+                      np.max(np.abs(r_t), axis=1)))
+        chunk.clear()
 
     def count_cut(before, after):
         nonlocal removed_energy
@@ -676,7 +691,9 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         fr = convert(ModeAmplitudes(pr.c0, pr.c1), CARTESIAN)
         a_p, al_p, be_p, th_p = fr.A, fr.alpha, fr.beta, fr.theta
         a_r, al_r, be_r = ref.sample(t)
-        steps.append(k)
+        r_rot = pr.residual.values * complex(math.cos(-th_p), math.sin(-th_p))
+        errs = coupling_errors(a_p, al_p, be_p,
+                               FieldState(grid, r_rot, t), spectral)
         times.append(t)
         etas.append((a_p - a_r, al_p - al_r, be_p - be_r))
         albe.append((al_p, be_p))
@@ -687,12 +704,11 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         mass_drift = max(mass_drift, abs(n_tot + removed - mass0))
         energy_drift = max(energy_drift,
                            abs(energy(u) + removed_energy - energy0))
-        r_rot = pr.residual.values * complex(math.cos(-th_p), math.sin(-th_p))
-        errs = coupling_errors(a_p, al_p, be_p,
-                               FieldState(grid, r_rot, t), spectral)
         for j in range(4):
             coupling_max[j] = max(coupling_max[j], abs(errs[j]))
-        r_rots.append(r_rot)
+        chunk.append((r_rot, k))
+        if len(chunk) == SAMPLE_CHUNK:
+            flush()
 
     take_sample(0, u0.values, 0.0)
     try:
@@ -701,18 +717,13 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     except DwnlsError as exc:
         truncation = {"error": type(exc).__name__, "message": str(exc),
                       "step": exc.step, "time": exc.step * dt}
+    if chunk:
+        flush()
 
     times = np.array(times)
     etas = np.array(etas)
     albe = np.array(albe)
-
-    # R~ does not depend on the PDE: form it at the samples the march
-    # reached, with the march's cuts, and w = R - R~ there
-    r_t = tilde_r_evolve(spectral, dt, ref, n_steps, steps, tail_filter)
-    sup_tr = float(np.max(np.abs(r_t)))
-    w = np.array(r_rots)
-    w -= r_t
-    w_h1, w_l4 = strichartz_monitor(times, w, grid)
+    h1, w_sup, tr_sup = map(np.concatenate, zip(*norms))
 
     # minimal annulus about one dense period of the reference orbit that
     # contains the projected samples, width relative to the orbit radius
@@ -733,10 +744,14 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         annulus_ratio=annulus_ratio,
         annulus_ok=bool(annulus_ratio <= ANNULUS_THRESHOLD),
         com_series=com, com_sign_changes=count_sign_changes(com),
-        w_sup_h1=w_h1, w_l4_linf=w_l4, tilde_r_sup=sup_tr,
+        w_sup_h1=float(np.max(h1)),
+        w_l4_linf=l4_in_time(times, w_sup),
+        tilde_r_sup=float(np.max(tr_sup)),
         parseval_defect=parseval, mass_drift=mass_drift,
         energy_drift=energy_drift, removed_mass=removed,
-        removed_energy=removed_energy, coupling_sup=tuple(coupling_max),
+        removed_energy=removed_energy,
+        tilde_r_removed_mass=tilde_r.removed_mass,
+        coupling_sup=tuple(coupling_max),
         orbit_amplitude=orbit_amp, pilot_steps=pilot_steps,
         truncation=truncation,
     )

@@ -234,7 +234,8 @@ class TestGoldenBits:
         assert rc == 0
         keys = ("period", "sup_eta", "annulus_ratio", "w_sup_h1",
                 "w_l4_linf", "tilde_r_sup", "energy_drift", "removed_mass",
-                "removed_energy")
+                "removed_energy", "tilde_r_removed_mass",
+                "tilde_r_removed_ratio")
         assert _json_lines(out / "shadow_report.json", keys) == {
             "period": '"period": 60.515791329204227',
             "sup_eta": '"sup_eta": 0.012295228184817791',
@@ -245,6 +246,10 @@ class TestGoldenBits:
             "energy_drift": '"energy_drift": 1.4961271110891516e-09',
             "removed_mass": '"removed_mass": 6.640445836638035e-06',
             "removed_energy": '"removed_energy": 3.8386416506885901e-05',
+            "tilde_r_removed_mass":
+                '"tilde_r_removed_mass": 6.470229802889298e-06',
+            "tilde_r_removed_ratio":
+                '"tilde_r_removed_ratio": 1.0263075715908463',
         }
 
     def test_groundstate_golden_bits(self, tmp_path):

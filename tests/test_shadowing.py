@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,7 +171,8 @@ class TestTildeR:
         zero = sh._ReferenceOrbit(rd.integrate(
             rd.ModeAmplitudes(0j, 0j), rd.ReducedParams.from_spectral(sd),
             (0.0, 5.0), 0.01))
-        fields = sh.tilde_r_evolve(sd, 0.01, zero, 500, _record_steps(500))
+        fields = sh._TildeREvolver(sd, 0.01, zero, 500).at_steps(
+            _record_steps(500))
         assert np.all(fields == 0.0)
 
     # the Gaussian well checks that R~ uses the pinned finite-difference H
@@ -183,8 +186,8 @@ class TestTildeR:
                                complex(0.01, 0.0))
         orbit = sh._ReferenceOrbit(rd.integrate(ic, params, (0.0, 60.0),
                                                 0.02))
-        fields = sh.tilde_r_evolve(sd, 4e-3, orbit, 15000,
-                                   _record_steps(15000))
+        fields = sh._TildeREvolver(sd, 4e-3, orbit, 15000).at_steps(
+            _record_steps(15000))
         assert 0 < np.max(np.abs(fields[-1])) < 1e-2
         w = sd.grid.quad_weights()
         for f in fields[1::5]:
@@ -200,12 +203,12 @@ class TestTildeR:
         grid = Grid.symmetric(16.0, 256)
         sd = ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5), grid)
         dt, a_amp = 4e-3, 0.2
-        stepper = sh._TildeREvolver(sd, dt, _ConstantOrbit(a_amp), 1)
-        stepper.c[:] = 0
+        stepper = _Sourceless(sd, dt, _ConstantOrbit(a_amp), 1)
         rng = np.random.default_rng(4)
         s0 = rng.normal(size=len(stepper.e)) \
             + 1j * rng.normal(size=len(stepper.e))
-        r0, r1 = stepper.to_grid(np.array([s0, stepper.step(s0)]), [0, 1])
+        r0, r1 = stepper.to_grid(np.array([s0, stepper.step(s0)]),
+                                 stepper.theta[:2])
         hp = ls.pinned_hamiltonian(sd.spec, grid)
         m = sd.a[0, 0, 0, 0] * a_amp**2
         h = np.diag(hp.diag - sd.omega0 + m) + np.diag(hp.off, 1) \
@@ -235,8 +238,9 @@ class TestTildeR:
         # at dt = 4e-3 the field is within 1% (L2) of the run at dt/16
         sd = shadow_well
         orbit = _libration_orbit(sd, 8.0)
-        coarse = sh.tilde_r_evolve(sd, 4e-3, orbit, 2000, [2000])[-1]
-        fine = sh.tilde_r_evolve(sd, 2.5e-4, orbit, 32000, [32000])[-1]
+        coarse = sh._TildeREvolver(sd, 4e-3, orbit, 2000).at_steps([2000])[-1]
+        fine = sh._TildeREvolver(sd, 2.5e-4, orbit, 32000).at_steps(
+            [32000])[-1]
         err = norm2(coarse - fine, sd.grid) / norm2(fine, sd.grid)
         print(f"L2 distance to dt/16: {err:.2e}")
         assert err <= 1e-2
@@ -248,7 +252,7 @@ class TestTildeR:
         sd = shadow_well
         orbit = _libration_orbit(sd, 8.0)
         horizon, dt = 8.0, 6.25e-5
-        exact = sh.tilde_r_evolve(sd, 4e-3, orbit, 2000, [2000])[-1]
+        exact = sh._TildeREvolver(sd, 4e-3, orbit, 2000).at_steps([2000])[-1]
         n_steps = int(round(horizon / dt))
         a, al, be = orbit.sample((np.arange(n_steps) + 0.5) * dt)
         m = sd.a[0, 0, 0, 0] * a * a \
@@ -274,57 +278,74 @@ class TestTildeR:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3 * sh.BLOCK),
-           k0=st.integers(0, sh.BLOCK))
+           k0=st.integers(0, sh.BLOCK),
+           window=st.sampled_from([sh.BLOCK, sh.BLOCK + 1, 100,
+                                   sh.SOURCE_WINDOW]))
     def test_block_advance_equals_single_steps(self, small_tilde_r, seed, m,
-                                               k0):
-        # step(s, m) in closed form against m steps S <- E S + Phi G c_k
+                                               k0, window):
+        # step(s, m) in closed form against m steps S <- E S + Phi G c_k;
+        # source windows shorter than the run make blocks reload them
         stepper = small_tilde_r
         rng = np.random.default_rng(seed)
         n = len(stepper.e)
         s0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-        stepper.c[:] = (rng.normal(size=stepper.c.shape)
-                        + 1j * rng.normal(size=stepper.c.shape))
+        shape = (stepper.n_steps, 4)
+        stepper.table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = s0
         for k in range(k0, k0 + m):
-            want = stepper.e * want + stepper.g_phi @ stepper.c[k]
-        stepper.k = k0
-        got = stepper.step(s0, m)
+            want = stepper.e * want + stepper.g_phi @ stepper.table[k]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sh, "SOURCE_WINDOW", window)
+            stepper._load(0, 0.0)
+            stepper.k = k0
+            got = stepper.step(s0, m)
         assert stepper.k == k0 + m
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_evolve_with_filter_equals_step_loop(self, shadow_well):
-        # tilde_r_evolve forms R~ only at its records and cuts; a loop of
-        # single steps with a cut every 250 steps (before the record at
-        # the same step) gives the same fields
+    def test_evolve_with_filter_equals_step_loop(self, shadow_well,
+                                                 monkeypatch):
+        # at_steps forms R~ only at its records and cuts; a loop of single
+        # steps with a cut every 250 steps (before the record at the same
+        # step) gives the same fields, also with source windows of 70
+        # steps, which records, cuts and single steps reload; the windows
+        # do not change a bit of at_steps
         sd = shadow_well
         orbit = _libration_orbit(sd, 3.0)
         dt, horizon, every = 4e-3, 3.0, 50
         n_steps = int(round(horizon / dt))
         steps = _record_steps(n_steps, every)
-        fields = sh.tilde_r_evolve(sd, dt, orbit, n_steps, steps,
-                                   _shadow_tail_filter(sd, dt))
-        stepper = sh._TildeREvolver(sd, dt, orbit, n_steps)
-        keep = np.abs(sd.grid.x) <= sh.CUTOFF_FRACTION * sd.grid.x_max
-        s = np.zeros_like(stepper.e)
-        want = [stepper.to_grid(s[None], [0])[0]]
-        for k in range(1, n_steps + 1):
-            s = stepper.step(s, 1)
-            if k % 250 == 0:
-                s, _ = stepper.cut(s, keep)
-            if k % every == 0 or k == n_steps:
-                want.append(stepper.to_grid(s[None], [k])[0])
-        want = np.array(want)
-        assert fields.shape == want.shape
-        scale = np.max(np.abs(want))
-        for got_k, want_k in zip(fields, want):
-            assert np.max(np.abs(got_k - want_k)) <= 1e-12 * scale
+        one_window = None
+        for window in (n_steps, 70):
+            monkeypatch.setattr(sh, "SOURCE_WINDOW", window)
+            fields = sh._TildeREvolver(sd, dt, orbit, n_steps).at_steps(
+                steps, _shadow_tail_filter(sd, dt))
+            if one_window is None:
+                one_window = fields
+            assert np.array_equal(fields, one_window)
+            stepper = sh._TildeREvolver(sd, dt, orbit, n_steps)
+            keep = np.abs(sd.grid.x) <= sh.CUTOFF_FRACTION * sd.grid.x_max
+            s = np.zeros_like(stepper.e)
+            want = [stepper.to_grid(s[None], [0])[0]]
+            for k in range(1, n_steps + 1):
+                s = stepper.step(s, 1)
+                if k % 250 == 0:
+                    s, _ = stepper.cut(s, keep)
+                if k % every == 0 or k == n_steps:
+                    theta = stepper.theta[k - stepper.k0]
+                    want.append(stepper.to_grid(s[None], [theta])[0])
+            want = np.array(want)
+            assert fields.shape == want.shape
+            scale = np.max(np.abs(want))
+            for got_k, want_k in zip(fields, want):
+                assert np.max(np.abs(got_k - want_k)) <= 1e-12 * scale
 
     def test_orbit_shorter_than_horizon_refused(self, shadow_well):
         # sampling past the integrated span used to hold the last state
         sd = shadow_well
         orbit = _libration_orbit(sd, 0.9)         # integrated to t = 1.0
         with pytest.raises(ValueError, match="sampled at t = "):
-            sh.tilde_r_evolve(sd, 4e-3, orbit, 750, _record_steps(750))
+            sh._TildeREvolver(sd, 4e-3, orbit, 750).at_steps(
+                _record_steps(750))
 
 
 class TestParityBlocks:
@@ -355,7 +376,8 @@ class TestParityBlocks:
         n_steps = int(round(3.0 / dt))
         steps = _record_steps(n_steps)
         tail_filter = _shadow_tail_filter(sd, dt)
-        got = sh.tilde_r_evolve(sd, dt, orbit, n_steps, steps, tail_filter)
+        got = sh._TildeREvolver(sd, dt, orbit, n_steps).at_steps(
+            steps, tail_filter)
         want = full_tilde_r_evolve(sd, dt, orbit, n_steps, steps,
                                    tail_filter)
         scale = np.max(np.abs(want))
@@ -421,7 +443,28 @@ def gauss_256():
 def small_tilde_r():
     grid = Grid.symmetric(16.0, 256)
     sd = ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5), grid)
-    return sh._TildeREvolver(sd, 4e-3, _ConstantOrbit(0.2), 5 * sh.BLOCK)
+    return _TabledSource(sd, 4e-3, _ConstantOrbit(0.2), 5 * sh.BLOCK)
+
+
+class _Sourceless(sh._TildeREvolver):
+    """R~'s stepper with every window's source coefficients zeroed (m, and
+    so theta, as the orbit gives them)."""
+
+    def _load(self, k0, carry):
+        super()._load(k0, carry)
+        self.c[:] = 0
+
+
+class _TabledSource(sh._TildeREvolver):
+    """R~'s stepper whose windows take their source coefficients from the
+    rows of `table` (one a step), once it is set."""
+
+    table = None
+
+    def _load(self, k0, carry):
+        super()._load(k0, carry)
+        if self.table is not None:
+            self.c = self.table[k0:k0 + len(self.c)]
 
 
 class _ConstantOrbit:
@@ -478,9 +521,8 @@ class TestTildeRLadder:
             orbit = sh._ReferenceOrbit(rd.integrate(
                 ic, params, (0.0, 2.0 * period), period / 2000))
             n_steps = int(round(2.0 * period / 4e-3))
-            fields = sh.tilde_r_evolve(sd, 4e-3, orbit, n_steps,
-                                       _record_steps(n_steps),
-                                       _shadow_tail_filter(sd, 4e-3))
+            fields = sh._TildeREvolver(sd, 4e-3, orbit, n_steps).at_steps(
+                _record_steps(n_steps), _shadow_tail_filter(sd, 4e-3))
             sups.append(float(np.max(np.abs(fields))))
         slope = np.polyfit(np.log(taus), np.log(sups), 1)[0]
         assert sups[0] > sups[1] > sups[2]
@@ -520,24 +562,29 @@ class TestCouplingErrors:
 
 
 class TestStrichartzMonitor:
+    # strichartz_monitor gives each sample's H1 norm and sup|w|, the run
+    # takes sup_t of the first and l4_in_time of the second
     def test_zero_series(self, shadow_grid):
         times = np.linspace(0.0, 1.0, 5)
         fields = [np.zeros(shadow_grid.n_points, complex) for _ in times]
-        h1, l4 = sh.strichartz_monitor(times, fields, shadow_grid)
-        assert h1 == 0.0 and l4 == 0.0
+        h1, sup = sh.strichartz_monitor(fields, shadow_grid)
+        l4 = sh.l4_in_time(times, sup)
+        assert np.max(h1) == 0.0 and l4 == 0.0
 
     def test_static_field(self, shadow_grid):
         f = np.exp(-shadow_grid.x**2) + 0j
         horizon = 2.0
         times = np.linspace(0.0, horizon, 41)
-        h1, l4 = sh.strichartz_monitor(times, [f] * len(times), shadow_grid)
+        h1, sup = sh.strichartz_monitor([f] * len(times), shadow_grid)
+        l4 = sh.l4_in_time(times, sup)
         assert l4 == pytest.approx(float(np.max(np.abs(f)))
                                    * horizon**0.25, rel=1e-12)
         w = shadow_grid.quad_weights()
         df = np.gradient(f, shadow_grid.dx)
         expected = np.sqrt(float(np.sum(w * (np.abs(f) ** 2
                                              + np.abs(df) ** 2))))
-        assert h1 == pytest.approx(expected, rel=1e-12)
+        assert np.max(h1) == pytest.approx(expected, rel=1e-12)
+        assert h1 == pytest.approx(np.full(len(times), expected), rel=1e-12)
 
 
 class TestEquilibriumAlpha:
@@ -687,6 +734,132 @@ class TestReportSerialization:
         assert not rep.horizon_truncated
         assert rep.truncation is None
         assert rep.to_json_dict()["truncation"] is None
+
+
+class TestStreamedMonitors:
+    """The run forms R~ and w as the march samples and keeps only their
+    norms; the offline path below stores every residual, evolves R~ to
+    all the samples afterwards from one source table of the whole run,
+    and takes the norms of the whole series by a loop over its fields.
+    Both give the same bits."""
+
+    @pytest.mark.parametrize("periods, fail_at", [
+        (0.5, None),        # 34 samples, not a multiple of SAMPLE_CHUNK
+        (1.0, None),        # the cut at step 3658 lands on sample 62
+        (1.0, 19 * 59 + 5), # truncated mid-chunk, after 20 samples
+    ], ids=["ragged_chunk", "cut_on_sample", "truncated"])
+    def test_streamed_equals_offline(self, golden_well, monkeypatch,
+                                     periods, fail_at):
+        if fail_at is not None:
+            original = pde.CrankNicolsonStepper.step
+            calls = []
+
+            def failing_step(self, u):
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise NonlinearIterationDiverged("injected mid-chunk")
+                return original(self, u)
+
+            monkeypatch.setattr(pde.CrankNicolsonStepper, "step",
+                                failing_step)
+        orb = sh.OrbitSpec(side="above", amplitude_factor=0.7,
+                           horizon_periods=periods, dt_pde=1.6e-2)
+        rep, seen = _run_with_offline_monitors(golden_well, orb, monkeypatch)
+        steps, tail_filter = seen["steps"], seen["tail_filter"]
+        assert len(steps) % sh.SAMPLE_CHUNK != 0
+        if periods == 1.0 and fail_at is None:
+            assert np.any(steps[1:] % tail_filter.trigger_steps == 0)
+        if fail_at is not None:
+            assert rep.truncation == {
+                "error": "NonlinearIterationDiverged",
+                "message": "injected mid-chunk", "step": fail_at,
+                "time": fail_at * 1.6e-2}
+        assert (rep.w_sup_h1, rep.w_l4_linf, rep.tilde_r_sup) \
+            == seen["offline"]
+
+    def test_memory_flat_in_the_horizon(self, golden_well):
+        # storing every sample's residual and R~ and n_steps-long source
+        # tables grows the peak about 1.04 MB a period here; streamed, it
+        # grows about 0.2 MB a period, with the reference orbit's span
+        sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
+        peaks = []
+        for periods in (1.0, 3.0):
+            orb = sh.OrbitSpec(side="above", amplitude_factor=0.7,
+                               horizon_periods=periods, dt_pde=1.6e-2)
+            tracemalloc.start()
+            try:
+                sh.run_shadow_experiment(sp, golden_well, orb)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_period = (peaks[1] - peaks[0]) / 2.0
+        print(f"traced peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB")
+        assert per_period <= 0.4e6
+
+
+def _run_with_offline_monitors(sd, orb, monkeypatch):
+    """run_shadow_experiment on sd, and the monitors of the offline path:
+    (sup H1 of w, L4_t L^infty_x of w, sup |R~|) from the residuals that
+    coupling_errors saw at the samples, and R~ at all of them with the
+    run's orbit, step count and tail filter, its source formed in one
+    window of the whole run."""
+    seen, rows = {}, []
+    reduced_reference, march = sh.reduced_reference, sh.march
+    coupling_errors = sh.coupling_errors
+
+    def spy_reference(*args):
+        seen["ref"] = reduced_reference(*args)
+        return seen["ref"]
+
+    def spy_march(*args):
+        seen["n_steps"], seen["tail_filter"] = args[2], args[5]
+        return march(*args)
+
+    def spy_coupling(a_amp, alpha, beta, r, spectral):
+        errs = coupling_errors(a_amp, alpha, beta, r, spectral)
+        rows.append((r.time, r.values.copy()))
+        return errs
+
+    monkeypatch.setattr(sh, "reduced_reference", spy_reference)
+    monkeypatch.setattr(sh, "march", spy_march)
+    monkeypatch.setattr(sh, "coupling_errors", spy_coupling)
+    rep = sh.run_shadow_experiment(sh.ShadowParams(tau=0.05, n_cr=0.1), sd,
+                                   orb)
+    dt = orb.dt_pde
+    times = np.array([t for t, _ in rows])
+    assert np.array_equal(times, rep.times)
+    seen["steps"] = steps = np.rint(times / dt).astype(int)
+    assert seen["n_steps"] > sh.SOURCE_WINDOW
+    monkeypatch.setattr(sh, "SOURCE_WINDOW", seen["n_steps"])
+    r_t = sh._TildeREvolver(sd, dt, seen["ref"], seen["n_steps"]).at_steps(
+        steps, seen["tail_filter"])
+    w = np.array([r for _, r in rows])
+    w -= r_t
+    seen["offline"] = (*_offline_strichartz(times, w, sd.grid),
+                       float(np.max(np.abs(r_t))))
+    return rep, seen
+
+
+def _offline_strichartz(times, fields, grid):
+    """(sup_t H1 norm, L4-in-time of sup_x |w|) of a sampled field series,
+    one field at a time."""
+    w = grid.quad_weights()
+    h1 = np.empty(len(fields))
+    sup = np.empty(len(fields))
+    for i, f in enumerate(fields):
+        df = np.gradient(f, grid.dx)
+        h1[i] = math.sqrt(float(np.sum(w * (np.abs(f) ** 2
+                                            + np.abs(df) ** 2))))
+        sup[i] = float(np.max(np.abs(f)))
+    l4 = float(np.trapezoid(sup**4, times)) ** 0.25
+    return float(np.max(h1)), l4
+
+
+@pytest.fixture(scope="module")
+def golden_well():
+    """The well of the 256-point golden shadow run (test_cli.py)."""
+    return ls.tune_delta_strength_for_ncr(0.1, 2.5, Grid.symmetric(16.0, 256),
+                                          (2.0, 9.0))
 
 
 class TestInvariants:

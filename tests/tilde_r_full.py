@@ -1,10 +1,10 @@
 """R~ in the eigenbasis of the whole pinned H on the free nodes: the
 reference for the even and odd blocks of shadowing._TildeREvolver.
 
-FullTildeREvolver keeps the block stepper's step tables built from the
-orbit (phase, source coefficients) and replaces its basis with the n - 1
-eigenvectors of the whole matrix, psi0 and psi1 (the lowest two) left
-out; step and at_steps are the block stepper's own."""
+FullTildeREvolver keeps the block stepper's source windows built from
+the orbit (theta, source coefficients) and replaces its basis with the
+n - 1 eigenvectors of the whole matrix, psi0 and psi1 (the lowest two)
+left out; step, advance and at_steps are the block stepper's own."""
 
 import numpy as np
 
@@ -29,14 +29,15 @@ class FullTildeREvolver(sh._TildeREvolver):
         products = sh._Basis(spectral).products[:, 1:]
         self.g_phi = phi[:, None] * (self.v.T @ products.T)
 
-    def to_grid(self, ss, steps):
-        out = np.zeros((len(steps), self.grid.n_points), complex)
-        for i in range(0, len(steps), sh.SAMPLE_CHUNK):
+    def to_grid(self, ss, theta):
+        phase = np.exp(-1j * np.asarray(theta))
+        out = np.zeros((len(ss), self.grid.n_points), complex)
+        for i in range(0, len(ss), sh.SAMPLE_CHUNK):
             z = ss[i:i + sh.SAMPLE_CHUNK]
             n = len(z)
             parts = np.concatenate((z.real, z.imag)) @ self.v.T
             out[i:i + n, 1:] = ((parts[:n] + 1j * parts[n:])
-                                * self.phase[steps[i:i + n], None])
+                                * phase[i:i + n, None])
         return out
 
     def cut(self, s, keep):
@@ -49,6 +50,6 @@ class FullTildeREvolver(sh._TildeREvolver):
 
 
 def full_tilde_r_evolve(spectral, dt, orbit, n_steps, steps, tail_filter=None):
-    """tilde_r_evolve with FullTildeREvolver."""
-    stepper = FullTildeREvolver(spectral, dt, orbit, n_steps)
-    return stepper.to_grid(stepper.at_steps(steps, tail_filter), steps)
+    """R~ at the steps, as _TildeREvolver.at_steps, with FullTildeREvolver."""
+    return FullTildeREvolver(spectral, dt, orbit, n_steps).at_steps(
+        steps, tail_filter)
