@@ -28,7 +28,7 @@ from .errors import (
     IterationDiverged,
     NoBifurcationFound,
 )
-from .grids import Grid
+from .grids import Grid, inner
 from .io_utils import csv_text
 from .lapack import dgtsv, dpttrf, eigh_tridiagonal
 from .linear_spectrum import (PinnedHamiltonian, PotentialSpec,
@@ -77,8 +77,8 @@ class SolitonCurve:
 
 
 def _asymmetry(profile: np.ndarray, grid: Grid) -> float:
-    w = grid.quad_weights() * np.abs(profile) ** 2
-    return float(np.sum(w[grid.x > 0]) - np.sum(w[grid.x < 0]))
+    a2 = np.abs(profile) ** 2
+    return grid.dx * float(np.sum(a2[grid.x > 0]) - np.sum(a2[grid.x < 0]))
 
 
 def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
@@ -109,7 +109,6 @@ def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
     if dpttrf(d, e)[2] != 0:
         raise IterationDiverged(
             f"H - Omega is not positive definite at Omega = {omega:.17g}")
-    w = grid.quad_weights()
     psi = np.array(seed_profile, dtype=float)
     psi[0] = 0.0
     v = psi[1:]                            # view: the free nodes
@@ -117,8 +116,9 @@ def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
         v[:] = 0.5 * (v + v[::-1])
     if not np.any(v):
         raise ConvergedToZero("seed profile is identically zero")
-    num = float(w[1:] @ (v * (lin @ v)))
-    den = float(w[1:] @ (v * v * v * v))
+    # the seed scale S: dx cancels in the ratio
+    num = float(v @ (lin @ v))
+    den = float(v @ (v * v * v))
     if not np.isfinite(num) or not np.isfinite(den):
         raise IterationDiverged(f"non-finite seed at Omega = {omega:.17g}")
     if den <= 0 or num <= 0:
@@ -165,7 +165,7 @@ def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
                 break
         v[:], f, f2 = trial, ft, ft2
         it += 1
-    nrm2 = float(np.sum(w * psi * psi))
+    nrm2 = float(inner(psi, psi, grid))
     if nrm2 < 1e-20:
         raise ConvergedToZero("iterate collapsed to zero")
     # phase fix: real and positive at the modulus maximum

@@ -1,14 +1,20 @@
-"""Uniform symmetric 1D grids and trapezoid quadrature helpers.
+"""Uniform symmetric 1D grids and the one inner product on them.
 
 Nodes are x_i = (i - n/2) dx for i = 0..n-1 with dx = 2 x_max / n, so
 x_0 = x_min = -x_max, x = 0 is a node and the spacing is FFT-compatible
 (the right endpoint x_max is the periodic image of x_min).  Each node is
 one rounded product, so nodes 1..n-1 are reflection-symmetric bit for bit
 (x_{n-i} = -x_i).
+
+Every spatial integral is the dx-sum over all nodes (inner, norm2).  On
+the Dirichlet fields node 0 is pinned to zero, so it is the sum over the
+free nodes in which the pinned H is self-adjoint; on the periodic grid it
+is the exact integral of the field's trigonometric interpolant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,14 +45,6 @@ class Grid:
     def symmetric(cls, x_max: float, n_points: int) -> "Grid":
         return cls(-x_max, x_max, n_points)
 
-    def quad_weights(self) -> np.ndarray:
-        # composite trapezoid; the fields we integrate decay to ~0 at the
-        # edges so this differs from a plain Riemann sum only in the tails
-        w = np.full(self.n_points, self.dx)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
     def node_index(self, x0: float) -> int:
         """Index of the node at x0; GridMismatch if x0 is more than 1e-9
         (relative, or absolute below 1) off a node."""
@@ -68,11 +66,12 @@ def same_grid(a: Grid, b: Grid) -> None:
         raise GridMismatch("operands are defined on different grids")
 
 
-def inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
-    """Trapezoid inner product <f, g> = integral conj(f) g dx."""
-    return complex(np.sum(grid.quad_weights() * np.conj(f) * g))
+def inner(f: np.ndarray, g: np.ndarray, grid: Grid):
+    """<f, g> = dx sum conj(f) g over all nodes (the pinned node is zero);
+    real for real f and g."""
+    return grid.dx * np.vdot(f, g)
 
 
 def norm2(f: np.ndarray, grid: Grid) -> float:
-    """Trapezoid L2 norm."""
-    return float(np.sqrt(np.sum(grid.quad_weights() * np.abs(f) ** 2)))
+    """The L2 norm of inner."""
+    return math.sqrt(grid.dx * np.vdot(f, f).real)

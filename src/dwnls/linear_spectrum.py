@@ -40,7 +40,7 @@ from .errors import (
     DomainTooSmall,
     OddStateAbsent,
 )
-from .grids import Grid, inner, same_grid
+from .grids import Grid, inner, norm2, same_grid
 from .io_utils import csv_text
 from .lapack import eigh_tridiagonal
 from .reduced_dynamics import pitchfork_coefficient
@@ -49,8 +49,6 @@ from .roots import RTOL_MIN, brentq
 _ROOT_TOL = 1e-14
 _ORTHO_TOL = 1e-10
 _PARITY_TOL = 1e-10
-# delta strength at which tune_delta_well_for_ncr grows the separation
-_BASE_STRENGTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,7 @@ def reflect(f: np.ndarray) -> np.ndarray:
 def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
     """Lowest `count` bound eigenpairs of H on the grid.
 
-    Eigenvectors are trapezoid-normalized with the sign conventions
+    Eigenvectors are normalized in grids.inner, with the sign conventions
     psi0 > 0 (even) and psi1(x) > 0 for x > 0 (odd).
     """
     if count < 1 or count > 2:
@@ -279,7 +277,6 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
     # the pinned operator commutes with reflection, so its eigenvectors
     # are the parity parts of the returned subspace; reconstructing them
     # this way also survives the solver mixing a near-degenerate pair
-    w = grid.quad_weights()
 
     def part(v, sign):
         return 0.5 * (v + sign * reflect(v))
@@ -293,7 +290,7 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
                       max(odds, key=np.linalg.norm)]
     pairs = []
     for j, psi in enumerate(candidates):
-        nrm = np.sqrt(np.sum(w * psi * psi))
+        nrm = norm2(psi, grid)
         if nrm < 1e-3:
             raise ConvergenceFailure("eigenvector parity reconstruction failed")
         psi = psi / nrm
@@ -305,7 +302,7 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
             if right[np.argmax(np.abs(right))] < 0:
                 psi = -psi
         hpsi = h.apply(psi)
-        lam = float(np.sum(w * psi * hpsi))
+        lam = float(inner(psi, hpsi, grid))
         res = hpsi - lam * psi
         if np.linalg.norm(res) > 1e-8 * np.linalg.norm(psi):
             raise ConvergenceFailure("eigenresidual exceeds 1e-8")
@@ -319,16 +316,14 @@ def overlap_coefficients(psi0: EigenPair, psi1: EigenPair) -> np.ndarray:
     """Rank-4 overlap tensor a_ijkl with parity zeros enforced."""
     same_grid(psi0.grid, psi1.grid)
     grid = psi0.grid
-    w = grid.quad_weights()
     basis = (psi0.eigenfunction, psi1.eigenfunction)
     a = np.empty((2, 2, 2, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    a[i, j, k, l] = np.sum(
-                        w * basis[i] * basis[j] * basis[k] * basis[l]
-                    )
+                    a[i, j, k, l] = inner(basis[i] * basis[j],
+                                          basis[k] * basis[l], grid)
     for idx in np.ndindex(2, 2, 2, 2):
         if sum(idx) % 2:
             if abs(a[idx]) > _PARITY_TOL:
@@ -400,52 +395,6 @@ def tune_delta_strength_for_ncr(
         raise ConvergenceFailure("critical-power target not bracketed by s range")
     s_star = brentq(gap, lo, hi, rtol=1e-10, xtol=1e-13)
     return spectral_data(PotentialSpec("delta", float(s_star), sep), grid)
-
-
-def tune_delta_well_for_ncr(target_ncr: float, grid: Grid) -> SpectralData:
-    """Pick the separation (node-aligned) and fine-tune the strength near
-    s = 4 (_BASE_STRENGTH) so the measured general critical power equals
-    target_ncr.
-
-    Growing the separation at roughly fixed strength is the scaling route
-    of the exponentially small splitting: the well shape (and with it the
-    overlap tensor) stays put while n_cr shrinks.
-    """
-    dx = grid.dx
-    k_lo = max(2, int(round(0.5 / dx)))
-    k_hi = int(0.45 * grid.n_points / 2)
-    s0 = _BASE_STRENGTH
-
-    def ncr_at(k):
-        sep = 2.0 * k * dx
-        try:
-            return spectral_data(PotentialSpec("delta", s0, sep), grid).n_cr_fd
-        except (OddStateAbsent, DomainTooSmall):
-            return None
-
-    # n_cr decreases with separation; bisect the node count
-    lo, hi = k_lo, k_hi
-    v_lo = ncr_at(lo)
-    while v_lo is None and lo < hi:
-        lo += 1
-        v_lo = ncr_at(lo)
-    v_hi = ncr_at(hi)
-    while v_hi is None and hi > lo:
-        hi -= 1
-        v_hi = ncr_at(hi)
-    if v_lo is None or v_hi is None or not (v_hi <= target_ncr <= v_lo):
-        raise ConvergenceFailure(
-            "critical-power target outside the reachable separation range")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        v = ncr_at(mid)
-        if v is None or v < target_ncr:
-            hi = mid
-        else:
-            lo = mid
-    sep = 2.0 * lo * dx
-    return tune_delta_strength_for_ncr(target_ncr, sep, grid,
-                                       (0.7 * s0, 1.45 * s0))
 
 
 def eigenfunctions_to_csv(data: SpectralData) -> str:

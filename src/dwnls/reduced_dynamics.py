@@ -409,8 +409,10 @@ class Trajectory:
 def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,
                             on_step=None):
     """(times, states) of the implicit midpoint over t_span, recorded every
-    record_every steps and at the last.  on_step, if given, is called after
-    every step with the four coordinates of the step's converged midpoint."""
+    record_every steps and at the last, into arrays preallocated for the
+    1 + ceil(n_steps / record_every) records.  on_step, if given, is called
+    after every step with the four coordinates of the step's converged
+    midpoint."""
     # plain floats: a numpy scalar dt or t_span would make every
     # operation of the loop a numpy scalar operation
     t0, t1 = map(float, t_span)
@@ -421,8 +423,11 @@ def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,
     f = chart_field(chart, params)
     # the four packed coordinates as Python floats
     y_0, y_1, y_2, y_3 = map(float, y0)
-    times = [t0]
-    states = [(y_0, y_1, y_2, y_3)]
+    times = np.empty(1 + -(-n_steps // record_every))
+    states = np.empty((len(times), 4))
+    times[0] = t0
+    states[0] = y_0, y_1, y_2, y_3
+    r = 0
     t = t0
     for k in range(n_steps):
         # tolerance tracks the current state: winding phase coordinates
@@ -449,9 +454,10 @@ def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,
         y_0, y_1, y_2, y_3 = z_0, z_1, z_2, z_3
         t = t0 + (k + 1) * dt
         if (k + 1) % record_every == 0 or k == n_steps - 1:
-            times.append(t)
-            states.append((y_0, y_1, y_2, y_3))
-    return np.array(times), np.array(states)
+            r += 1
+            times[r] = t
+            states[r] = y_0, y_1, y_2, y_3
+    return times, states
 
 
 def integrate(state0, params: ReducedParams, t_span, dt,

@@ -55,7 +55,7 @@ from .errors import (
     ChartBreakdown,
     DwnlsError,
 )
-from .grids import Grid, same_grid
+from .grids import Grid, inner, same_grid
 from .io_utils import csv_text
 from .lapack import eigh_tridiagonal
 from .linear_spectrum import SpectralData, pinned_hamiltonian, potential_samples
@@ -122,11 +122,10 @@ class ProjectionResult:
 def project(u: FieldState, spectral: SpectralData) -> ProjectionResult:
     """Split u into c0 psi0 + c1 psi1 + R with R orthogonal to both modes."""
     same_grid(u.grid, spectral.grid)
-    w = u.grid.quad_weights()
     psi0 = spectral.psi0.eigenfunction
     psi1 = spectral.psi1.eigenfunction
-    c0 = complex(np.sum(w * psi0 * u.values))
-    c1 = complex(np.sum(w * psi1 * u.values))
+    c0 = complex(inner(psi0, u.values, u.grid))
+    c1 = complex(inner(psi1, u.values, u.grid))
     r = u.values - c0 * psi0 - c1 * psi1
     return ProjectionResult(c0=c0, c1=c1,
                             residual=FieldState(u.grid, r, u.time))
@@ -154,14 +153,13 @@ class _Basis:
     def __init__(self, spectral: SpectralData):
         p0 = spectral.psi0.eigenfunction
         p1 = spectral.psi1.eigenfunction
-        self.psi0, self.psi1 = p0, p1
-        self.w = spectral.grid.quad_weights()
+        self.psi0, self.psi1, self.grid = p0, p1, spectral.grid
         self.products = np.array([self.project_c(f) for f in
                                   (p0**3, p1**3, p0 * p1**2, p0**2 * p1)])
 
     def project_c(self, f: np.ndarray) -> np.ndarray:
-        f = f - np.sum(self.w * self.psi0 * f) * self.psi0
-        return f - np.sum(self.w * self.psi1 * f) * self.psi1
+        f = f - inner(self.psi0, f, self.grid) * self.psi0
+        return f - inner(self.psi1, f, self.grid) * self.psi1
 
 
 def source_coefficients(a_amp, alpha, beta):
@@ -401,7 +399,6 @@ def coupling_errors(a_amp: float, alpha: float, beta: float, r: FieldState,
     if a_amp <= 1e-8:
         raise ChartBreakdown("Error_theta divides by A")
     same_grid(r.grid, spectral.grid)
-    w = r.grid.quad_weights()
     p0 = spectral.psi0.eigenfunction
     p1 = spectral.psi1.eigenfunction
     rr = r.values
@@ -417,8 +414,8 @@ def coupling_errors(a_amp: float, alpha: float, beta: float, r: FieldState,
     cubic = np.abs(rr) ** 2 * rr
     f_r = -(lin_r + lin_rbar + quad + cubic)
 
-    g0 = complex(np.sum(w * p0 * f_r))
-    g1 = complex(np.sum(w * p1 * f_r))
+    g0 = complex(inner(p0, f_r, r.grid))
+    g1 = complex(inner(p1, f_r, r.grid))
     err_a = g0.imag
     err_alpha = g1.imag - beta / a_amp * g0.real
     err_beta = -g1.real - alpha / a_amp * g0.real
@@ -431,7 +428,7 @@ def strichartz_monitor(fields, grid: Grid):
     terms of sup_t H1 and of l4_in_time."""
     f = np.abs(fields)
     df = np.abs(np.gradient(fields, grid.dx, axis=1))
-    h1 = np.sqrt(np.sum(grid.quad_weights() * (f**2 + df**2), axis=1))
+    h1 = np.sqrt(grid.dx * np.sum(f**2 + df**2, axis=1))
     return h1, np.max(f, axis=1)
 
 

@@ -17,13 +17,14 @@ import time
 import numpy as np
 import pytest
 
-from dwnls.grids import Grid
+from dwnls.grids import Grid, norm2
 from dwnls import bifurcation as bf
 from dwnls import bound_states as bs
 from dwnls import linear_spectrum as ls
 from dwnls import pde
 from dwnls import reduced_dynamics as rd
 from dwnls import shadowing as sh
+from well_tuning import tune_delta_well_for_ncr
 
 
 _NUMBERS = {}
@@ -265,8 +266,7 @@ def test_criterion_07_pde_solver():
         f, _ = pde.evolve(pde.FieldState(g, u0), p, spec)
         mod_devs.append(float(np.max(np.abs(np.abs(f.values) - np.abs(u0)))))
         ref = np.exp(1j * ke * ke * 5.0) * u0
-        w = g.quad_weights()
-        errs.append(float(np.sqrt(np.sum(w * np.abs(f.values - ref) ** 2))))
+        errs.append(norm2(f.values - ref, g))
     ratio = errs[0] / errs[1]
     ok_c = 3.5 <= ratio <= 4.5 and max(mod_devs) < 1e-10
     ok = ok_a and ok_b and ok_c
@@ -334,7 +334,7 @@ def eta_ladder(shadow_grid):
     gamma = 0.8
     reports = []
     for tau, dt in ((0.05, 4e-3), (0.025, 3e-3), (0.0125, 2e-3)):
-        sd = ls.tune_delta_well_for_ncr(tau**gamma, shadow_grid)
+        sd = tune_delta_well_for_ncr(tau**gamma, shadow_grid)
         sp = sh.ShadowParams(tau=tau, gamma=gamma)
         orb = sh.OrbitSpec(side="below", amplitude_factor=0.3,
                            horizon_periods=3.0, dt_pde=dt)

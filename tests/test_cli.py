@@ -200,9 +200,9 @@ class TestEvolveCommand:
                   "--record-every", "250", "--out", str(out)])
         assert rc == 0
         rows = (out / "diagnostics.csv").read_text().strip().split("\n")
-        assert rows[-1] == ("0.5,0.9999998424679255,-0.17781145994406614,"
-                            "1.0450011778602539,0.3680240447558652,2.734375,"
-                            "1.5753214053034413e-07")
+        assert rows[-1] == ("0.5,0.99999984246792661,-0.17781145994406689,"
+                            "1.0450011778602002,0.36802404475586298,2.734375,"
+                            "1.5753214053053802e-07")
 
     @pytest.mark.parametrize("extra", [
         ["--cutoff", "30", "--filter-steps", "0"],
@@ -237,19 +237,19 @@ class TestGoldenBits:
                 "removed_energy", "tilde_r_removed_mass",
                 "tilde_r_removed_ratio")
         assert _json_lines(out / "shadow_report.json", keys) == {
-            "period": '"period": 60.515791329204227',
-            "sup_eta": '"sup_eta": 0.012295228184817791',
-            "annulus_ratio": '"annulus_ratio": 0.09835137777347791',
-            "w_sup_h1": '"w_sup_h1": 0.0032787983790389884',
-            "w_l4_linf": '"w_l4_linf": 0.00043459974969016198',
-            "tilde_r_sup": '"tilde_r_sup": 0.002499811966322386',
+            "period": '"period": 60.515791329203935',
+            "sup_eta": '"sup_eta": 0.012295228184853086',
+            "annulus_ratio": '"annulus_ratio": 0.098351377773841231',
+            "w_sup_h1": '"w_sup_h1": 0.003300452017649893',
+            "w_l4_linf": '"w_l4_linf": 0.00043459974969028845',
+            "tilde_r_sup": '"tilde_r_sup": 0.0024998119663224008',
             "energy_drift": '"energy_drift": 1.4961271110891516e-09',
-            "removed_mass": '"removed_mass": 6.640445836638035e-06',
-            "removed_energy": '"removed_energy": 3.8386416506885901e-05',
+            "removed_mass": '"removed_mass": 6.6404458366383806e-06',
+            "removed_energy": '"removed_energy": 3.8386416507107946e-05',
             "tilde_r_removed_mass":
-                '"tilde_r_removed_mass": 6.470229802889298e-06',
+                '"tilde_r_removed_mass": 6.4702298028894793e-06',
             "tilde_r_removed_ratio":
-                '"tilde_r_removed_ratio": 1.0263075715908463',
+                '"tilde_r_removed_ratio": 1.0263075715908709',
         }
 
     def test_groundstate_golden_bits(self, tmp_path):
@@ -260,8 +260,8 @@ class TestGoldenBits:
                   "--out", str(out)])
         assert rc == 0
         assert _json_lines(out / "threshold.json", ("n_star", "n_cr_fd")) == {
-            "n_star": '"n_star": 0.66802882407344022',
-            "n_cr_fd": '"n_cr_fd": 0.82995647678577766',
+            "n_star": '"n_star": 0.66802882407402375',
+            "n_cr_fd": '"n_cr_fd": 0.82995647678613471',
         }
 
 

@@ -14,6 +14,7 @@ from dwnls.errors import (
 from dwnls.grids import Grid, inner
 from dwnls.io_utils import dumps_17g
 from dwnls import linear_spectrum as ls
+from well_tuning import tune_delta_well_for_ncr
 
 
 def bisect_root(f, lo, hi, tol=1e-14, max_iter=200):
@@ -175,6 +176,20 @@ class TestEigenpairs:
         assert abs(inner(p1, p1, grid) - 1.0) < 1e-10
         assert abs(inner(p0, p1, grid)) < 1e-10
 
+    @pytest.mark.parametrize("x_max, n_points, n_cr", [
+        (16.0, 256, 0.8115), (16.0, 512, 0.8119), (20.0, 256, 0.8252)])
+    def test_gaussian_well_on_small_grids(self, x_max, n_points, n_cr):
+        # the modes' tails reach the domain edge here, so a quadrature that
+        # weights node n - 1 apart from its mirror node 1 breaks their
+        # orthogonality; in the dx-sum they are exact eigenvectors of the
+        # symmetric pinned H, orthogonal to rounding
+        grid = Grid.symmetric(x_max, n_points)
+        sd = ls.spectral_data(ls.PotentialSpec("gauss", 1.0, 3.0), grid)
+        p0, p1 = sd.psi0.eigenfunction, sd.psi1.eigenfunction
+        assert abs(inner(p0, p1, grid)) < 1e-14
+        assert abs(p0[-1]) > 1e-5
+        assert sd.n_cr_fd == pytest.approx(n_cr, abs=5e-5)
+
     def test_gaussian_bimodal(self, gauss_sigma1_L3):
         p0 = gauss_sigma1_L3.psi0.eigenfunction
         d = np.diff(p0)
@@ -307,7 +322,7 @@ class TestWellTuning:
         assert shadow_well.n_cr_fd == pytest.approx(0.1, rel=1e-8)
 
     def test_separation_tuning_hits_target(self, shadow_grid):
-        sd = ls.tune_delta_well_for_ncr(0.05, shadow_grid)
+        sd = tune_delta_well_for_ncr(0.05, shadow_grid)
         assert sd.n_cr_fd == pytest.approx(0.05, rel=1e-8)
         # strength stays near the base value; separation does the scaling
         assert 0.7 * 4.0 <= sd.spec.strength <= 1.45 * 4.0

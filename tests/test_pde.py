@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from scipy.linalg.lapack import zgtsv
 
 from dwnls.errors import NonlinearIterationDiverged
-from dwnls.grids import Grid
+from dwnls.grids import Grid, norm2
 from dwnls import linear_spectrum as ls
 from dwnls import pde
 
@@ -285,8 +285,7 @@ class TestCrankNicolson:
                                       nonlinear=False, record_every=10**9)
             final, _ = pde.evolve(pde.FieldState(grid, u0), params, spec)
             ref = np.exp(1j * ke * ke * 5.0) * u0
-            w = grid.quad_weights()
-            errs.append(np.sqrt(np.sum(w * np.abs(final.values - ref) ** 2)))
+            errs.append(norm2(final.values - ref, grid))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
     def test_parity_preservation(self, delta_s1_L10):
@@ -513,11 +512,10 @@ class TestHamiltonian:
         # O(dt^2), so halving dt divides the drift by ~4
         x = sech_grid.x
         u0 = (np.sqrt(2.0) / np.cosh(x) * np.exp(0.3j * x)).astype(complex)
-        w = sech_grid.quad_weights()
-
         def conserved(u):
             du = np.gradient(u, sech_grid.dx)
-            return float(np.sum(w * (np.abs(du) ** 2 - 0.5 * np.abs(u) ** 4)))
+            return sech_grid.dx * float(np.sum(np.abs(du) ** 2
+                                               - 0.5 * np.abs(u) ** 4))
 
         drifts = []
         for dt in (2e-3, 1e-3):

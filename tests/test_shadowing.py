@@ -15,13 +15,14 @@ from dwnls.errors import (
     NonlinearIterationDiverged,
 )
 from dwnls.io_utils import dumps_17g
-from dwnls.grids import Grid, norm2
+from dwnls.grids import Grid, inner, norm2
 from dwnls import linear_spectrum as ls
 from dwnls import pde
 from dwnls import reduced_dynamics as rd
 from dwnls import shadowing as sh
 from rk45 import rk45_integrate
 from tilde_r_full import FullTildeREvolver, full_tilde_r_evolve
+from well_tuning import tune_delta_well_for_ncr
 
 
 class TestProjection:
@@ -32,9 +33,9 @@ class TestProjection:
         assert pr.c0 == pytest.approx(2.0, abs=1e-12)
         assert pr.c1 == pytest.approx(0.0, abs=1e-12)
         assert norm2(pr.residual.values, sd.grid) < 1e-12
-        w, r = sd.grid.quad_weights(), pr.residual.values
-        assert abs(np.sum(w * sd.psi0.eigenfunction * r)) \
-            + abs(np.sum(w * sd.psi1.eigenfunction * r)) < 1e-12
+        r = pr.residual.values
+        assert abs(inner(sd.psi0.eigenfunction, r, sd.grid)) \
+            + abs(inner(sd.psi1.eigenfunction, r, sd.grid)) < 1e-12
 
     def test_orthogonal_decomposition(self, shadow_well):
         sd = shadow_well
@@ -48,19 +49,38 @@ class TestProjection:
         assert pr.c1 == pytest.approx(1j, abs=1e-10)
         assert np.max(np.abs(pr.residual.values - rho)) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-6, 1e6),
+           width=st.floats(0.5, 20.0))
+    def test_residual_orthogonal_to_modes(self, gauss_edge, seed, scale,
+                                          width):
+        # a random field, both projections: its continuous-spectrum part is
+        # orthogonal to psi0 and psi1 in grids.inner to rounding, on a well
+        # whose modes have weight at the domain edge
+        sd = gauss_edge
+        rng = np.random.default_rng(seed)
+        n = sd.grid.n_points
+        f = scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) \
+            * np.exp(-(sd.grid.x / width) ** 2)
+        size = norm2(f, sd.grid)
+        for r in (sh._Basis(sd).project_c(f),
+                  sh.project(pde.FieldState(sd.grid, f), sd).residual.values):
+            for psi in (sd.psi0.eigenfunction, sd.psi1.eigenfunction):
+                assert abs(inner(psi, r, sd.grid)) <= 1e-15 * size
+
     def test_parseval_split(self, shadow_well):
         sd = shadow_well
         rng = np.random.default_rng(1)
-        w = sd.grid.quad_weights()
         for _ in range(5):
             u = (rng.normal(size=sd.grid.n_points)
                  + 1j * rng.normal(size=sd.grid.n_points))
             u *= np.exp(-sd.grid.x**2 / 50.0)
             st = pde.FieldState(sd.grid, u)
             pr = sh.project(st, sd)
-            total = float(np.sum(w * np.abs(u) ** 2))
+            total = norm2(u, sd.grid) ** 2
             split = (abs(pr.c0) ** 2 + abs(pr.c1) ** 2
-                     + float(np.sum(w * np.abs(pr.residual.values) ** 2)))
+                     + norm2(pr.residual.values, sd.grid) ** 2)
             assert abs(total - split) < 1e-10
 
 
@@ -132,13 +152,12 @@ class TestModeSource:
     def test_projection_orthogonality(self, shadow_well):
         sd = shadow_well
         basis = sh._Basis(sd)
-        w = sd.grid.quad_weights()
         rng = np.random.default_rng(3)
         for _ in range(10):
             a_amp, al, be = rng.normal(size=3) * 0.3
             src = sh.mode_source(abs(a_amp), al, be, basis)
-            assert abs(np.sum(w * sd.psi0.eigenfunction * src)) < 1e-10
-            assert abs(np.sum(w * sd.psi1.eigenfunction * src)) < 1e-10
+            assert abs(inner(sd.psi0.eigenfunction, src, sd.grid)) < 1e-10
+            assert abs(inner(sd.psi1.eigenfunction, src, sd.grid)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(a_amp=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),
@@ -189,11 +208,12 @@ class TestTildeR:
         fields = sh._TildeREvolver(sd, 4e-3, orbit, 15000).at_steps(
             _record_steps(15000))
         assert 0 < np.max(np.abs(fields[-1])) < 1e-2
-        w = sd.grid.quad_weights()
         for f in fields[1::5]:
             size = norm2(f, sd.grid)
-            assert abs(np.sum(w * sd.psi0.eigenfunction * f)) <= 1e-10 * size
-            assert abs(np.sum(w * sd.psi1.eigenfunction * f)) <= 1e-10 * size
+            assert abs(inner(sd.psi0.eigenfunction, f, sd.grid)) \
+                <= 1e-10 * size
+            assert abs(inner(sd.psi1.eigenfunction, f, sd.grid)) \
+                <= 1e-10 * size
         assert all(f[0] == 0.0 for f in fields)    # the pinned node
 
     def test_step_is_exact_exponential(self):
@@ -440,6 +460,14 @@ def gauss_256():
 
 
 @pytest.fixture(scope="module")
+def gauss_edge():
+    """The Gaussian sigma = 1, L = 3 well on Grid.symmetric(16, 256): its
+    modes keep 1e-3 of their peak at the domain edge."""
+    return ls.spectral_data(ls.PotentialSpec("gauss", 1.0, 3.0),
+                            Grid.symmetric(16.0, 256))
+
+
+@pytest.fixture(scope="module")
 def small_tilde_r():
     grid = Grid.symmetric(16.0, 256)
     sd = ls.spectral_data(ls.PotentialSpec("delta", 4.0, 2.5), grid)
@@ -509,7 +537,7 @@ class TestTildeRLadder:
         taus = (0.05, 0.025, 0.0125)
         sups = []
         for tau in taus:
-            sd = ls.tune_delta_well_for_ncr(tau**gamma, shadow_grid)
+            sd = tune_delta_well_for_ncr(tau**gamma, shadow_grid)
             params = rd.ReducedParams.from_spectral(sd)
             n_level = tau**gamma + tau
             al_eq = sh.equilibrium_alpha(params, n_level)
@@ -579,10 +607,9 @@ class TestStrichartzMonitor:
         l4 = sh.l4_in_time(times, sup)
         assert l4 == pytest.approx(float(np.max(np.abs(f)))
                                    * horizon**0.25, rel=1e-12)
-        w = shadow_grid.quad_weights()
         df = np.gradient(f, shadow_grid.dx)
-        expected = np.sqrt(float(np.sum(w * (np.abs(f) ** 2
-                                             + np.abs(df) ** 2))))
+        expected = np.sqrt(shadow_grid.dx * float(np.sum(np.abs(f) ** 2
+                                                         + np.abs(df) ** 2)))
         assert np.max(h1) == pytest.approx(expected, rel=1e-12)
         assert h1 == pytest.approx(np.full(len(times), expected), rel=1e-12)
 
@@ -628,6 +655,23 @@ class TestAnnulusGeometry:
                                0.055 * np.sin(phi[::5])])
         ratio = sh.annulus_width_ratio(curve, pts)
         assert ratio == pytest.approx(0.1, rel=1e-6)
+
+    def test_not_star_shaped_falls_back_to_distance(self):
+        # a three-quarter arc seen from its centroid leaves an angular gap
+        # over 0.5 rad, so the ratio is twice the largest point-to-curve
+        # distance over the mean radius
+        phi = np.linspace(0.0, 1.5 * np.pi, 300)
+        curve = np.column_stack([0.05 * np.cos(phi), 0.05 * np.sin(phi)])
+        rel = curve - curve.mean(axis=0)
+        polar = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
+        assert np.max(np.diff(polar)) > 0.5
+        rng = np.random.default_rng(4)
+        pts = curve[::6] + 0.004 * rng.normal(size=(50, 2))
+        dists = np.hypot(pts[:, None, 0] - curve[None, :, 0],
+                         pts[:, None, 1] - curve[None, :, 1]).min(axis=1)
+        expected = 2.0 * dists.max() / np.hypot(rel[:, 0], rel[:, 1]).mean()
+        assert sh.annulus_width_ratio(curve, pts) == pytest.approx(
+            expected, rel=1e-12)
 
 
 class TestSignChanges:
@@ -780,7 +824,7 @@ class TestStreamedMonitors:
     def test_memory_flat_in_the_horizon(self, golden_well):
         # storing every sample's residual and R~ and n_steps-long source
         # tables grows the peak about 1.04 MB a period here; streamed, it
-        # grows about 0.2 MB a period, with the reference orbit's span
+        # grows about 0.09 MB a period, the reference orbit's arrays
         sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
         peaks = []
         for periods in (1.0, 3.0):
@@ -794,6 +838,41 @@ class TestStreamedMonitors:
                 tracemalloc.stop()
         per_period = (peaks[1] - peaks[0]) / 2.0
         print(f"traced peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB")
+        assert per_period <= 0.4e6
+
+    def test_reference_memory_per_period(self, golden_well, monkeypatch):
+        # the reference orbit is recorded at each of its 2,000 steps a
+        # period: as arrays it grows about 0.27 MB a period here, as a
+        # list of 4-tuples 0.52 MB
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(*args):
+            seen["args"] = args
+            raise Captured
+
+        monkeypatch.setattr(sh, "reduced_reference", capture)
+        orb = sh.OrbitSpec(side="above", amplitude_factor=0.7,
+                           horizon_periods=1.0, dt_pde=1.6e-2)
+        with pytest.raises(Captured):
+            sh.run_shadow_experiment(sh.ShadowParams(tau=0.05, n_cr=0.1),
+                                     golden_well, orb)
+        monkeypatch.undo()
+        state0, params, span, dt_red = seen["args"]
+        period = span - 2.0 * dt_red
+        peaks = []
+        for periods in (1, 4):
+            tracemalloc.start()
+            try:
+                sh.reduced_reference(state0, params,
+                                     periods * period + 2.0 * dt_red, dt_red)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_period = (peaks[1] - peaks[0]) / 3.0
+        print(f"traced peaks {peaks[0] / 1e6:.3f}, {peaks[1] / 1e6:.3f} MB")
         assert per_period <= 0.4e6
 
 
@@ -843,13 +922,12 @@ def _run_with_offline_monitors(sd, orb, monkeypatch):
 def _offline_strichartz(times, fields, grid):
     """(sup_t H1 norm, L4-in-time of sup_x |w|) of a sampled field series,
     one field at a time."""
-    w = grid.quad_weights()
     h1 = np.empty(len(fields))
     sup = np.empty(len(fields))
     for i, f in enumerate(fields):
         df = np.gradient(f, grid.dx)
-        h1[i] = math.sqrt(float(np.sum(w * (np.abs(f) ** 2
-                                            + np.abs(df) ** 2))))
+        h1[i] = math.sqrt(grid.dx * float(np.sum(np.abs(f) ** 2
+                                                 + np.abs(df) ** 2)))
         sup[i] = float(np.max(np.abs(f)))
     l4 = float(np.trapezoid(sup**4, times)) ** 0.25
     return float(np.max(h1)), l4
@@ -922,7 +1000,7 @@ class TestReferencePeriod:
         # phase is under-resolved at the reduced step and its period comes
         # out 4.6% long
         tau = 0.0125
-        sd = ls.tune_delta_well_for_ncr(tau**0.8, shadow_grid)
+        sd = tune_delta_well_for_ncr(tau**0.8, shadow_grid)
         sp = sh.ShadowParams(tau=tau, gamma=0.8)
         orb = sh.OrbitSpec(side="below", horizon_periods=0.05, dt_pde=4e-3)
         rep = sh.run_shadow_experiment(sp, sd, orb)
