@@ -12,7 +12,8 @@ starts from the last, and the asymmetric family gets an odd kick so it
 can leave the symmetric state once it may.  The labels place the
 pitchfork only to within a grid step, so the threshold is the Omega where
 the odd eigenvalue of L+ about the symmetric state crosses zero (Kirr,
-Kevrekidis, Shlizerman and Weinstein, SIAM J. Math. Anal. 40, 2008).
+Kevrekidis, Shlizerman and Weinstein, SIAM J. Math. Anal. 40, 2008): the
+lowest eigenvalue of L+'s odd block (PinnedHamiltonian.blocks).
 """
 
 from __future__ import annotations
@@ -266,16 +267,16 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     The first asymmetric-labelled point of the asymmetric-seeded family
     and the next omega above it bracket the crossing; without the
     potential, grid and seeds, n at that point is returned.  With them,
-    omega* is the root of L+'s odd eigenvalue on the symmetric branch (the
-    second-lowest; the lowest is even and negative): the bracket steps
-    along the curve's omega grid until that eigenvalue changes sign, and
-    brentq closes it to 1e-12 relative in omega.  Each symmetric
-    state is a Newton solve with even projection, warm-started from the
-    previous one, the first from the even part of seeds['symmetric'] (or
-    seeds['asymmetric']).  Returns the Threshold, with n of the symmetric
-    state at omega*.  Raises NoBifurcationFound when the
-    curve shows no asymmetric point or the eigenvalue keeps its sign over
-    the grid.
+    omega* is the root of L+'s odd eigenvalue on the symmetric branch,
+    the lowest eigenvalue of its odd block (the state is even, so L+
+    splits like H): the bracket steps along the curve's omega grid until
+    that eigenvalue changes sign, and brentq closes it to 1e-12 relative
+    in omega.  Each symmetric state is a Newton solve with even
+    projection, warm-started from the previous one, the first from the
+    even part of seeds['symmetric'] (or seeds['asymmetric']).  Returns
+    the Threshold, with n of the symmetric state at omega*.  Raises
+    NoBifurcationFound when the curve shows no asymmetric point or the
+    eigenvalue keeps its sign over the grid.
     """
     sym_pts = [i for i, b in enumerate(curve.branch) if b == SYMMETRIC]
     asym_pts = [i for i, b in enumerate(curve.branch) if b != SYMMETRIC]
@@ -313,8 +314,8 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
             profile = st.profile
             # L+ = H - omega - 3 psi^2, the linearization about st
             lp = h.shifted(st.omega).shifted(3.0 * st.profile[1:] ** 2)
-            lam = eigh_tridiagonal(lp.diag, lp.off, eigvals_only=True,
-                                   select_range=(0, 1))[1]
+            lam = eigh_tridiagonal(*lp.blocks()[1], eigvals_only=True,
+                                   select_range=(0, 0))[0]
             solved[om] = (st, float(lam))
         return solved[om][1]
 

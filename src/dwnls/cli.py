@@ -170,14 +170,15 @@ def cmd_groundstate(opts) -> int:
     curve = bst.continue_in_omega(potential, grid, data.omega0 - 0.25 * step,
                                   data.omega0 - count * step, step, seeds)
     (out / "soliton_curve.csv").write_text(curve.to_csv(), encoding="utf-8")
-    threshold = bst.Threshold(n_star=None)
+    threshold, error = bst.Threshold(n_star=None), None
     try:
         threshold = bst.detect_threshold(curve, potential, grid, seeds)
-    except DwnlsError:
-        pass
+    except DwnlsError as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
     write_json(out / "threshold.json", {
         "n_star": threshold.n_star, "omega_star": threshold.omega_star,
-        "odd_eigenvalue": threshold.odd_eigenvalue, "n_cr_fd": data.n_cr_fd,
+        "odd_eigenvalue": threshold.odd_eigenvalue, "threshold_error": error,
+        "n_cr_fd": data.n_cr_fd,
         "omega0": data.omega0, "omega1": data.omega1,
         "newton_iterations_total": int(curve.iterations.sum()),
         "newton_iterations_max": int(curve.iterations.max()),

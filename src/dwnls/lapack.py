@@ -83,6 +83,9 @@ def eigh_tridiagonal(d, e, eigvals_only=False, select_range=None):
     dstebz and dstein (select="i")."""
     lib = _lib or _flapack()
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if len(d) == 1:                  # scipy's quick exit (the f2py e is empty)
+        w, v = np.array([d[0]]), np.array([[1.0]])
+        return w if eigvals_only else (w, v)
     if select_range is None:                      # dstemr takes e of length n
         args = (d, np.append(e, 0.0), 0, 0.0, 1.0, 1, 1, not eigvals_only)
         lwork, liwork, info = lib.dstemr_lwork(*args)

@@ -16,8 +16,11 @@ with energies Omega_j = -kappa_j^2; the odd state exists iff s L > 2.
 
 The grid eigensolver discretises H = -d^2/dx^2 + V with second-order
 centered differences (delta wells enter as -s/dx at their nodes, the
-consistent weak form) and extracts the two lowest eigenpairs.  Sign
-conventions: psi0 even and positive, psi1 odd and positive for x > 0.
+consistent weak form).  H commutes with x -> -x exactly, so it splits into
+an even and an odd tridiagonal block over the half grid
+(PinnedHamiltonian.blocks): psi0 is the lowest eigenpair of the even
+block and psi1 that of the odd one, even and odd by construction.  Sign
+conventions: psi0 positive, psi1 positive for x > 0.
 
 Overlap coefficients a_ijkl = integral psi_i psi_j psi_k psi_l dx vanish
 for odd i+j+k+l (parity); the critical power of the two-mode reduction of
@@ -30,6 +33,7 @@ the focusing cubic term -|u|^2 u is
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +52,6 @@ from .roots import RTOL_MIN, brentq
 
 _ROOT_TOL = 1e-14
 _ORTHO_TOL = 1e-10
-_PARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -235,6 +238,42 @@ class PinnedHamiltonian:
                         + abs(u[0]) ** 2 + abs(u[-1]) ** 2) / self.dx
         return kinetic + self.dx * float(np.sum(self.v * np.abs(u) ** 2))
 
+    def blocks(self):
+        """((diag, off) of the even block, (diag, off) of the odd block).
+
+        The free nodes are reflection-symmetric about the centre free node
+        c = n/2 - 1 (x = 0), so on a symmetric V the eigenvectors of H are
+        even or odd, and their values on the half grid 0..c of free nodes
+        are eigenvectors of two tridiagonal blocks: the even block is H on
+        nodes 0..c with the coupling to c scaled by sqrt(2), the odd block
+        H on nodes 0..c-1.  Together their spectra are that of H."""
+        c = len(self.diag) // 2
+        off_even = self.off[:c].copy()
+        off_even[-1] *= math.sqrt(2.0)
+        return (self.diag[:c + 1], off_even), (self.diag[:c], self.off[:c - 1])
+
+    def block_eigenpairs(self, select_range=None):
+        """((eigenvalues, vectors) of the even block, the same of the odd
+        block), all pairs or the select_range ones (eigh_tridiagonal),
+        each vector scaled to the half-grid values of the unit eigenvector
+        of H that it unfolds to (unfold)."""
+        (d_even, e_even), (d_odd, e_odd) = self.blocks()
+        lam_e, ve = eigh_tridiagonal(d_even, e_even, select_range=select_range)
+        lam_o, vo = eigh_tridiagonal(d_odd, e_odd, select_range=select_range)
+        ve[:-1] *= math.sqrt(0.5)
+        vo *= math.sqrt(0.5)
+        return (lam_e, ve), (lam_o, vo)
+
+
+def unfold(even: np.ndarray, odd) -> np.ndarray:
+    """Values on the free nodes 1..n-1 (last axis) from the half-grid values
+    of an even part (free nodes 0..c) and an odd part (0..c-1, or a scalar
+    0): even + odd on the half grid, the even part alone at the centre c,
+    even - odd on the mirror half."""
+    half = even[..., :-1]
+    return np.concatenate((half + odd, even[..., -1:], (half - odd)[..., ::-1]),
+                          axis=-1)
+
 
 def pinned_hamiltonian(spec: PotentialSpec, grid: Grid) -> PinnedHamiltonian:
     """The pinned H of the well `spec` on `grid`."""
@@ -249,88 +288,54 @@ def reflect(f: np.ndarray) -> np.ndarray:
     return g
 
 
-def compute_eigenpairs(spec: PotentialSpec, grid: Grid, count: int = 2):
-    """Lowest `count` bound eigenpairs of H on the grid.
+def compute_eigenpairs(spec: PotentialSpec, grid: Grid):
+    """psi0 and psi1: the lowest eigenpair of the even block of H and of
+    the odd block (PinnedHamiltonian.blocks), unfolded onto the grid.
 
     Eigenvectors are normalized in grids.inner, with the sign conventions
-    psi0 > 0 (even) and psi1(x) > 0 for x > 0 (odd).
+    psi0 > 0 (even) and psi1(x) > 0 for x > 0 (odd); each eigenvalue is
+    its vector's Rayleigh quotient.
     """
-    if count < 1 or count > 2:
-        raise ValueError("count must be 1 or 2")
     if spec.kind == "delta":
         # transcendental pre-check gives the sharp existence condition
-        if count == 2:
-            solve_double_delta_levels(spec.strength, spec.separation)
+        solve_double_delta_levels(spec.strength, spec.separation)
     h = pinned_hamiltonian(spec, grid)
-    # eigensolve on the free nodes, a reflection-symmetric set; embed
-    # with psi[0] = 0
-    vals, vecs_in = eigh_tridiagonal(h.diag, h.off,
-                                     select_range=(0, count - 1))
-    vecs = np.zeros((grid.n_points, count))
-    vecs[1:, :] = vecs_in
+    (lam_e, ve), (lam_o, vo) = h.block_eigenpairs(select_range=(0, 0))
     # box modes of the finite domain start near (pi / x_max)^2 > 0
     box_floor = -0.5 * (np.pi / grid.x_max) ** 2
-    if np.any(vals >= box_floor):
+    if lam_e[0] >= box_floor or lam_o[0] >= box_floor:
         raise OddStateAbsent(
-            f"fewer than {count} bound states (levels {vals})")
-
-    # the pinned operator commutes with reflection, so its eigenvectors
-    # are the parity parts of the returned subspace; reconstructing them
-    # this way also survives the solver mixing a near-degenerate pair
-
-    def part(v, sign):
-        return 0.5 * (v + sign * reflect(v))
-
-    if count == 1:
-        candidates = [part(vecs[:, 0], +1)]
-    else:
-        evens = [part(vecs[:, j], +1) for j in range(2)]
-        odds = [part(vecs[:, j], -1) for j in range(2)]
-        candidates = [max(evens, key=np.linalg.norm),
-                      max(odds, key=np.linalg.norm)]
+            f"fewer than 2 bound states (levels {lam_e[0]}, {lam_o[0]})")
     pairs = []
-    for j, psi in enumerate(candidates):
-        nrm = norm2(psi, grid)
-        if nrm < 1e-3:
-            raise ConvergenceFailure("eigenvector parity reconstruction failed")
-        psi = psi / nrm
-        if j == 0:
-            if psi[grid.n_points // 2] < 0:
-                psi = -psi
-        else:
-            right = psi[grid.n_points // 2 + 1 :]
-            if right[np.argmax(np.abs(right))] < 0:
-                psi = -psi
+    for free in (unfold(ve[:, 0], 0.0), unfold(np.zeros(len(ve)), vo[:, 0])):
+        psi = np.zeros(grid.n_points)
+        psi[1:] = free / norm2(free, grid)
+        right = psi[grid.n_points // 2:]          # x >= 0
+        if right[np.argmax(np.abs(right))] < 0:
+            psi = -psi
         hpsi = h.apply(psi)
         lam = float(inner(psi, hpsi, grid))
         res = hpsi - lam * psi
         if np.linalg.norm(res) > 1e-8 * np.linalg.norm(psi):
             raise ConvergenceFailure("eigenresidual exceeds 1e-8")
         pairs.append(EigenPair(lam, psi, grid))
-    if count == 2 and not pairs[0].eigenvalue < pairs[1].eigenvalue < 0:
+    if not pairs[0].eigenvalue < pairs[1].eigenvalue < 0:
         raise ConvergenceFailure("eigenvalue ordering Omega0 < Omega1 < 0 failed")
     return pairs
 
 
 def overlap_coefficients(psi0: EigenPair, psi1: EigenPair) -> np.ndarray:
-    """Rank-4 overlap tensor a_ijkl with parity zeros enforced."""
+    """Rank-4 overlap tensor a_ijkl of an even psi0 and an odd psi1, as
+    compute_eigenpairs makes them: the entries with i + j + k + l odd are
+    integrals of odd functions, zero."""
     same_grid(psi0.grid, psi1.grid)
     grid = psi0.grid
     basis = (psi0.eigenfunction, psi1.eigenfunction)
-    a = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    a[i, j, k, l] = inner(basis[i] * basis[j],
-                                          basis[k] * basis[l], grid)
-    for idx in np.ndindex(2, 2, 2, 2):
-        if sum(idx) % 2:
-            if abs(a[idx]) > _PARITY_TOL:
-                raise ConvergenceFailure(
-                    f"parity-forbidden overlap a{idx} = {a[idx]:.3e}"
-                )
-            a[idx] = 0.0
+    a = np.zeros((2, 2, 2, 2))
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        if (i + j + k + l) % 2 == 0:
+            a[i, j, k, l] = inner(basis[i] * basis[j],
+                                  basis[k] * basis[l], grid)
     return a
 
 
@@ -355,7 +360,7 @@ def critical_power(omega0: float, omega1: float, a: np.ndarray) -> float:
 
 def spectral_data(spec: PotentialSpec, grid: Grid) -> SpectralData:
     """Full spectral bundle for the two-mode reduction of this well."""
-    psi0, psi1 = compute_eigenpairs(spec, grid, count=2)
+    psi0, psi1 = compute_eigenpairs(spec, grid)
     if abs(inner(psi0.eigenfunction, psi1.eigenfunction, grid)) > _ORTHO_TOL:
         raise ConvergenceFailure("eigenfunctions not orthogonal")
     a = overlap_coefficients(psi0, psi1)

@@ -33,11 +33,11 @@ Pipeline per run:
    is exactly zero at the pinned node), m(t) as a global phase and the
    source held at each step's midpoint.  Node 0 is pinned, so the free
    nodes are reflection-symmetric about x = 0 and the eigenbasis is
-   exactly that of two half-size blocks, even and odd; psi0 and psi1
-   are the lowest pair of each.  It does not depend on the PDE, so it
-   advances alongside the march in closed form from sample to sample,
-   the filter's cuts on the way, and w is formed SAMPLE_CHUNK samples
-   at a time and kept only as its norms;
+   exactly that of two half-size blocks, even and odd
+   (PinnedHamiltonian.blocks), whose lowest pairs are psi0 and psi1.  It
+   does not depend on the PDE, so it advances alongside the march in
+   closed form from sample to sample, the filter's cuts on the way, and
+   w is formed SAMPLE_CHUNK samples at a time and kept only as its norms;
 5. report sup|eta|, the annulus verdict around the reference orbit, the
    center-of-mass well count, and invariant drifts.
 """
@@ -57,8 +57,8 @@ from .errors import (
 )
 from .grids import Grid, inner, same_grid
 from .io_utils import csv_text
-from .lapack import eigh_tridiagonal
-from .linear_spectrum import SpectralData, pinned_hamiltonian, potential_samples
+from .linear_spectrum import (SpectralData, pinned_hamiltonian,
+                              potential_samples, unfold)
 from .pde import (
     CrankNicolsonStepper,
     FieldState,
@@ -221,14 +221,13 @@ class _TildeREvolver:
     in the eigenbasis of the pinned finite-difference H.  Node 0 is
     pinned, so the free nodes 1..n-1 are reflection-symmetric about the
     centre free node c = n/2 - 1 (x = 0), and H on them commutes with
-    x -> -x exactly: its eigenvectors are even or odd, the eigenvectors
-    of two tridiagonal blocks over the half grid 0..c of free nodes.  The
-    even block is H on nodes 0..c with the coupling to c scaled by
-    sqrt(2), the odd block H on nodes 0..c-1.  Ve and Vo hold the values
-    of those eigenvectors (eigh_tridiagonal, MRRR driver) on the half
-    grid, except the lowest of each block, which are psi0 and psi1; an
-    even vector takes the same values at the mirror nodes, an odd one
-    their negatives.  S holds the even modes first, the odd ones after;
+    x -> -x exactly: its eigenvectors are even or odd, those of the even
+    and odd blocks over the half grid 0..c of free nodes
+    (PinnedHamiltonian.block_eigenpairs, all pairs by the MRRR driver).
+    Ve and Vo hold their half-grid values, except the lowest of each
+    block, which are psi0 and psi1; an even vector takes the same values
+    at the mirror nodes, an odd one their negatives (unfold).  S holds
+    the even modes first, the odd ones after;
     the field is R~ = e^{-i theta(t)} V S with theta = int m, so it lies
     in the continuous spectrum by construction and node 0 stays exactly
     zero.  With mu = lambda - Omega0 and the source held at the step
@@ -244,24 +243,18 @@ class _TildeREvolver:
     with the tail filter's cuts on the way (it cuts R~ as pde.march cuts
     the PDE field, so that outgoing radiation does not re-enter); c_k and
     theta come SOURCE_WINDOW steps at a time (_load).  Only G, to_grid
-    and cut fold or unfold across
-    x = 0: to_grid costs two products (one per block) per few samples,
-    cut two per block with the rows outside the filter.  Ve and Vo cost
-    about 4 n^2 bytes: 4.2 MB at 1,024 points, 67 MB at 4,096.
+    and cut fold or unfold across x = 0: to_grid costs two products (one
+    per block) per few samples, cut two per block with the rows outside
+    the filter.  Ve and Vo cost about 4 n^2 bytes: 4.2 MB at 1,024
+    points, 67 MB at 4,096.
     """
 
     def __init__(self, spectral: SpectralData, dt: float,
                  orbit: _ReferenceOrbit, n_steps: int):
         self.grid = spectral.grid
-        h = pinned_hamiltonian(spectral.spec, self.grid)
+        (lam_e, ve), (lam_o, vo) = pinned_hamiltonian(
+            spectral.spec, self.grid).block_eigenpairs()
         c = self.centre = self.grid.n_points // 2 - 1
-        off_even = h.off[:c].copy()
-        off_even[-1] *= math.sqrt(2.0)
-        lam_e, ve = eigh_tridiagonal(h.diag[:c + 1], off_even)
-        lam_o, vo = eigh_tridiagonal(h.diag[:c], h.off[:c - 1])
-        # block eigenvectors to the half-grid values of the whole ones
-        ve[:c] *= math.sqrt(0.5)
-        vo *= math.sqrt(0.5)
         self.ve, self.vo = ve[:, 1:], vo[:, 1:]
         mu = np.concatenate((lam_e[1:], lam_o[1:])) - spectral.omega0
         self.e = np.exp(-1j * dt * mu)
@@ -343,20 +336,16 @@ class _TildeREvolver:
     def to_grid(self, ss: np.ndarray, theta) -> np.ndarray:
         """R~ on the grid (one row each) from the rows of ss, the S of steps
         with the given theta: real products with Ve and Vo, SAMPLE_CHUNK
-        samples at a time, unfolded to the half grid (even + odd), the
-        centre (even alone) and the mirror half (even - odd)."""
-        c, n_even = self.centre, self.ve.shape[1]
+        samples at a time, unfolded onto the free nodes."""
+        n_even = self.ve.shape[1]
         phase = np.exp(-1j * np.asarray(theta))
         out = np.zeros((len(ss), self.grid.n_points), complex)
         for i in range(0, len(ss), SAMPLE_CHUNK):
             z = ss[i:i + SAMPLE_CHUNK]
             n = len(z)
             parts = np.concatenate((z.real, z.imag))
-            even = parts[:, :n_even] @ self.ve.T
-            odd = parts[:, n_even:] @ self.vo.T
-            half = even[:, :c]
-            free = np.concatenate((half + odd, even[:, c:],
-                                   (half - odd)[:, ::-1]), axis=1)
+            free = unfold(parts[:, :n_even] @ self.ve.T,
+                          parts[:, n_even:] @ self.vo.T)
             out[i:i + n, 1:] = ((free[:n] + 1j * free[n:])
                                 * phase[i:i + n, None])
         return out

@@ -9,7 +9,7 @@ from dwnls.errors import (
     IterationDiverged,
     NoBifurcationFound,
 )
-from dwnls.grids import Grid
+from dwnls.grids import Grid, norm2
 from dwnls import bound_states as bs
 from dwnls import linear_spectrum as ls
 
@@ -273,15 +273,19 @@ class TestThreshold:
 
     def test_no_bifurcation_single_well(self, grid40):
         # sL <= 2: no odd state, no second mode, no pitchfork; seeds are
-        # built by hand since the linear problem has one bound state only
+        # built by hand from psi0, the lowest pair of the even block, since
+        # the linear problem has one bound state only
         spec = ls.PotentialSpec("delta", 1.0, 1.5)
-        pair = ls.compute_eigenpairs(spec, grid40, count=1)[0]
-        bump = pair.eigenfunction * (1.0 + 0.3 * np.tanh(grid40.x))
-        seeds = {"symmetric": 0.1 * pair.eigenfunction, "asymmetric": 0.1 * bump}
+        (lam, ve), _ = ls.pinned_hamiltonian(spec, grid40).block_eigenpairs(
+            select_range=(0, 0))
+        psi0 = np.zeros(grid40.n_points)
+        psi0[1:] = ls.unfold(ve[:, 0], 0.0)
+        psi0 /= norm2(psi0, grid40)
+        bump = psi0 * (1.0 + 0.3 * np.tanh(grid40.x))
+        seeds = {"symmetric": 0.1 * psi0, "asymmetric": 0.1 * bump}
         step = 2e-3
-        curve = bs.continue_in_omega(spec, grid40,
-                                     pair.eigenvalue - 0.25 * step,
-                                     pair.eigenvalue - 20 * step, step, seeds)
+        curve = bs.continue_in_omega(spec, grid40, lam[0] - 0.25 * step,
+                                     lam[0] - 20 * step, step, seeds)
         with pytest.raises(NoBifurcationFound):
             bs.detect_threshold(curve)
 

@@ -178,6 +178,20 @@ class TestBifurcateCommand:
         assert all(v[1] > 0 for v in vals)
 
 
+class TestGroundstateCommand:
+    def test_threshold_error_keeps_its_cause(self, tmp_path):
+        # three continuation points reach no asymmetric state: the run
+        # still exits 0, and threshold.json says why n_star is null
+        out = tmp_path / "gs"
+        assert run(["groundstate", "--points", "1024", "--count", "3",
+                    "--out", str(out)]) == 0
+        th = json.loads((out / "threshold.json").read_text())
+        assert th["n_star"] is None and th["omega_star"] is None
+        assert th["threshold_error"] == {
+            "error": "NoBifurcationFound",
+            "message": "no asymmetric point on the curve"}
+
+
 class TestEvolveCommand:
     def test_zero_data_zero_diagnostics(self, tmp_path):
         out = tmp_path / "ev"
@@ -200,9 +214,9 @@ class TestEvolveCommand:
                   "--record-every", "250", "--out", str(out)])
         assert rc == 0
         rows = (out / "diagnostics.csv").read_text().strip().split("\n")
-        assert rows[-1] == ("0.5,0.99999984246792661,-0.17781145994406689,"
-                            "1.0450011778602002,0.36802404475586298,2.734375,"
-                            "1.5753214053053802e-07")
+        assert rows[-1] == ("0.5,0.99999984246792462,-0.177811459944028,"
+                            "1.0450011778635522,0.36802404475601824,2.734375,"
+                            "1.5753214052894369e-07")
 
     @pytest.mark.parametrize("extra", [
         ["--cutoff", "30", "--filter-steps", "0"],
@@ -237,19 +251,19 @@ class TestGoldenBits:
                 "removed_energy", "tilde_r_removed_mass",
                 "tilde_r_removed_ratio")
         assert _json_lines(out / "shadow_report.json", keys) == {
-            "period": '"period": 60.515791329203935',
-            "sup_eta": '"sup_eta": 0.012295228184853086',
-            "annulus_ratio": '"annulus_ratio": 0.098351377773841231',
-            "w_sup_h1": '"w_sup_h1": 0.003300452017649893',
-            "w_l4_linf": '"w_l4_linf": 0.00043459974969028845',
-            "tilde_r_sup": '"tilde_r_sup": 0.0024998119663224008',
+            "period": '"period": 60.515791329203182',
+            "sup_eta": '"sup_eta": 0.01229522818483237',
+            "annulus_ratio": '"annulus_ratio": 0.098351377773636395',
+            "w_sup_h1": '"w_sup_h1": 0.0033004520176489532',
+            "w_l4_linf": '"w_l4_linf": 0.00043459974969028514',
+            "tilde_r_sup": '"tilde_r_sup": 0.0024998119663225018',
             "energy_drift": '"energy_drift": 1.4961271110891516e-09',
-            "removed_mass": '"removed_mass": 6.6404458366383806e-06',
-            "removed_energy": '"removed_energy": 3.8386416507107946e-05',
+            "removed_mass": '"removed_mass": 6.6404458366372744e-06',
+            "removed_energy": '"removed_energy": 3.838641650732999e-05',
             "tilde_r_removed_mass":
-                '"tilde_r_removed_mass": 6.4702298028894793e-06',
+                '"tilde_r_removed_mass": 6.4702298028903382e-06',
             "tilde_r_removed_ratio":
-                '"tilde_r_removed_ratio": 1.0263075715908709',
+                '"tilde_r_removed_ratio": 1.0263075715905636',
         }
 
     def test_groundstate_golden_bits(self, tmp_path):
@@ -260,8 +274,8 @@ class TestGoldenBits:
                   "--out", str(out)])
         assert rc == 0
         assert _json_lines(out / "threshold.json", ("n_star", "n_cr_fd")) == {
-            "n_star": '"n_star": 0.66802882407402375',
-            "n_cr_fd": '"n_cr_fd": 0.82995647678613471',
+            "n_star": '"n_star": 0.66802882407340725',
+            "n_cr_fd": '"n_cr_fd": 0.82995647678609585',
         }
 
 
@@ -298,7 +312,7 @@ class TestHeavyCommands:
         branches = {r.split(",")[3] for r in rows}
         assert "asym_plus" in branches or "asym_minus" in branches
         th = json.loads((out / "threshold.json").read_text())
-        assert th["n_star"] is not None
+        assert th["n_star"] is not None and th["threshold_error"] is None
         assert abs(th["n_star"] - th["n_cr_fd"]) / th["n_cr_fd"] <= 0.5
         assert th["omega_star"] < th["omega0"]
         assert abs(th["odd_eigenvalue"]) < 1e-9

@@ -32,10 +32,11 @@ def _random_tridiagonal(seed, n=300, split=None):
 @pytest.fixture(scope="module")
 def operators(shadow_well, gauss_sigma1_L3):
     """(d, e) pairs: the pinned H of the nominal shadowing well (1,024
-    points) and of the nominal groundstate well (4,096 points), L+ about a
-    symmetric bound state on the latter, and seeded random tridiagonals,
-    one of them split in two, so that dstebz's block order is not the
-    ascending one."""
+    points) and of the nominal groundstate well (4,096 points), with the
+    even block (its sqrt(2)-scaled coupling) and the odd block of the
+    latter, L+ about a symmetric bound state on it and L+'s odd block,
+    and seeded random tridiagonals, one of them split in two, so that
+    dstebz's block order is not the ascending one."""
     sd = gauss_sigma1_L3
     h_shadow = ls.pinned_hamiltonian(shadow_well.spec, shadow_well.grid)
     h = ls.pinned_hamiltonian(sd.spec, sd.grid)
@@ -43,15 +44,20 @@ def operators(shadow_well, gauss_sigma1_L3):
                                     0.1 * sd.psi0.eigenfunction,
                                     symmetrize=True)
     lp = h.shifted(state.omega).shifted(3.0 * state.profile[1:] ** 2)
+    (h_even, h_odd), lp_odd = h.blocks(), lp.blocks()[1]
     return {"H_1024": (h_shadow.diag, h_shadow.off),
             "H_4096": (h.diag, h.off),
+            "H_4096_even": h_even,
+            "H_4096_odd": h_odd,
             "Lplus_4096": (lp.diag, lp.off),
+            "Lplus_4096_odd": lp_odd,
             "random_0": _random_tridiagonal(0),
             "random_1": _random_tridiagonal(1),
             "split_7": _random_tridiagonal(7, split=150)}
 
 
-NAMES = ["H_1024", "H_4096", "Lplus_4096", "random_0", "random_1", "split_7"]
+NAMES = ["H_1024", "H_4096", "H_4096_even", "H_4096_odd", "Lplus_4096",
+         "Lplus_4096_odd", "random_0", "random_1", "split_7"]
 
 
 def _same(got, want):
@@ -72,6 +78,20 @@ def test_eigh_tridiagonal_by_index(operators, name, select_range):
     want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                          select_range=select_range)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("select_range", [None, (0, 0)])
+def test_eigh_tridiagonal_one_by_one(select_range):
+    # the odd block of a 4-point grid: scipy's quick exit, not dstebz
+    d, e = np.array([2.5]), np.array([])
+    kw = {} if select_range is None else {"select": "i",
+                                          "select_range": select_range}
+    _same(lapack.eigh_tridiagonal(d, e, select_range=select_range),
+          scipy.linalg.eigh_tridiagonal(d, e, **kw))
+    assert np.array_equal(
+        lapack.eigh_tridiagonal(d, e, eigvals_only=True,
+                                select_range=select_range),
+        scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, **kw))
 
 
 @pytest.mark.parametrize("name", ["H_1024", "random_0", "random_1"])

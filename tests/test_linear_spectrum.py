@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dwnls.errors import (
     ConvergenceFailure,
@@ -14,6 +14,7 @@ from dwnls.errors import (
 from dwnls.grids import Grid, inner
 from dwnls.io_utils import dumps_17g
 from dwnls import linear_spectrum as ls
+from dwnls.lapack import eigh_tridiagonal
 from well_tuning import tune_delta_well_for_ncr
 
 
@@ -140,6 +141,36 @@ class TestPinnedHamiltonian:
         assert np.array_equal(h @ free, full[1:])
 
 
+class TestParityBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["delta", "gauss"]),
+           strength=st.floats(0.5, 5.0), separation=st.floats(0.5, 20.0),
+           x_max=st.floats(4.0, 100.0), log2_n=st.integers(2, 10))
+    def test_blocks_split_the_pinned_hamiltonian(self, kind, strength,
+                                                  separation, x_max, log2_n):
+        # the two blocks' spectra together are the whole pinned H's, and
+        # the lowest vector of each, unfolded, is an eigenvector of H
+        grid = Grid.symmetric(x_max, 2**log2_n)
+        try:
+            h = ls.pinned_hamiltonian(
+                ls.PotentialSpec(kind, strength, separation), grid)
+        except DomainTooSmall:
+            assume(False)
+        norm = np.max(np.abs(h.diag)) + 2.0 * np.max(np.abs(h.off))
+        whole = eigh_tridiagonal(h.diag, h.off, eigvals_only=True)
+        even, odd = h.blocks()
+        both = np.sort(np.concatenate(
+            [eigh_tridiagonal(d, e, eigvals_only=True) for d, e in (even, odd)]))
+        assert np.all(np.abs(both - whole) <= 1e-12 * norm)
+        (lam_e, ve), (lam_o, vo) = h.block_eigenpairs(select_range=(0, 0))
+        for lam, free in ((lam_e[0], ls.unfold(ve[:, 0], 0.0)),
+                          (lam_o[0], ls.unfold(np.zeros(len(ve)), vo[:, 0]))):
+            assert np.linalg.norm(free) == pytest.approx(1.0, rel=1e-12)
+            u = np.concatenate(([0.0], free))
+            res = h.apply(u) - lam * u
+            assert np.linalg.norm(res) <= 1e-10 * norm
+
+
 class TestEigenpairs:
     def test_delta_matches_transcendental_second_order(self):
         ke, ko = ls.solve_double_delta_levels(1.0, 10.0)
@@ -164,10 +195,11 @@ class TestEigenpairs:
             assert right[np.argmax(np.abs(right))] > 0
 
     def test_parity_exact(self, delta_s1_L10, gauss_sigma1_L3):
+        # unfolded from the blocks, the modes are even and odd bit for bit
         for sd in (delta_s1_L10, gauss_sigma1_L3):
             p0, p1 = sd.psi0.eigenfunction, sd.psi1.eigenfunction
-            assert np.max(np.abs(p0 - ls.reflect(p0))) <= 1e-10
-            assert np.max(np.abs(p1 + ls.reflect(p1))) <= 1e-10
+            assert np.array_equal(p0, ls.reflect(p0))
+            assert np.array_equal(p1, -ls.reflect(p1))
 
     def test_orthonormal(self, delta_s1_L10):
         grid = delta_s1_L10.grid
