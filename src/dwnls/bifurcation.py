@@ -13,8 +13,10 @@ Eigenvalues of the reduced 3x3 linearization:
     symmetric, N > n_cr:  0, +-2  sqrt((N - n_cr) n_cr)   (saddle)
     asymmetric:           0, +-2i sqrt(N^2 - n_cr^2)      (elliptic)
 
-Linear periods are 2 pi / |lambda|.  The energy barrier between the
-symmetric saddle and either asymmetric center is (N - n_cr)^2 / 2.
+Linear periods are 2 pi / |lambda|; they and the closed-form propagator
+exist at elliptic points only (SaddleCase at the saddle).  The energy
+barrier between the symmetric saddle and either asymmetric center is
+(N - n_cr)^2 / 2.
 """
 
 from __future__ import annotations
@@ -190,24 +192,18 @@ def _phi(lam: complex, t: float) -> complex:
     return (np.exp(lam * t) - 1.0) / lam
 
 
-def linear_flow(eq: Equilibrium, t: float, n_level: float, n_cr: float,
-                closed_only: bool = False) -> np.ndarray:
-    """Propagator e^{B t} at an equilibrium, ordered (alpha, beta, A, theta).
-
-    Elliptic points use the spectral closed form of the 3x3 block plus the
-    secular phase row; at the symmetric saddle the closed oscillatory form
-    does not apply (SaddleCase) and a scaling-and-squaring exponential is
-    used instead unless closed_only is set.
+def linear_flow(eq: Equilibrium, t: float, n_level: float,
+                n_cr: float) -> np.ndarray:
+    """Propagator e^{B t} at an equilibrium, ordered (alpha, beta, A, theta):
+    the spectral closed form of the 3x3 block plus the secular phase row.
+    It holds at elliptic points only; at the symmetric saddle (N > n_cr)
+    the oscillatory form does not apply and SaddleCase is raised.
     """
     _check_equilibrium(eq, n_level, n_cr)
     bt = b_tilde(eq.alpha, eq.beta, eq.A, n_cr)
     lams = np.linalg.eigvals(bt)
     if np.max(np.abs(lams.real)) > 1e-10:
-        if closed_only:
-            raise SaddleCase("oscillatory closed form invalid at a saddle")
-        from scipy.linalg import expm
-
-        return expm(b_full(eq.alpha, eq.beta, eq.A, n_cr) * t)
+        raise SaddleCase("oscillatory closed form invalid at a saddle")
     vals, vecs = np.linalg.eig(bt)
     vinv = np.linalg.inv(vecs)
     et = vecs @ np.diag(np.exp(vals * t)) @ vinv

@@ -19,7 +19,6 @@ lowest eigenvalue of L+'s odd block (PinnedHamiltonian.blocks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -63,14 +62,13 @@ class BoundState:
 
 @dataclass
 class SolitonCurve:
-    """Continued points; iterations holds each point's Newton steps (None
-    for a curve not built by continue_in_omega)."""
+    """Continued points; iterations holds each point's Newton steps."""
 
     omega: np.ndarray
     n: np.ndarray
     asymmetry: np.ndarray
     branch: list[str]
-    iterations: Optional[np.ndarray] = None
+    iterations: np.ndarray
 
     def to_csv(self) -> str:
         return csv_text(["omega", "n", "asymmetry", "branch"],
@@ -252,31 +250,32 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
 
 @dataclass
 class Threshold:
-    """Symmetry-breaking point.  odd_eigenvalue is L+'s at omega_star, the
-    root's residual; both are None when n_star is read off the curve."""
+    """Symmetry-breaking point: omega_star the root of L+'s odd eigenvalue
+    on the symmetric branch, n_star the power of the symmetric state there
+    and odd_eigenvalue L+'s at omega_star, the root's residual."""
 
-    n_star: Optional[float]
-    omega_star: Optional[float] = None
-    odd_eigenvalue: Optional[float] = None
+    n_star: float
+    omega_star: float
+    odd_eigenvalue: float
 
 
-def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
-                     grid: Grid = None, seeds: dict = None) -> Threshold:
+def detect_threshold(curve: SolitonCurve, potential: PotentialSpec,
+                     grid: Grid, seeds: dict) -> Threshold:
     """Power at which the asymmetric branch separates from the symmetric one.
 
     The first asymmetric-labelled point of the asymmetric-seeded family
-    and the next omega above it bracket the crossing; without the
-    potential, grid and seeds, n at that point is returned.  With them,
-    omega* is the root of L+'s odd eigenvalue on the symmetric branch,
-    the lowest eigenvalue of its odd block (the state is even, so L+
-    splits like H): the bracket steps along the curve's omega grid until
-    that eigenvalue changes sign, and brentq closes it to 1e-12 relative
-    in omega.  Each symmetric state is a Newton solve with even
-    projection, warm-started from the previous one, the first from the
-    even part of seeds['symmetric'] (or seeds['asymmetric']).  Returns
-    the Threshold, with n of the symmetric state at omega*.  Raises
-    NoBifurcationFound when the curve shows no asymmetric point or the
-    eigenvalue keeps its sign over the grid.
+    and the next omega above it bracket the crossing, and omega* is the
+    root of L+'s odd eigenvalue on the symmetric branch, the lowest
+    eigenvalue of its odd block (the state is even, so L+ splits like H):
+    the bracket steps along the curve's omega grid until that eigenvalue
+    changes sign, and brentq closes it to 1e-12 relative in omega.  Each
+    symmetric state is a Newton solve with even projection, warm-started
+    from the previous one, the first from the even part of
+    seeds['symmetric'].  Returns the Threshold, with n of the symmetric
+    state at omega*.  Raises NoBifurcationFound when the curve shows no
+    asymmetric point, when its first asymmetric point is at its top omega
+    (no point above it to bracket the root), or when the eigenvalue keeps
+    its sign over the grid.
     """
     sym_pts = [i for i, b in enumerate(curve.branch) if b == SYMMETRIC]
     asym_pts = [i for i, b in enumerate(curve.branch) if b != SYMMETRIC]
@@ -295,12 +294,11 @@ def detect_threshold(curve: SolitonCurve, potential: PotentialSpec = None,
     omegas = np.sort(curve.omega)
     omegas = omegas[np.r_[True, omegas[1:] != omegas[:-1]]]
     lo = int(np.searchsorted(omegas, curve.omega[first]))
-    if potential is None or grid is None or seeds is None \
-            or lo + 1 == len(omegas):
-        return Threshold(float(curve.n[first]))
-
-    seed = np.asarray(seeds["symmetric" if "symmetric" in seeds
-                            else "asymmetric"], float)
+    if lo + 1 == len(omegas):
+        raise NoBifurcationFound(
+            "the first asymmetric point is at the top of the curve, with no "
+            "point above it to bracket the root")
+    seed = np.asarray(seeds["symmetric"], float)
     profile = 0.5 * (seed + reflect(seed))
     h = pinned_hamiltonian(potential, grid)
     solved = {}                            # omega -> (state, odd eigenvalue)

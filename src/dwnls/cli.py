@@ -95,6 +95,9 @@ def cmd_phaseplane(opts) -> int:
     n_offset = float(opts["n"])
     t_end = float(opts["t_end"])
     count = int(opts["orbits"])
+    for key in ("dt", "dt_record", "t_end", "orbits"):
+        if not float(opts[key]) > 0:
+            raise ConfigError(f"--{key.replace('_', '-')} must be positive")
     eps_max = float(opts["eps1_max"]) if opts.get("eps1_max") else \
         1.5 * np.sqrt(abs(n_offset) / 2.0 if n_offset > 0 else ncr / 8.0)
     ics = []
@@ -129,6 +132,8 @@ def cmd_phaseplane(opts) -> int:
 def cmd_bifurcate(opts) -> int:
     out = _outdir(opts)
     ncr = float(opts["ncr"])
+    if int(opts["count"]) < 1:
+        raise ConfigError("--count must be positive")
     n_vals = np.linspace(float(opts["n_min"]), float(opts["n_max"]),
                          int(opts["count"]))
     rows = []
@@ -170,14 +175,14 @@ def cmd_groundstate(opts) -> int:
     curve = bst.continue_in_omega(potential, grid, data.omega0 - 0.25 * step,
                                   data.omega0 - count * step, step, seeds)
     (out / "soliton_curve.csv").write_text(curve.to_csv(), encoding="utf-8")
-    threshold, error = bst.Threshold(n_star=None), None
+    threshold = dict.fromkeys(("n_star", "omega_star", "odd_eigenvalue"))
+    error = None
     try:
-        threshold = bst.detect_threshold(curve, potential, grid, seeds)
+        threshold = vars(bst.detect_threshold(curve, potential, grid, seeds))
     except DwnlsError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
     write_json(out / "threshold.json", {
-        "n_star": threshold.n_star, "omega_star": threshold.omega_star,
-        "odd_eigenvalue": threshold.odd_eigenvalue, "threshold_error": error,
+        **threshold, "threshold_error": error,
         "n_cr_fd": data.n_cr_fd,
         "omega0": data.omega0, "omega1": data.omega1,
         "newton_iterations_total": int(curve.iterations.sum()),
@@ -239,9 +244,6 @@ def cmd_shadow(opts) -> int:
         gamma=float(opts["gamma"]) if opts.get("gamma") is not None else None,
         n_cr=float(opts["ncr"]) if opts.get("ncr") is not None else None,
     )
-    data = spec_mod.tune_delta_strength_for_ncr(
-        sparams.critical_power, float(opts["sep"]), grid,
-        (float(opts["s_min"]), float(opts["s_max"])))
     orbit = sh.OrbitSpec(
         side=opts["side"],
         amplitude_factor=float(opts["amplitude_factor"]),
@@ -249,6 +251,9 @@ def cmd_shadow(opts) -> int:
         horizon_periods=float(opts["periods"]),
         dt_pde=float(opts["dt"]),
     )
+    data = spec_mod.tune_delta_strength_for_ncr(
+        sparams.critical_power, float(opts["sep"]), grid,
+        (float(opts["s_min"]), float(opts["s_max"])))
     report = sh.run_shadow_experiment(sparams, data, orbit)
     write_json(out / "shadow_report.json", report.to_json_dict())
     (out / "eta_series.csv").write_text(report.series_csv(), encoding="utf-8")

@@ -463,19 +463,13 @@ def _implicit_midpoint_path(chart, y0, params, t_span, dt, record_every,
 def integrate(state0, params: ReducedParams, t_span, dt,
               record_every: int = 1) -> Trajectory:
     """Integrate the reduction in the chart of state0 by the symplectic
-    implicit midpoint.  A cartesian-chart breakdown (A ~ 0) is retried
-    once in the modes chart.
+    implicit midpoint.  A chart that breaks down on the way (the cartesian
+    one at A ~ 0) raises ChartBreakdown; the modes chart has no such point.
     """
     chart = {ModeAmplitudes: MODES, CartesianChart: CARTESIAN,
              PolarChart: POLAR}[type(state0)]
-    try:
-        times, states = _implicit_midpoint_path(
-            chart, pack(state0), params, t_span, dt, record_every)
-    except ChartBreakdown:
-        if chart == MODES:
-            raise
-        return integrate(convert(state0, MODES), params, t_span, dt,
-                         record_every)
+    times, states = _implicit_midpoint_path(
+        chart, pack(state0), params, t_span, dt, record_every)
     return Trajectory(chart=chart, times=times, states=states, params=params)
 
 

@@ -38,8 +38,9 @@ Pipeline per run:
    does not depend on the PDE, so it advances alongside the march in
    closed form from sample to sample, the filter's cuts on the way, and
    w is formed SAMPLE_CHUNK samples at a time and kept only as its norms;
-5. report sup|eta|, the annulus verdict around the reference orbit, the
-   center-of-mass well count, and invariant drifts.
+5. report sup|eta|, the annulus verdict around one full period of the
+   reference orbit at any horizon, the center-of-mass well count, and
+   invariant drifts.
 """
 
 from __future__ import annotations
@@ -185,14 +186,12 @@ def mode_source(a_amp: float, alpha: float, beta: float,
 
 
 class _ReferenceOrbit:
-    """Fine-grained reduced reference with linear interpolation in time."""
+    """Fine-grained reduced reference with linear interpolation in time;
+    A > 0 throughout, as at every launch A = sqrt(N - alpha0^2)."""
 
     def __init__(self, traj: Trajectory):
         self.times = traj.times
-        if np.any(traj.states):
-            self.a, self.alpha, self.beta, _ = traj.cartesian_series()
-        else:
-            self.a = self.alpha = self.beta = np.zeros(len(traj.times))
+        self.a, self.alpha, self.beta, _ = traj.cartesian_series()
 
     def sample(self, t):
         """(A, alpha, beta) at t, a time or an array of times inside the
@@ -477,6 +476,10 @@ class OrbitSpec:
     def __post_init__(self):
         if self.side not in ("above", "below"):
             raise ValueError("side must be 'above' or 'below'")
+        if not self.dt_pde > 0:
+            raise ValueError("dt_pde (--dt) must be positive")
+        if self.horizon_periods is not None and not self.horizon_periods > 0:
+            raise ValueError("horizon_periods (--periods) must be positive")
 
 
 @dataclass
@@ -580,6 +583,10 @@ def _orbit_initial_state(params: ReducedParams, sparams: ShadowParams,
         # margin is (sqrt(2)-1) alpha* ~ 0.29 sqrt(tau); take a fraction of it
         amp = orbit.amplitude_factor * (math.sqrt(2.0) - 1.0) * eq_alpha
         alpha0 = eq_alpha + amp
+    if not alpha0 * alpha0 < n_level:
+        raise ValueError(f"amplitude_factor (--amplitude-factor) "
+                         f"{orbit.amplitude_factor} puts alpha(0)^2 at or "
+                         f"above the power N = {n_level:.6g}")
     a0 = math.sqrt(n_level - alpha0 * alpha0)
     return ModeAmplitudes(complex(a0, 0.0), complex(alpha0, 0.0)), \
         n_level, eq_alpha, abs(alpha0 - eq_alpha)
@@ -621,7 +628,8 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
     horizon = periods * period
 
     dt_red = period * DT_REDUCED_FRACTION
-    ref = reduced_reference(state0, params, horizon + 2.0 * dt_red, dt_red)
+    ref = reduced_reference(state0, params,
+                            max(horizon, period) + 2.0 * dt_red, dt_red)
 
     # PDE setup
     grid = spectral.grid
@@ -761,11 +769,11 @@ def annulus_width_ratio(ref_curve: np.ndarray, points: np.ndarray) -> float:
     """Relative width of the smallest annulus around the closed reference
     curve that contains both the curve and the sample points.
 
-    Libration and transport orbits are star-shaped about the curve
-    centroid, so the curve is parametrized by polar angle there and the
-    annulus width is the span of signed radial deviations; if the radial
-    parametrization degenerates, twice the maximum point-to-curve distance
-    is used instead.
+    The curve is parametrized by polar angle about its centroid, and the
+    width is the span of signed radial deviations from it.  Libration and
+    transport orbits over one full period are star-shaped there; a curve
+    that is not (16 distinct polar angles or fewer, or a gap of 0.5 rad or
+    more) raises ChartBreakdown.
     """
     c = ref_curve.mean(axis=0)
     rel = ref_curve - c
@@ -777,20 +785,18 @@ def annulus_width_ratio(ref_curve: np.ndarray, points: np.ndarray) -> float:
     # star-shaped test: every angle bin visited once (tolerate duplicates)
     keep = np.concatenate(([True], np.diff(phi_s) > 1e-12))
     phi_s, r_s = phi_s[keep], r_s[keep]
-    star_shaped = len(phi_s) > 16 and np.max(np.diff(phi_s)) < 0.5 and mean_r > 0
+    gap = float(np.max(np.diff(phi_s), initial=0.0))
+    if not (len(phi_s) > 16 and gap < 0.5 and mean_r > 0):
+        raise ChartBreakdown(
+            f"reference curve is not star-shaped about its centroid: "
+            f"{len(phi_s)} distinct polar angles, largest gap {gap:.3g} rad")
     relp = points - c
-    if star_shaped:
-        phi_p = np.arctan2(relp[:, 1], relp[:, 0])
-        r_p = np.hypot(relp[:, 0], relp[:, 1])
-        phi_ext = np.concatenate((phi_s - 2 * np.pi, phi_s, phi_s + 2 * np.pi))
-        r_ext = np.concatenate((r_s, r_s, r_s))
-        dev = r_p - np.interp(phi_p, phi_ext, r_ext)
-        width = float(max(np.max(dev), 0.0) - min(np.min(dev), 0.0))
-    else:
-        from scipy.spatial import cKDTree
-
-        dists, _ = cKDTree(ref_curve).query(points)
-        width = float(2.0 * np.max(dists))
+    phi_p = np.arctan2(relp[:, 1], relp[:, 0])
+    r_p = np.hypot(relp[:, 0], relp[:, 1])
+    phi_ext = np.concatenate((phi_s - 2 * np.pi, phi_s, phi_s + 2 * np.pi))
+    r_ext = np.concatenate((r_s, r_s, r_s))
+    dev = r_p - np.interp(phi_p, phi_ext, r_ext)
+    width = float(max(np.max(dev), 0.0) - min(np.min(dev), 0.0))
     return width / mean_r
 
 

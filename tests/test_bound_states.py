@@ -28,9 +28,14 @@ def trace_and_detect(sd, n_steps=60):
 
 
 @pytest.fixture(scope="module")
-def gauss_threshold(gauss_sigma1_L3):
+def gauss_curve(gauss_sigma1_L3):
+    return trace_and_detect(gauss_sigma1_L3)
+
+
+@pytest.fixture(scope="module")
+def gauss_threshold(gauss_sigma1_L3, gauss_curve):
     sd = gauss_sigma1_L3
-    curve, seeds = trace_and_detect(sd)
+    curve, seeds = gauss_curve
     thr = bs.detect_threshold(curve, sd.spec, sd.grid, seeds)
     return thr, seeds
 
@@ -243,16 +248,6 @@ class TestContinuation:
 
 
 class TestThreshold:
-    def test_synthetic_curve(self):
-        # constructed input: asymmetry = max(0, N - 0.1)
-        n = np.linspace(0.01, 0.3, 40)
-        asym = np.maximum(0.0, n - 0.1)
-        branch = [bs.SYMMETRIC if a == 0 else bs.ASYM_PLUS for a in asym]
-        curve = bs.SolitonCurve(omega=-n.copy(), n=n, asymmetry=asym,
-                                branch=branch)
-        n_star = bs.detect_threshold(curve).n_star
-        assert n_star == pytest.approx(0.1, abs=0.01)
-
     def test_delta_wells_match_reduction(self, grid40):
         gaps = []
         for sep in (10.0, 14.0):
@@ -263,8 +258,8 @@ class TestThreshold:
         assert gaps[0] <= 0.5
         assert gaps[1] < gaps[0]
 
-    def test_gaussian_pitchfork_exists(self, gauss_sigma1_L3):
-        curve, seeds = trace_and_detect(gauss_sigma1_L3)
+    def test_gaussian_pitchfork_exists(self, gauss_sigma1_L3, gauss_curve):
+        curve, seeds = gauss_curve
         n_star = bs.detect_threshold(curve, gauss_sigma1_L3.spec,
                                      gauss_sigma1_L3.grid, seeds).n_star
         assert n_star > 0
@@ -287,7 +282,25 @@ class TestThreshold:
         curve = bs.continue_in_omega(spec, grid40, lam[0] - 0.25 * step,
                                      lam[0] - 20 * step, step, seeds)
         with pytest.raises(NoBifurcationFound):
-            bs.detect_threshold(curve)
+            bs.detect_threshold(curve, spec, grid40, seeds)
+
+    def test_asymmetric_from_the_top_point(self, gauss_sigma1_L3,
+                                           gauss_curve):
+        # the continued curve cut to start at its first asymmetric point:
+        # no point above it brackets the root of L+'s odd eigenvalue
+        curve, seeds = gauss_curve
+        first = min((i for i, b in enumerate(curve.branch)
+                     if b != bs.SYMMETRIC), key=lambda i: curve.n[i])
+        keep = curve.omega <= curve.omega[first]
+        cut = bs.SolitonCurve(
+            omega=curve.omega[keep], n=curve.n[keep],
+            asymmetry=curve.asymmetry[keep],
+            branch=[b for b, k in zip(curve.branch, keep) if k],
+            iterations=curve.iterations[keep])
+        assert np.max(cut.omega) == curve.omega[first]
+        with pytest.raises(NoBifurcationFound, match="top of the curve"):
+            bs.detect_threshold(cut, gauss_sigma1_L3.spec,
+                                gauss_sigma1_L3.grid, seeds)
 
     def test_odd_lplus_eigenvalue_vanishes_at_root(self, gauss_sigma1_L3,
                                                    gauss_threshold):

@@ -236,15 +236,18 @@ def _json_lines(path, keys):
             if line.split(":")[0].strip().strip('"') in keys}
 
 
+# the golden shadow inputs, without --periods
+SHADOW_GOLDEN = ["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
+                 "--amplitude-factor", "0.7", "--points", "256",
+                 "--dt", "1.6e-2"]
+
+
 class TestGoldenBits:
     def test_shadow_golden_bits(self, tmp_path):
         # a coarse one-period shadowing run; these report lines, as text,
         # pin every bit of the projection, R~ and invariant paths
         out = tmp_path / "sh"
-        rc = run(["shadow", "--side", "above", "--tau", "0.05",
-                  "--ncr", "0.1", "--amplitude-factor", "0.7",
-                  "--periods", "1", "--points", "256", "--dt", "1.6e-2",
-                  "--out", str(out)])
+        rc = run([*SHADOW_GOLDEN, "--periods", "1", "--out", str(out)])
         assert rc == 0
         keys = ("period", "sup_eta", "annulus_ratio", "w_sup_h1",
                 "w_l4_linf", "tilde_r_sup", "energy_drift", "removed_mass",
@@ -280,6 +283,26 @@ class TestGoldenBits:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("argv,option", [
+        (["phaseplane", "--dt", "0"], "--dt"),
+        (["phaseplane", "--dt-record", "0"], "--dt-record"),
+        (["phaseplane", "--t-end", "0"], "--t-end"),
+        (["phaseplane", "--orbits", "0"], "--orbits"),
+        (["bifurcate", "--count", "0"], "--count"),
+        ([*SHADOW_GOLDEN, "--dt", "0"], "--dt"),
+        ([*SHADOW_GOLDEN, "--periods", "0"], "--periods"),
+        ([*SHADOW_GOLDEN, "--side", "below", "--amplitude-factor", "2"],
+         "--amplitude-factor"),
+    ], ids=["phaseplane_dt_0", "phaseplane_dt_record_0",
+            "phaseplane_t_end_0", "phaseplane_orbits_0", "bifurcate_count_0",
+            "shadow_dt_0", "shadow_periods_0", "shadow_below_amplitude_2"])
+    def test_bad_value_names_its_option(self, tmp_path, capsys, argv,
+                                        option):
+        # a config error: exit 2, and the message names the option
+        assert run([*argv, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and option in err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sep": 8.0, "strength": 1.0}))
@@ -351,8 +374,8 @@ def _python(code, *args):
 
 
 def test_import_leaves_heavy_scipy_unloaded():
-    # scipy is imported where used, so importing the package loads none of
-    # it, scipy.optimize, .integrate and .spatial included
+    # no module imports a scipy package (the two compiled modules load from
+    # their files where used), so importing the package loads none of it
     code = ("import sys, dwnls, dwnls.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     assert _python(code) == "[]"
@@ -383,13 +406,12 @@ EVOLVE_SPLIT = ["evolve", "--well", "gauss", "--sep", "3", "--init", "twomode",
     (["spectrum", "--points", "1024"], ["scipy.linalg._flapack"]),
     (["groundstate", "--points", "1024", "--omega-step", "0.01",
       "--count", "8"], ["scipy.linalg._flapack"]),
-    (["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
-      "--amplitude-factor", "0.7", "--periods", "1", "--points", "256",
-      "--dt", "1.6e-2"], ["scipy.linalg._flapack"]),
+    ([*SHADOW_GOLDEN, "--periods", "1"], ["scipy.linalg._flapack"]),
+    ([*SHADOW_GOLDEN, "--periods", "0.5"], ["scipy.linalg._flapack"]),
     (EVOLVE_SPLIT, ["scipy.fft._pocketfft.pypocketfft",
                     "scipy.linalg._flapack"])],
     ids=["phaseplane", "bifurcate", "spectrum", "groundstate", "shadow",
-         "evolve"])
+         "shadow_half_period", "evolve"])
 def test_scipy_loads_only_for_a_solve(argv, loads, tmp_path):
     # the reduced-model commands run on numpy alone; the grid commands load
     # scipy's compiled LAPACK module and nothing else of scipy: neither
@@ -398,6 +420,13 @@ def test_scipy_loads_only_for_a_solve(argv, loads, tmp_path):
     rc, loaded = _run_listing_scipy(argv, tmp_path)
     assert rc == 0
     assert loaded == loads
+    if argv[0] == "shadow":
+        # the annulus is measured around one full reference period at any
+        # horizon: half a period reads the one-period golden string
+        lines = _json_lines(tmp_path / "run" / "shadow_report.json",
+                            ("annulus_ratio",))
+        assert lines == {
+            "annulus_ratio": '"annulus_ratio": 0.098351377773636395'}
 
 
 @pytest.mark.parametrize("argv", [

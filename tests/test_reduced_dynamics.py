@@ -314,23 +314,22 @@ class TestIntegration:
             assert rd.detect_period(traj) < 3 * t_lin
 
     def test_chart_breakdown_fallback_to_modes(self):
-        # starting almost at A = 0 forces the modes-chart retry
+        # almost at A = 0 the cartesian field breaks down
         ic = rd.CartesianChart(A=1e-9, alpha=0.2, beta=0.0)
         with pytest.raises(ChartBreakdown):
             field(rd.CARTESIAN, ic, PARAMS)
-        # integrate never raises: it falls back internally
+        # the modes chart has no such point
         m = rd.ModeAmplitudes(complex(1e-9, 0.0), complex(0.2, 0.0))
         traj = rd.integrate(m, PARAMS, (0.0, 5.0), 0.01)
         assert traj.chart == rd.MODES
         assert np.all(np.isfinite(traj.states))
 
-    def test_cartesian_breakdown_retried_in_modes(self):
-        # the A floor trips inside the cartesian integration, which
-        # integrate catches and repeats in the modes chart
+    def test_cartesian_breakdown_propagates(self):
+        # the A floor trips inside the cartesian integration, and integrate
+        # passes it on: it integrates in the chart it is given
         ic = rd.CartesianChart(A=1e-9, alpha=0.2, beta=0.0)
-        traj = rd.integrate(ic, PARAMS, (0.0, 1.0), 0.01)
-        assert traj.chart == rd.MODES
-        assert np.all(np.isfinite(traj.states))
+        with pytest.raises(ChartBreakdown, match="cartesian chart needs A >"):
+            rd.integrate(ic, PARAMS, (0.0, 1.0), 0.01)
 
     def test_midpoint_runs_on_python_floats(self, monkeypatch):
         # a numpy scalar dt or t_span must not reach the field: numpy

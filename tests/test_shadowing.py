@@ -187,11 +187,8 @@ class TestModeSource:
 class TestTildeR:
     def test_zero_orbit_stays_zero(self, shadow_well):
         sd = shadow_well
-        zero = sh._ReferenceOrbit(rd.integrate(
-            rd.ModeAmplitudes(0j, 0j), rd.ReducedParams.from_spectral(sd),
-            (0.0, 5.0), 0.01))
-        fields = sh._TildeREvolver(sd, 0.01, zero, 500).at_steps(
-            _record_steps(500))
+        fields = sh._TildeREvolver(sd, 0.01, _ConstantOrbit(0.0),
+                                   500).at_steps(_record_steps(500))
         assert np.all(fields == 0.0)
 
     # the Gaussian well checks that R~ uses the pinned finite-difference H
@@ -656,22 +653,16 @@ class TestAnnulusGeometry:
         ratio = sh.annulus_width_ratio(curve, pts)
         assert ratio == pytest.approx(0.1, rel=1e-6)
 
-    def test_not_star_shaped_falls_back_to_distance(self):
+    def test_not_star_shaped_raises(self):
         # a three-quarter arc seen from its centroid leaves an angular gap
-        # over 0.5 rad, so the ratio is twice the largest point-to-curve
-        # distance over the mean radius
+        # over 0.5 rad, where the polar parametrization does not hold
         phi = np.linspace(0.0, 1.5 * np.pi, 300)
         curve = np.column_stack([0.05 * np.cos(phi), 0.05 * np.sin(phi)])
         rel = curve - curve.mean(axis=0)
         polar = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
         assert np.max(np.diff(polar)) > 0.5
-        rng = np.random.default_rng(4)
-        pts = curve[::6] + 0.004 * rng.normal(size=(50, 2))
-        dists = np.hypot(pts[:, None, 0] - curve[None, :, 0],
-                         pts[:, None, 1] - curve[None, :, 1]).min(axis=1)
-        expected = 2.0 * dists.max() / np.hypot(rel[:, 0], rel[:, 1]).mean()
-        assert sh.annulus_width_ratio(curve, pts) == pytest.approx(
-            expected, rel=1e-12)
+        with pytest.raises(ChartBreakdown, match="not star-shaped"):
+            sh.annulus_width_ratio(curve, curve[::6])
 
 
 class TestSignChanges:
