@@ -98,6 +98,8 @@ def cmd_phaseplane(opts) -> int:
     for key in ("dt", "dt_record", "t_end", "orbits"):
         if not float(opts[key]) > 0:
             raise ConfigError(f"--{key.replace('_', '-')} must be positive")
+    if opts.get("eps1_max") is not None and not float(opts["eps1_max"]) > 0:
+        raise ConfigError("--eps1-max must be positive")
     eps_max = float(opts["eps1_max"]) if opts.get("eps1_max") else \
         1.5 * np.sqrt(abs(n_offset) / 2.0 if n_offset > 0 else ncr / 8.0)
     ics = []
@@ -165,6 +167,11 @@ def cmd_bifurcate(opts) -> int:
 
 def cmd_groundstate(opts) -> int:
     out = _outdir(opts)
+    if int(opts["count"]) < 1:
+        raise ConfigError("--count must be positive")
+    if opts.get("omega_step") is not None and \
+            not float(opts["omega_step"]) > 0:
+        raise ConfigError("--omega-step must be positive")
     grid = _grid(opts)
     potential = _potential(opts)
     data = spec_mod.spectral_data(potential, grid)

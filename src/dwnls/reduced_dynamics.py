@@ -1,4 +1,5 @@
-"""The two-mode Hamiltonian reduction in three coordinate charts.
+"""The two-mode Hamiltonian reduction in two coordinate charts, and its
+polar phase plane at fixed power.
 
 The cubic term is the focusing -|u|^2 u of the PDE throughout; there is
 no coefficient to set.  Modes chart (rho0, rho1), unit coefficients:
@@ -18,16 +19,16 @@ Cartesian chart rho0 = A e^{i theta}, rho1 = (alpha + i beta) e^{i theta}:
     A'     = -2 alpha beta A
     theta' = -Omega0 + A^2 + 3 alpha^2 + beta^2
 
-Polar chart rho_j = r_j e^{i theta_j}, dtheta = theta1 - theta0 (written as
-the exact push-forward of the modes system):
-
-    r0'     = -r1^2 r0 sin(2 dtheta)
-    r1'     = +r0^2 r1 sin(2 dtheta)
-    dtheta' = -Omega10 + (r0^2 - r1^2)(1 + cos(2 dtheta))
-
 Measured overlap tensors enter the modes chart only, through a0000, a0011
-and a1111 (the odd channels vanish by parity); the closed chart forms
-above assume unit coefficients (a_ijkl = 1 on even channels).
+and a1111 (the odd channels vanish by parity); the cartesian chart assumes
+unit coefficients (a_ijkl = 1 on even channels).
+
+Phase plane eps1 = |rho1|, dtheta = arg rho1 - arg rho0 at fixed power
+N = N_cr + n, unit coefficients and Omega10 = 2 N_cr (vf_polar_reduced,
+which phaseplane integrates by polar_midpoint_orbit):
+
+    eps1'   = eps1 (N - eps1^2) sin(2 dtheta)
+    dtheta' = -Omega10 + (N - 2 eps1^2)(1 + cos(2 dtheta))
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .roots import brentq
 
 MODES = "modes"
 CARTESIAN = "cartesian"
-POLAR = "polar"
-_CHARTS = (MODES, CARTESIAN, POLAR)
+_CHARTS = (MODES, CARTESIAN)
 
 _A_FLOOR = 1e-8
 
@@ -66,14 +66,6 @@ class CartesianChart:
     alpha: float
     beta: float
     theta: float = 0.0
-
-
-@dataclass(frozen=True)
-class PolarChart:
-    r0: float
-    r1: float
-    dtheta: float
-    theta0: float = 0.0   # base phase, kept so conversions are bijective
 
 
 def pitchfork_coefficient(a: Optional[np.ndarray]) -> float:
@@ -119,14 +111,6 @@ class ReducedParams:
         )
 
 
-def _require_unit(params: ReducedParams, chart: str) -> None:
-    if params.a is not None:
-        raise ValueError(
-            f"the {chart} chart implements the unit-coefficient reduction; "
-            "integrate tensor-mode systems in the modes chart"
-        )
-
-
 # ----------------------------------------------------------------------
 # vector fields
 # ----------------------------------------------------------------------
@@ -162,7 +146,10 @@ def chart_field(chart: str, params: ReducedParams):
 
         return modes
     if chart == CARTESIAN:
-        _require_unit(params, CARTESIAN)
+        if params.a is not None:
+            raise ValueError(
+                "the cartesian chart implements the unit-coefficient "
+                "reduction; integrate tensor-mode systems in the modes chart")
         om10 = om1 - om0
 
         def cartesian(a, al, be, _theta):
@@ -174,19 +161,6 @@ def chart_field(chart: str, params: ReducedParams):
                     -om0 + a * a + 3.0 * al * al + be * be)
 
         return cartesian
-    if chart == POLAR:
-        _require_unit(params, POLAR)
-        om10 = om1 - om0
-
-        def polar(r0, r1, dth, _theta0):
-            s2 = math.sin(2.0 * dth)
-            c2 = math.cos(2.0 * dth)
-            return (-r1 * r1 * r0 * s2,
-                    r0 * r0 * r1 * s2,
-                    -om10 + (r0 * r0 - r1 * r1) * (1.0 + c2),
-                    -om0 + r0 * r0 + 2.0 * r1 * r1 + r1 * r1 * c2)
-
-        return polar
     raise ValueError(f"unknown chart {chart!r}")
 
 
@@ -299,32 +273,17 @@ def convert(state, to_chart: str):
             raise ChartBreakdown("cartesian chart requires A > 0")
         ph = complex(math.cos(state.theta), math.sin(state.theta))
         m = ModeAmplitudes(state.A * ph, complex(state.alpha, state.beta) * ph)
-    elif isinstance(state, PolarChart):
-        if state.r0 < 0 or state.r1 < 0:
-            raise ChartBreakdown("polar moduli must be nonnegative")
-        ph0 = complex(math.cos(state.theta0), math.sin(state.theta0))
-        th1 = state.theta0 + state.dtheta
-        ph1 = complex(math.cos(th1), math.sin(th1))
-        m = ModeAmplitudes(state.r0 * ph0, state.r1 * ph1)
     else:
         raise TypeError(f"not a chart state: {type(state)!r}")
 
     if to_chart == MODES:
         return m
-    if to_chart == CARTESIAN:
-        a = abs(m.rho0)
-        if a <= _A_FLOOR:
-            raise ChartBreakdown(f"cartesian chart needs |rho0| > {_A_FLOOR}")
-        theta = math.atan2(m.rho0.imag, m.rho0.real)
-        c1 = m.rho1 * complex(math.cos(-theta), math.sin(-theta))
-        return CartesianChart(A=a, alpha=c1.real, beta=c1.imag, theta=theta)
-    r0, r1 = abs(m.rho0), abs(m.rho1)
-    th0 = math.atan2(m.rho0.imag, m.rho0.real) if r0 > 0 else 0.0
-    th1 = math.atan2(m.rho1.imag, m.rho1.real) if r1 > 0 else th0
-    d = th1 - th0
-    # principal relative phase in (-pi, pi]
-    d = math.atan2(math.sin(d), math.cos(d))
-    return PolarChart(r0=r0, r1=r1, dtheta=d, theta0=th0)
+    a = abs(m.rho0)
+    if a <= _A_FLOOR:
+        raise ChartBreakdown(f"cartesian chart needs |rho0| > {_A_FLOOR}")
+    theta = math.atan2(m.rho0.imag, m.rho0.real)
+    c1 = m.rho1 * complex(math.cos(-theta), math.sin(-theta))
+    return CartesianChart(A=a, alpha=c1.real, beta=c1.imag, theta=theta)
 
 
 # packed real-vector views used by the integrators ----------------------
@@ -335,8 +294,6 @@ def pack(state) -> np.ndarray:
                          state.rho1.real, state.rho1.imag])
     if isinstance(state, CartesianChart):
         return np.array([state.A, state.alpha, state.beta, state.theta])
-    if isinstance(state, PolarChart):
-        return np.array([state.r0, state.r1, state.dtheta, state.theta0])
     raise TypeError(f"not a chart state: {type(state)!r}")
 
 
@@ -346,9 +303,6 @@ def unpack(chart: str, y) -> object:
     if chart == CARTESIAN:
         return CartesianChart(A=float(y[0]), alpha=float(y[1]),
                               beta=float(y[2]), theta=float(y[3]))
-    if chart == POLAR:
-        return PolarChart(r0=float(y[0]), r1=float(y[1]),
-                          dtheta=float(y[2]), theta0=float(y[3]))
     raise ValueError(f"unknown chart {chart!r}")
 
 
@@ -392,12 +346,8 @@ class Trajectory:
         y = self.states
         if self.chart == CARTESIAN:
             return y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-        if self.chart == MODES:
-            rho0 = y[:, 0] + 1j * y[:, 1]
-            rho1 = y[:, 2] + 1j * y[:, 3]
-        else:
-            rho0 = y[:, 0] * np.exp(1j * y[:, 3])
-            rho1 = y[:, 1] * np.exp(1j * (y[:, 3] + y[:, 2]))
+        rho0 = y[:, 0] + 1j * y[:, 1]
+        rho1 = y[:, 2] + 1j * y[:, 3]
         a = np.abs(rho0)
         if np.any(a <= _A_FLOOR):
             raise ChartBreakdown("trajectory passes through |rho0| ~ 0")
@@ -466,8 +416,7 @@ def integrate(state0, params: ReducedParams, t_span, dt,
     implicit midpoint.  A chart that breaks down on the way (the cartesian
     one at A ~ 0) raises ChartBreakdown; the modes chart has no such point.
     """
-    chart = {ModeAmplitudes: MODES, CartesianChart: CARTESIAN,
-             PolarChart: POLAR}[type(state0)]
+    chart = {ModeAmplitudes: MODES, CartesianChart: CARTESIAN}[type(state0)]
     times, states = _implicit_midpoint_path(
         chart, pack(state0), params, t_span, dt, record_every)
     return Trajectory(chart=chart, times=times, states=states, params=params)
@@ -475,26 +424,14 @@ def integrate(state0, params: ReducedParams, t_span, dt,
 
 def detect_period(traj: Trajectory) -> float:
     """Oscillation period from Poincare-section crossings: the mean
-    crossing-to-crossing interval.
-
-    Cartesian/modes trajectories use the section beta = 0 with beta
-    decreasing; polar trajectories use dtheta = 0 (mod 2 pi) increasing.
-    Crossing times come from linear interpolation.
+    crossing-to-crossing interval, on the section beta = 0 with beta
+    decreasing.  Crossing times come from linear interpolation.
     """
     t = traj.times
-    if traj.chart == POLAR:
-        s = np.sin(traj.states[:, 2])
-        ok = np.cos(traj.states[:, 2]) > 0.0
-        sign_from, sign_to = -1, 1
-    else:
-        _, _, s, _ = traj.cartesian_series()
-        ok = np.ones(len(s), dtype=bool)
-        sign_from, sign_to = 1, -1
+    _, _, s, _ = traj.cartesian_series()
     crossings = []
     for i in range(len(s) - 1):
-        if not (ok[i] and ok[i + 1]):
-            continue
-        if not (s[i] * sign_from > 0.0 and s[i + 1] * sign_from < 0.0):
+        if not (s[i] > 0.0 and s[i + 1] < 0.0):
             continue
         slope = (s[i + 1] - s[i]) / (t[i + 1] - t[i])
         if abs(slope) <= 1e-12:

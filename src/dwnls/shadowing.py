@@ -637,6 +637,9 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
                             theta0=orbit.theta0)
     dt = orbit.dt_pde
     n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon:.3g} is under half a PDE step: "
+                         "raise --periods or lower --dt")
     sample_every = max(1, int(round(period / (RECORD_PER_PERIOD * dt))))
     # looked up per run, so that bench/tracer.py's wrapper of pde.mass is seen
     from .pde import mass as field_mass

@@ -8,8 +8,7 @@ from scipy.integrate import solve_ivp
 
 from dwnls import reduced_dynamics as rd
 
-_CHART_OF = {rd.ModeAmplitudes: rd.MODES, rd.CartesianChart: rd.CARTESIAN,
-             rd.PolarChart: rd.POLAR}
+_CHART_OF = {rd.ModeAmplitudes: rd.MODES, rd.CartesianChart: rd.CARTESIAN}
 
 
 def rk45_integrate(state0, params, t_span, dt, rtol, atol,

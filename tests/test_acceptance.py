@@ -190,7 +190,7 @@ def test_criterion_05_floquet_structure():
 
 
 # ----------------------------------------------------------------------
-# 6. polar-chart equilibria and phase-plane dichotomy
+# 6. polar phase-plane equilibria and dichotomy
 # ----------------------------------------------------------------------
 
 def test_criterion_06_polar_phase_plane():
@@ -201,23 +201,21 @@ def test_criterion_06_polar_phase_plane():
         worst = max(worst, abs(d1), abs(d2))
     ok = worst <= 1e-14
 
-    params = rd.ReducedParams.from_ncr(ncr, omega0=-1.0)
+    def orbit(eps10, offset):
+        # phaseplane's midpoint from (eps10, 0): dt 0.02, records every 0.2
+        rows, _, _ = rd.polar_midpoint_orbit(eps10, 0.0, offset, ncr, 0.02,
+                                             20000, 0.2 * np.arange(2001))
+        return np.array(rows)
+
     # trapped orbits for n > 0
     eps_star = np.sqrt(n / 2)
-    ic = rd.PolarChart(r0=np.sqrt(ncr + n - (1.2 * eps_star) ** 2),
-                       r1=1.2 * eps_star, dtheta=0.0)
-    traj = rd.integrate(ic, params, (0.0, 400.0), 0.02, record_every=10)
-    trapped = bool(np.all(traj.states[:, 1] > 0.3 * eps_star)
-                   and np.max(np.abs(traj.states[:, 2])) < np.pi / 2)
+    rows = orbit(1.2 * eps_star, n)
+    trapped = bool(np.all(rows[:, 0] > 0.3 * eps_star)
+                   and np.max(np.abs(rows[:, 1])) < np.pi / 2)
     ok &= trapped
     # amplitude-vanishing oscillations for n < 0
-    maxima = []
-    for eps10 in (0.08, 0.04, 0.02):
-        ic = rd.PolarChart(r0=np.sqrt(ncr - n - eps10**2), r1=eps10,
-                           dtheta=0.0)
-        tr = rd.integrate(ic, rd.ReducedParams.from_ncr(ncr, omega0=-1.0),
-                          (0.0, 400.0), 0.02, record_every=10)
-        maxima.append(float(np.max(tr.states[:, 1])))
+    maxima = [float(np.max(orbit(eps10, -n)[:, 0]))
+              for eps10 in (0.08, 0.04, 0.02)]
     shrinking = maxima[0] > maxima[1] > maxima[2]
     ok &= shrinking
     assert report(6, ok, f"equilibrium residual {worst:.1e}, trapped={trapped}, "

@@ -288,14 +288,21 @@ class TestConfigHandling:
         (["phaseplane", "--dt-record", "0"], "--dt-record"),
         (["phaseplane", "--t-end", "0"], "--t-end"),
         (["phaseplane", "--orbits", "0"], "--orbits"),
+        (["phaseplane", "--eps1-max", "0"], "--eps1-max"),
         (["bifurcate", "--count", "0"], "--count"),
+        (["groundstate", "--count", "0"], "--count"),
+        (["groundstate", "--omega-step", "-0.01"], "--omega-step"),
         ([*SHADOW_GOLDEN, "--dt", "0"], "--dt"),
         ([*SHADOW_GOLDEN, "--periods", "0"], "--periods"),
+        ([*SHADOW_GOLDEN, "--periods", "1e-5"], "--periods"),
         ([*SHADOW_GOLDEN, "--side", "below", "--amplitude-factor", "2"],
          "--amplitude-factor"),
     ], ids=["phaseplane_dt_0", "phaseplane_dt_record_0",
-            "phaseplane_t_end_0", "phaseplane_orbits_0", "bifurcate_count_0",
-            "shadow_dt_0", "shadow_periods_0", "shadow_below_amplitude_2"])
+            "phaseplane_t_end_0", "phaseplane_orbits_0",
+            "phaseplane_eps1_max_0", "bifurcate_count_0",
+            "groundstate_count_0", "groundstate_omega_step_negative",
+            "shadow_dt_0", "shadow_periods_0", "shadow_periods_1e-5",
+            "shadow_below_amplitude_2"])
     def test_bad_value_names_its_option(self, tmp_path, capsys, argv,
                                         option):
         # a config error: exit 2, and the message names the option

@@ -125,11 +125,6 @@ class TestVectorFields:
             field(rd.CARTESIAN,
                   rd.CartesianChart(A=0.0, alpha=0.1, beta=0.0), PARAMS)
 
-    def test_polar_zero_relative_phase(self):
-        d = field(rd.POLAR, rd.PolarChart(r0=0.3, r1=0.1, dtheta=0.0),
-                  PARAMS)
-        assert d[0] == 0.0 and d[1] == 0.0
-
     def test_polar_reduced_equilibria(self):
         # Fig-1 parameters: n = 0.05, N_cr = 0.2, equilibria at
         # (eps1, dtheta) = (sqrt(n/2), k pi)
@@ -156,12 +151,13 @@ class TestVectorFields:
             assert dth == pytest.approx(th_dot, abs=1e-10)
             assert dal == pytest.approx(c1_dot.real, abs=1e-10)
             assert dbe == pytest.approx(c1_dot.imag, abs=1e-10)
-            # polar push-forward
-            p = rd.convert(m, rd.POLAR)
-            dr0, dr1, ddth, dth0 = field(rd.POLAR, p, PARAMS)
-            assert dr0 == pytest.approx(
-                (np.conj(m.rho0) * d0).real / abs(m.rho0), abs=1e-10)
-            assert dr1 == pytest.approx(
+            # (eps1, dtheta) push-forward at power N, Omega10 = 2 N_cr
+            ncr = 0.5 * PARAMS.omega10
+            n_tot = abs(m.rho0) ** 2 + abs(m.rho1) ** 2
+            de1, ddth = rd.vf_polar_reduced(
+                abs(m.rho1), np.angle(m.rho1) - np.angle(m.rho0),
+                n_tot - ncr, ncr)
+            assert de1 == pytest.approx(
                 (np.conj(m.rho1) * d1).real / abs(m.rho1), abs=1e-10)
             assert ddth == pytest.approx(
                 (d1 / m.rho1).imag - (d0 / m.rho0).imag, abs=1e-10)
@@ -185,12 +181,11 @@ class TestInvariants:
         for _ in range(30):
             m = random_modes(rng)
             n0, h0 = rd.invariants(m, PARAMS)
-            for chart in (rd.CARTESIAN, rd.POLAR):
-                if abs(m.rho0) < 1e-6:
-                    continue
-                n1, h1 = rd.invariants(rd.convert(m, chart), PARAMS)
-                assert n1 == pytest.approx(n0, abs=1e-12)
-                assert h1 == pytest.approx(h0, abs=1e-12)
+            if abs(m.rho0) < 1e-6:
+                continue
+            n1, h1 = rd.invariants(rd.convert(m, rd.CARTESIAN), PARAMS)
+            assert n1 == pytest.approx(n0, abs=1e-12)
+            assert h1 == pytest.approx(h0, abs=1e-12)
 
 
 class TestConversions:
@@ -207,29 +202,15 @@ class TestConversions:
         assert (back.theta - st.theta) % (2 * np.pi) == pytest.approx(
             0.0, abs=1e-12)
 
-    def test_modes_to_polar_definition(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            m = random_modes(rng)
-            if abs(m.rho0) < 1e-3 or abs(m.rho1) < 1e-3:
-                continue
-            p = rd.convert(m, rd.POLAR)
-            assert p.r0 == pytest.approx(abs(m.rho0), rel=1e-14)
-            assert p.r1 == pytest.approx(abs(m.rho1), rel=1e-14)
-            expected = np.angle(m.rho1) - np.angle(m.rho0)
-            expected = np.arctan2(np.sin(expected), np.cos(expected))
-            assert p.dtheta == pytest.approx(expected, abs=1e-12)
-
     def test_all_roundtrips(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             m = random_modes(rng)
             if abs(m.rho0) < 0.01:
                 continue
-            for chart in (rd.CARTESIAN, rd.POLAR):
-                back = rd.convert(rd.convert(m, chart), rd.MODES)
-                assert back.rho0 == pytest.approx(m.rho0, abs=1e-12)
-                assert back.rho1 == pytest.approx(m.rho1, abs=1e-12)
+            back = rd.convert(rd.convert(m, rd.CARTESIAN), rd.MODES)
+            assert back.rho0 == pytest.approx(m.rho0, abs=1e-12)
+            assert back.rho1 == pytest.approx(m.rho1, abs=1e-12)
 
 
 class TestIntegration:
@@ -260,20 +241,16 @@ class TestIntegration:
         ic = rd.CartesianChart(A=np.sqrt(0.15 - (eq.alpha + 0.03)**2),
                                alpha=eq.alpha + 0.03, beta=0.0)
         m0 = rd.convert(ic, rd.MODES)
-        p0 = rd.convert(ic, rd.POLAR)
         span = (0.0, 10 * t_lin)
         kw = dict(rtol=1e-10, atol=1e-13, record_every=20)
         t_c = rk45_integrate(ic, PARAMS, span, t_lin / 500, **kw)
         t_m = rk45_integrate(m0, PARAMS, span, t_lin / 500, **kw)
-        t_p = rk45_integrate(p0, PARAMS, span, t_lin / 500, **kw)
-        for traj in (t_m, t_p):
-            assert np.allclose(traj.times, t_c.times)
-        for other in (t_m, t_p):
-            for i in (len(t_c.times) // 2, len(t_c.times) - 1):
-                ma = rd.convert(t_c.state(i), rd.MODES)
-                mb = rd.convert(other.state(i), rd.MODES)
-                assert abs(ma.rho0 - mb.rho0) < 1e-6
-                assert abs(ma.rho1 - mb.rho1) < 1e-6
+        assert np.allclose(t_m.times, t_c.times)
+        for i in (len(t_c.times) // 2, len(t_c.times) - 1):
+            ma = rd.convert(t_c.state(i), rd.MODES)
+            mb = rd.convert(t_m.state(i), rd.MODES)
+            assert abs(ma.rho0 - mb.rho0) < 1e-6
+            assert abs(ma.rho1 - mb.rho1) < 1e-6
 
     def test_reflection_equivariance(self):
         # (alpha, beta) -> (-alpha, -beta) maps trajectories to trajectories
@@ -377,17 +354,6 @@ class TestDetectPeriod:
         with pytest.raises(NoCrossing):
             rd.detect_period(traj)
 
-    def test_polar_section(self):
-        # trapped orbit around (sqrt(n/2), 0) crosses dtheta = 0 upward
-        ncr, n = 0.2, 0.05
-        params = rd.ReducedParams.from_ncr(ncr, omega0=-1.0)
-        eps1 = np.sqrt(n / 2) * 1.15
-        r0 = np.sqrt(ncr + n - eps1**2)
-        ic = rd.PolarChart(r0=r0, r1=eps1, dtheta=0.0)
-        traj = rd.integrate(ic, params, (0.0, 300.0), 0.02, record_every=5)
-        period = rd.detect_period(traj)
-        assert np.isfinite(period) and period > 0
-
 
 class TestLandPeriod:
     N_LEVEL, NCR = 0.15, 0.1
@@ -428,32 +394,30 @@ class TestLandPeriod:
             rd.land_period(st, PARAMS, 0.05, 50.0)
 
 
+def polar_orbit(eps10, n, ncr, t_end):
+    """(eps1, dtheta) rows of phaseplane's midpoint from (eps10, 0) at power
+    offset n: steps of 0.02 up to t_end, recorded every 0.2."""
+    rows, _, _ = rd.polar_midpoint_orbit(
+        eps10, 0.0, n, ncr, 0.02, int(round(t_end / 0.02)),
+        0.2 * np.arange(int(round(t_end / 0.2)) + 1))
+    return np.array(rows)
+
+
 class TestPhasePlaneDichotomy:
     def test_trapped_orbits_above(self):
         # n > 0: orbits launched near (sqrt(n/2), 0) stay trapped around it
         ncr, n = 0.2, 0.05
-        params = rd.ReducedParams.from_ncr(ncr, omega0=-1.0)
         eps_star = np.sqrt(n / 2)
         for fac in (1.1, 1.25):
-            eps1 = eps_star * fac
-            ic = rd.PolarChart(r0=np.sqrt(ncr + n - eps1**2), r1=eps1,
-                               dtheta=0.0)
-            traj = rd.integrate(ic, params, (0.0, 400.0), 0.02,
-                                record_every=10)
-            eps_series = traj.states[:, 1]
-            assert np.all(eps_series > 0.2 * eps_star)
-            assert np.max(np.abs(traj.states[:, 2])) < np.pi / 2
+            rows = polar_orbit(eps_star * fac, n, ncr, 400.0)
+            assert np.all(rows[:, 0] > 0.2 * eps_star)
+            assert np.max(np.abs(rows[:, 1])) < np.pi / 2
 
     def test_amplitude_vanishes_below(self):
         # n < 0: max eps1 along the orbit shrinks with eps1(0)
         ncr, n = 0.2, -0.05
-        params = rd.ReducedParams.from_ncr(ncr, omega0=-1.0)
         maxima = []
         for eps10 in (0.08, 0.04, 0.02, 0.01):
-            ic = rd.PolarChart(r0=np.sqrt(ncr + n - eps10**2), r1=eps10,
-                               dtheta=0.0)
-            traj = rd.integrate(ic, params, (0.0, 500.0), 0.02,
-                                record_every=10)
-            maxima.append(float(np.max(traj.states[:, 1])))
+            maxima.append(float(np.max(polar_orbit(eps10, n, ncr, 500.0)[:, 0])))
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] < 0.05
