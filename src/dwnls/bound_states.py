@@ -184,8 +184,7 @@ def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
 
 def default_seeds(spectral) -> dict:
     """Symmetric / asymmetric seed profiles built from the linear modes."""
-    psi0 = spectral.psi0.eigenfunction
-    psi1 = spectral.psi1.eigenfunction
+    psi0, psi1 = spectral.psi0, spectral.psi1
     return {
         "symmetric": 0.1 * psi0,
         "asymmetric": 0.1 * (psi0 + 0.3 * psi1),

@@ -100,6 +100,10 @@ def cmd_phaseplane(opts) -> int:
             raise ConfigError(f"--{key.replace('_', '-')} must be positive")
     if opts.get("eps1_max") is not None and not float(opts["eps1_max"]) > 0:
         raise ConfigError("--eps1-max must be positive")
+    if not ncr > 0:
+        raise ConfigError("--ncr must be positive")
+    if not ncr + n_offset > 0:
+        raise ConfigError("--n must exceed -ncr (a positive power ncr + n)")
     eps_max = float(opts["eps1_max"]) if opts.get("eps1_max") else \
         1.5 * np.sqrt(abs(n_offset) / 2.0 if n_offset > 0 else ncr / 8.0)
     ics = []
@@ -109,7 +113,9 @@ def cmd_phaseplane(opts) -> int:
             ics.append((eps1, dth))
 
     def run_one(idx, eps1, dth):
+        # every dt_record, then t_end once (arange can round up to it)
         ts = np.arange(0.0, t_end, float(opts["dt_record"]))
+        ts = np.append(ts[ts < t_end - 1e-12], t_end)
         dt = float(opts["dt"])
         rows, iterations, stalled = rd.polar_midpoint_orbit(
             eps1, dth, n_offset, ncr, dt, int(round(t_end / dt)), ts)
@@ -136,6 +142,11 @@ def cmd_bifurcate(opts) -> int:
     ncr = float(opts["ncr"])
     if int(opts["count"]) < 1:
         raise ConfigError("--count must be positive")
+    if not ncr > 0:
+        raise ConfigError("--ncr must be positive")
+    for key in ("n_min", "n_max"):
+        if float(opts[key]) < 0:
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= 0")
     n_vals = np.linspace(float(opts["n_min"]), float(opts["n_max"]),
                          int(opts["count"]))
     rows = []
@@ -210,7 +221,7 @@ def cmd_evolve(opts) -> int:
         u0 = np.zeros(grid.n_points, dtype=complex)
     elif kind == "eigenmode":
         data = spec_mod.spectral_data(potential, grid)
-        u0 = data.psi0.eigenfunction.astype(complex)
+        u0 = data.psi0.astype(complex)
     elif kind == "sech":
         u0 = np.sqrt(2.0) / np.cosh(grid.x) + 0.0j
     elif kind == "twomode":
@@ -221,8 +232,7 @@ def cmd_evolve(opts) -> int:
         alpha_eq = sh.equilibrium_alpha(params, n_level)
         rho1 = alpha_eq * np.exp(1j * dth)
         rho0 = np.sqrt(n_level - alpha_eq**2)
-        u0 = (rho0 * data.psi0.eigenfunction
-              + rho1 * data.psi1.eigenfunction).astype(complex)
+        u0 = (rho0 * data.psi0 + rho1 * data.psi1).astype(complex)
     else:
         raise ConfigError(f"unknown init {kind!r}")
     scheme = ("crank_nicolson" if potential.kind == "delta" else "split_step")
@@ -233,9 +243,10 @@ def cmd_evolve(opts) -> int:
     params = pde.EvolveParams(dt=float(opts["dt"]), t_end=float(opts["t_end"]),
                               scheme=scheme, record_every=int(opts["record_every"]),
                               tail_filter=filt)
-    final, diags = pde.evolve(pde.FieldState(grid, u0), params, potential)
+    v = spec_mod.potential_samples(potential, grid)
+    final, diags = pde.evolve(u0, grid, params, v)
     (out / "diagnostics.csv").write_text(diags.to_csv(), encoding="utf-8")
-    (out / "final_state.csv").write_text(pde.snapshot_csv(final),
+    (out / "final_state.csv").write_text(pde.snapshot_csv(final, grid),
                                          encoding="utf-8")
     write_gnuplot(out / "diagnostics.gp", "diagnostics.csv",
                   "center of mass", using="1:4")

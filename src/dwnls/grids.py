@@ -61,11 +61,6 @@ class Grid:
         return float(self.x[i])
 
 
-def same_grid(a: Grid, b: Grid) -> None:
-    if (a.x_min, a.x_max, a.n_points) != (b.x_min, b.x_max, b.n_points):
-        raise GridMismatch("operands are defined on different grids")
-
-
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid):
     """<f, g> = dx sum conj(f) g over all nodes (the pinned node is zero);
     real for real f and g."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     DomainTooSmall,
     OddStateAbsent,
 )
-from .grids import Grid, inner, norm2, same_grid
+from .grids import Grid, inner, norm2
 from .io_utils import csv_text
 from .lapack import eigh_tridiagonal
 from .reduced_dynamics import pitchfork_coefficient
@@ -73,21 +73,14 @@ class PotentialSpec:
             raise ValueError("strength and separation must be positive")
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    eigenvalue: float
-    eigenfunction: np.ndarray = field(repr=False)
-    grid: Grid = field(repr=False)
-
-
 @dataclass
 class SpectralData:
     spec: PotentialSpec
     grid: Grid
     omega0: float
     omega1: float
-    psi0: EigenPair
-    psi1: EigenPair
+    psi0: np.ndarray
+    psi1: np.ndarray
     a: np.ndarray          # shape (2, 2, 2, 2) overlap tensor
     n_cr_fd: float         # general-coefficient critical power
 
@@ -289,8 +282,9 @@ def reflect(f: np.ndarray) -> np.ndarray:
 
 
 def compute_eigenpairs(spec: PotentialSpec, grid: Grid):
-    """psi0 and psi1: the lowest eigenpair of the even block of H and of
-    the odd block (PinnedHamiltonian.blocks), unfolded onto the grid.
+    """((Omega0, psi0), (Omega1, psi1)): the lowest eigenpair of the even
+    block of H and of the odd block (PinnedHamiltonian.blocks), unfolded
+    onto the grid.
 
     Eigenvectors are normalized in grids.inner, with the sign conventions
     psi0 > 0 (even) and psi1(x) > 0 for x > 0 (odd); each eigenvalue is
@@ -318,19 +312,18 @@ def compute_eigenpairs(spec: PotentialSpec, grid: Grid):
         res = hpsi - lam * psi
         if np.linalg.norm(res) > 1e-8 * np.linalg.norm(psi):
             raise ConvergenceFailure("eigenresidual exceeds 1e-8")
-        pairs.append(EigenPair(lam, psi, grid))
-    if not pairs[0].eigenvalue < pairs[1].eigenvalue < 0:
+        pairs.append((lam, psi))
+    if not pairs[0][0] < pairs[1][0] < 0:
         raise ConvergenceFailure("eigenvalue ordering Omega0 < Omega1 < 0 failed")
     return pairs
 
 
-def overlap_coefficients(psi0: EigenPair, psi1: EigenPair) -> np.ndarray:
-    """Rank-4 overlap tensor a_ijkl of an even psi0 and an odd psi1, as
-    compute_eigenpairs makes them: the entries with i + j + k + l odd are
-    integrals of odd functions, zero."""
-    same_grid(psi0.grid, psi1.grid)
-    grid = psi0.grid
-    basis = (psi0.eigenfunction, psi1.eigenfunction)
+def overlap_coefficients(psi0: np.ndarray, psi1: np.ndarray,
+                         grid: Grid) -> np.ndarray:
+    """Rank-4 overlap tensor a_ijkl of an even psi0 and an odd psi1 on
+    grid, as compute_eigenpairs makes them: the entries with i + j + k + l
+    odd are integrals of odd functions, zero."""
+    basis = (psi0, psi1)
     a = np.zeros((2, 2, 2, 2))
     for i, j, k, l in np.ndindex(2, 2, 2, 2):
         if (i + j + k + l) % 2 == 0:
@@ -360,19 +353,19 @@ def critical_power(omega0: float, omega1: float, a: np.ndarray) -> float:
 
 def spectral_data(spec: PotentialSpec, grid: Grid) -> SpectralData:
     """Full spectral bundle for the two-mode reduction of this well."""
-    psi0, psi1 = compute_eigenpairs(spec, grid)
-    if abs(inner(psi0.eigenfunction, psi1.eigenfunction, grid)) > _ORTHO_TOL:
+    (omega0, psi0), (omega1, psi1) = compute_eigenpairs(spec, grid)
+    if abs(inner(psi0, psi1, grid)) > _ORTHO_TOL:
         raise ConvergenceFailure("eigenfunctions not orthogonal")
-    a = overlap_coefficients(psi0, psi1)
+    a = overlap_coefficients(psi0, psi1, grid)
     return SpectralData(
         spec=spec,
         grid=grid,
-        omega0=psi0.eigenvalue,
-        omega1=psi1.eigenvalue,
+        omega0=omega0,
+        omega1=omega1,
         psi0=psi0,
         psi1=psi1,
         a=a,
-        n_cr_fd=critical_power(psi0.eigenvalue, psi1.eigenvalue, a),
+        n_cr_fd=critical_power(omega0, omega1, a),
     )
 
 
@@ -404,5 +397,4 @@ def tune_delta_strength_for_ncr(
 
 def eigenfunctions_to_csv(data: SpectralData) -> str:
     return csv_text(["x", "psi0", "psi1"],
-                    [data.grid.x, data.psi0.eigenfunction,
-                     data.psi1.eigenfunction])
+                    [data.grid.x, data.psi0, data.psi1])

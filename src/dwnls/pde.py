@@ -46,6 +46,9 @@ cuts a CN stepper's Phi, and counts the mass removed.
 
 The reported energy is each scheme's discretization of
 H[u] = int |u_x|^2 + V |u|^2 - |u|^4 / 2 (see hamiltonian).
+
+A field is a complex array of node values, passed with its Grid; V
+enters as its grid samples (linear_spectrum.potential_samples).
 """
 
 from __future__ import annotations
@@ -59,14 +62,7 @@ from .errors import DwnlsError, NonlinearIterationDiverged
 from .grids import Grid
 from .io_utils import csv_text
 from .lapack import fft, ifft, zgtsv
-from .linear_spectrum import PinnedHamiltonian, PotentialSpec, potential_samples
-
-
-@dataclass
-class FieldState:
-    grid: Grid
-    values: np.ndarray
-    time: float = 0.0
+from .linear_spectrum import PinnedHamiltonian
 
 
 @dataclass(frozen=True)
@@ -118,12 +114,11 @@ class PdeDiagnostics:
                          self.max_amp, self.x_max, self.removed_mass])
 
 
-def mass(state: FieldState, scheme: str = "crank_nicolson") -> float:
+def mass(u: np.ndarray, grid: Grid, scheme: str = "crank_nicolson") -> float:
     """int |u|^2 as the dx sum of |u|^2 that the scheme's step conserves
     to rounding: over the free nodes 1..n-1 for Crank-Nicolson, over all
     nodes of the periodic grid for split-step."""
-    u = state.values if scheme == "split_step" else state.values[1:]
-    return _dx_mass(state.grid, u)
+    return _dx_mass(grid, u if scheme == "split_step" else u[1:])
 
 
 def _dx_mass(grid: Grid, u: np.ndarray) -> float:
@@ -131,11 +126,12 @@ def _dx_mass(grid: Grid, u: np.ndarray) -> float:
     return grid.dx * float(np.vdot(u, u).real)
 
 
-def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
+def hamiltonian(u: np.ndarray, grid: Grid, v: np.ndarray,
                 scheme: str = "crank_nicolson") -> float:
     """The energy of `scheme`, H[u] = int(|u_x|^2 + V |u|^2 - |u|^4/2),
-    with V sampled as the steppers sample it (delta wells as -s/dx at
-    their nodes) and rectangle sums of step dx.
+    with v the grid samples of V that the steppers take (delta wells as
+    -s/dx at their nodes, linear_spectrum.potential_samples) and
+    rectangle sums of step dx.
 
     Crank-Nicolson: the quadratic form Q of the pinned tridiagonal H on
     the free nodes 1..n-1 (u[0] is the Dirichlet pin and is not read).
@@ -144,8 +140,6 @@ def hamiltonian(state: FieldState, potential: PotentialSpec | np.ndarray | None,
     O(dt^2) of it.  Split-step: the spectral kinetic energy of the
     periodic grid, conserved by the Strang step to O(dt^2).
     """
-    grid, u = state.grid, state.values
-    v = _samples(grid, potential)
     if scheme != "split_step":
         # Q(u) - 1/2 dx sum |u|^4 is the quadratic form of H - |u|^2/2 at u
         free = u[1:]
@@ -167,13 +161,13 @@ def wavenumbers(grid: Grid) -> np.ndarray:
     return 2.0 * np.pi * (m * (1.0 / (n * grid.dx)))
 
 
-def center_of_mass(state: FieldState) -> float:
+def center_of_mass(u: np.ndarray, grid: Grid) -> float:
     """int x |u|^2 / int |u|^2 (dx cancels)."""
-    a2 = np.abs(state.values) ** 2
+    a2 = np.abs(u) ** 2
     n = np.sum(a2)
     if n == 0.0:
         return 0.0
-    return float(np.sum(state.grid.x * a2) / n)
+    return float(np.sum(grid.x * a2) / n)
 
 
 # ----------------------------------------------------------------------
@@ -318,15 +312,6 @@ def cut_on_grid(grid: Grid, u: np.ndarray, keep: np.ndarray):
     return np.where(keep, u, 0.0), _dx_mass(grid, u[~keep])
 
 
-def _samples(grid: Grid, potential: PotentialSpec | np.ndarray | None) -> np.ndarray:
-    """Grid samples of V (zero without a potential)."""
-    if isinstance(potential, np.ndarray):
-        return potential
-    if potential is None:
-        return np.zeros(grid.n_points)
-    return potential_samples(potential, grid)
-
-
 # ----------------------------------------------------------------------
 # evolution driver
 # ----------------------------------------------------------------------
@@ -369,41 +354,36 @@ def march(u: np.ndarray, stepper, n_steps: int, record_every: int,
     return u
 
 
-def evolve(state0: FieldState, params: EvolveParams,
-           potential: PotentialSpec | np.ndarray | None):
-    """March state0 to t_end, recording diagnostics every record_every steps.
-    V is sampled once, for the stepper and for every record's energy.
+def evolve(u0: np.ndarray, grid: Grid, params: EvolveParams, v: np.ndarray):
+    """March u0 from t = 0 to t_end, recording diagnostics every
+    record_every steps; v, the grid samples of V, serves the stepper and
+    every record's energy.
 
-    Returns (final_state, PdeDiagnostics).
+    Returns (final field, PdeDiagnostics).
     """
-    grid = state0.grid
-    t0, dt = state0.time, params.dt
-    v = _samples(grid, potential)
+    dt = params.dt
     stepper = (SplitStepper if params.scheme == "split_step"
                else CrankNicolsonStepper)(grid, v, dt, params.nonlinear)
     rows = []
 
     def record(u, t, removed):
-        st = FieldState(grid, u, t)
         i = int(np.argmax(np.abs(u)))
         amp = float(np.abs(u[i]))
-        rows.append((t, mass(st, params.scheme),
-                     hamiltonian(st, v, params.scheme),
-                     center_of_mass(st), amp,
+        rows.append((t, mass(u, grid, params.scheme),
+                     hamiltonian(u, grid, v, params.scheme),
+                     center_of_mass(u, grid), amp,
                      float(grid.x[i]) if amp > 0.0 else 0.0, removed))
 
-    u = state0.values.astype(complex)
+    u = u0.astype(complex)
     n_steps = int(round(params.t_end / dt))
-    record(u, t0, 0.0)
+    record(u, 0.0, 0.0)
     u = march(u, stepper, n_steps, params.record_every,
-              lambda k, f, removed: record(f, t0 + k * dt, removed),
+              lambda k, f, removed: record(f, k * dt, removed),
               params.tail_filter)
-    diags = PdeDiagnostics(*np.array(rows).T)
-    return FieldState(grid, u, t0 + n_steps * dt), diags
+    return u, PdeDiagnostics(*np.array(rows).T)
 
 
-def snapshot_csv(state: FieldState) -> str:
-    u = state.values
+def snapshot_csv(u: np.ndarray, grid: Grid) -> str:
     # abs of each complex scalar: np.abs of the array can round differently
     return csv_text(["x", "re_u", "im_u", "abs_u"],
-                    [state.grid.x, u.real, u.imag, [abs(v) for v in u]])
+                    [grid.x, u.real, u.imag, [abs(v) for v in u]])

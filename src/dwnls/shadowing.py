@@ -41,6 +41,9 @@ Pipeline per run:
 5. report sup|eta|, the annulus verdict around one full period of the
    reference orbit at any horizon, the center-of-mass well count, and
    invariant drifts.
+
+The field u and the residual R are complex arrays of node values on
+spectral.grid, and the modes psi0 and psi1 real ones.
 """
 
 from __future__ import annotations
@@ -56,13 +59,12 @@ from .errors import (
     ChartBreakdown,
     DwnlsError,
 )
-from .grids import Grid, inner, same_grid
+from .grids import Grid, inner
 from .io_utils import csv_text
 from .linear_spectrum import (SpectralData, pinned_hamiltonian,
                               potential_samples, unfold)
 from .pde import (
     CrankNicolsonStepper,
-    FieldState,
     TailFilter,
     center_of_mass,
     hamiltonian,
@@ -113,33 +115,22 @@ SAMPLE_CHUNK = 8
 # projection and frames
 # ----------------------------------------------------------------------
 
-@dataclass
-class ProjectionResult:
-    c0: complex
-    c1: complex
-    residual: FieldState
-
-
-def project(u: FieldState, spectral: SpectralData) -> ProjectionResult:
-    """Split u into c0 psi0 + c1 psi1 + R with R orthogonal to both modes."""
-    same_grid(u.grid, spectral.grid)
-    psi0 = spectral.psi0.eigenfunction
-    psi1 = spectral.psi1.eigenfunction
-    c0 = complex(inner(psi0, u.values, u.grid))
-    c1 = complex(inner(psi1, u.values, u.grid))
-    r = u.values - c0 * psi0 - c1 * psi1
-    return ProjectionResult(c0=c0, c1=c1,
-                            residual=FieldState(u.grid, r, u.time))
+def project(u: np.ndarray, spectral: SpectralData):
+    """(c0, c1, R): u split into c0 psi0 + c1 psi1 + R with R orthogonal
+    to both modes."""
+    psi0, psi1, grid = spectral.psi0, spectral.psi1, spectral.grid
+    c0 = complex(inner(psi0, u, grid))
+    c1 = complex(inner(psi1, u, grid))
+    return c0, c1, u - c0 * psi0 - c1 * psi1
 
 
 def build_initial_data(point, spectral: SpectralData,
-                       theta0: float = 0.0) -> FieldState:
+                       theta0: float = 0.0) -> np.ndarray:
     """Two-mode field e^{i theta0}(A psi0 + (alpha + i beta) psi1)."""
     c = convert(point, CARTESIAN) if not hasattr(point, "alpha") else point
     ph = complex(math.cos(theta0), math.sin(theta0))
-    vals = ph * (c.A * spectral.psi0.eigenfunction
-                 + complex(c.alpha, c.beta) * spectral.psi1.eigenfunction)
-    return FieldState(spectral.grid, vals.astype(complex), 0.0)
+    return ph * (c.A * spectral.psi0
+                 + complex(c.alpha, c.beta) * spectral.psi1)
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +143,7 @@ class _Basis:
     once (P_c is linear)."""
 
     def __init__(self, spectral: SpectralData):
-        p0 = spectral.psi0.eigenfunction
-        p1 = spectral.psi1.eigenfunction
+        p0, p1 = spectral.psi0, spectral.psi1
         self.psi0, self.psi1, self.grid = p0, p1, spectral.grid
         self.products = np.array([self.project_c(f) for f in
                                   (p0**3, p1**3, p0 * p1**2, p0**2 * p1)])
@@ -379,31 +369,29 @@ def _real_product(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 # Appendix-style coupling diagnostics
 # ----------------------------------------------------------------------
 
-def coupling_errors(a_amp: float, alpha: float, beta: float, r: FieldState,
+def coupling_errors(a_amp: float, alpha: float, beta: float, r: np.ndarray,
                     spectral: SpectralData):
     """(Error_A, Error_alpha, Error_beta, Error_theta): the exact
     radiation-coupling terms of the moving-frame equations, evaluated by
-    quadrature against the rotating-frame residual field r."""
+    quadrature against the rotating-frame residual field r on
+    spectral.grid."""
     if a_amp <= 1e-8:
         raise ChartBreakdown("Error_theta divides by A")
-    same_grid(r.grid, spectral.grid)
-    p0 = spectral.psi0.eigenfunction
-    p1 = spectral.psi1.eigenfunction
-    rr = r.values
+    p0, p1 = spectral.psi0, spectral.psi1
     z = complex(alpha, beta)
     p = alpha * alpha + beta * beta
 
     lin_r = (2.0 * a_amp**2 * p0 * p0 + 4.0 * a_amp * alpha * p0 * p1
-             + 2.0 * p * p1 * p1) * rr
+             + 2.0 * p * p1 * p1) * r
     lin_rbar = (a_amp**2 * p0 * p0 + z * z * p1 * p1
-                + 2.0 * a_amp * z * p0 * p1) * np.conj(rr)
-    quad = (a_amp * p0 + z.conjugate() * p1) * rr * rr \
-        + (2.0 * a_amp * p0 + 2.0 * z * p1) * np.abs(rr) ** 2
-    cubic = np.abs(rr) ** 2 * rr
+                + 2.0 * a_amp * z * p0 * p1) * np.conj(r)
+    quad = (a_amp * p0 + z.conjugate() * p1) * r * r \
+        + (2.0 * a_amp * p0 + 2.0 * z * p1) * np.abs(r) ** 2
+    cubic = np.abs(r) ** 2 * r
     f_r = -(lin_r + lin_rbar + quad + cubic)
 
-    g0 = complex(inner(p0, f_r, r.grid))
-    g1 = complex(inner(p1, f_r, r.grid))
+    g0 = complex(inner(p0, f_r, spectral.grid))
+    g1 = complex(inner(p1, f_r, spectral.grid))
     err_a = g0.imag
     err_alpha = g1.imag - beta / a_amp * g0.real
     err_beta = -g1.real - alpha / a_amp * g0.real
@@ -652,11 +640,11 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
                              CUTOFF_FRACTION * grid.x_max)
 
     def energy(u):
-        return hamiltonian(FieldState(grid, u), v)
+        return hamiltonian(u, grid, v)
 
     # masses on the free nodes, the weights the pinned step conserves
-    mass0 = field_mass(u0)
-    energy0 = energy(u0.values)
+    mass0 = field_mass(u0, grid)
+    energy0 = energy(u0)
 
     # R~ does not depend on the PDE: every SAMPLE_CHUNK samples it
     # advances to them, with the march's cuts, and w = R - R~ there goes
@@ -683,20 +671,18 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         nonlocal parseval, mass_drift, energy_drift, removed
         removed = removed_now
         t = k * dt
-        st = FieldState(grid, u, t)
-        pr = project(st, spectral)
-        fr = convert(ModeAmplitudes(pr.c0, pr.c1), CARTESIAN)
+        c0, c1, r = project(u, spectral)
+        fr = convert(ModeAmplitudes(c0, c1), CARTESIAN)
         a_p, al_p, be_p, th_p = fr.A, fr.alpha, fr.beta, fr.theta
         a_r, al_r, be_r = ref.sample(t)
-        r_rot = pr.residual.values * complex(math.cos(-th_p), math.sin(-th_p))
-        errs = coupling_errors(a_p, al_p, be_p,
-                               FieldState(grid, r_rot, t), spectral)
+        r_rot = r * complex(math.cos(-th_p), math.sin(-th_p))
+        errs = coupling_errors(a_p, al_p, be_p, r_rot, spectral)
         times.append(t)
         etas.append((a_p - a_r, al_p - al_r, be_p - be_r))
         albe.append((al_p, be_p))
-        coms.append(center_of_mass(st))
-        n_tot = field_mass(st)
-        split = abs(pr.c0) ** 2 + abs(pr.c1) ** 2 + field_mass(pr.residual)
+        coms.append(center_of_mass(u, grid))
+        n_tot = field_mass(u, grid)
+        split = abs(c0) ** 2 + abs(c1) ** 2 + field_mass(r, grid)
         parseval = max(parseval, abs(n_tot - split))
         mass_drift = max(mass_drift, abs(n_tot + removed - mass0))
         energy_drift = max(energy_drift,
@@ -707,9 +693,9 @@ def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,
         if len(chunk) == SAMPLE_CHUNK:
             flush()
 
-    take_sample(0, u0.values, 0.0)
+    take_sample(0, u0, 0.0)
     try:
-        march(u0.values, stepper, n_steps, sample_every, take_sample,
+        march(u0, stepper, n_steps, sample_every, take_sample,
               tail_filter, count_cut)
     except DwnlsError as exc:
         truncation = {"error": type(exc).__name__, "message": str(exc),

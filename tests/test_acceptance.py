@@ -234,19 +234,18 @@ def test_criterion_07_pde_solver():
     u0 = np.sqrt(2.0) / np.cosh(grid.x) + 0j
     params = pde.EvolveParams(dt=1e-3, t_end=10.0, scheme="split_step",
                               record_every=10**9)
-    final, _ = pde.evolve(pde.FieldState(grid, u0), params,
-                          np.zeros(grid.n_points))
-    sech_dev = float(np.max(np.abs(np.abs(final.values) - np.abs(u0))))
+    final, _ = pde.evolve(u0, grid, params, np.zeros(grid.n_points))
+    sech_dev = float(np.max(np.abs(np.abs(final) - np.abs(u0))))
     ok_a = sech_dev <= 1e-3
 
     # (b) CN mass conservation over 1e4 steps with a double-delta well
     grid2 = Grid.symmetric(40.0, 4096)
     spec = ls.PotentialSpec("delta", 1.0, 10.0)
     sd = ls.spectral_data(spec, grid2)
-    u0 = (0.4 * sd.psi0.eigenfunction + 0.25 * sd.psi1.eigenfunction) + 0j
+    u0 = (0.4 * sd.psi0 + 0.25 * sd.psi1) + 0j
     params = pde.EvolveParams(dt=1e-3, t_end=10.0, scheme="crank_nicolson",
                               record_every=2500)
-    _, diags = pde.evolve(pde.FieldState(grid2, u0), params, spec)
+    _, diags = pde.evolve(u0, grid2, params, ls.potential_samples(spec, grid2))
     mass_rel = float(np.max(np.abs(diags.mass - diags.mass[0]))
                      / diags.mass[0])
     ok_b = mass_rel <= 1e-8
@@ -258,13 +257,13 @@ def test_criterion_07_pde_solver():
     for n, dt in ((2048, 2e-3), (4096, 1e-3)):
         g = Grid.symmetric(40.0, n)
         sdg = ls.spectral_data(spec, g)
-        u0 = sdg.psi0.eigenfunction + 0j
+        u0 = sdg.psi0 + 0j
         p = pde.EvolveParams(dt=dt, t_end=5.0, scheme="crank_nicolson",
                              record_every=10**9, nonlinear=False)
-        f, _ = pde.evolve(pde.FieldState(g, u0), p, spec)
-        mod_devs.append(float(np.max(np.abs(np.abs(f.values) - np.abs(u0)))))
+        f, _ = pde.evolve(u0, g, p, ls.potential_samples(spec, g))
+        mod_devs.append(float(np.max(np.abs(np.abs(f) - np.abs(u0)))))
         ref = np.exp(1j * ke * ke * 5.0) * u0
-        errs.append(norm2(f.values - ref, g))
+        errs.append(norm2(f - ref, g))
     ratio = errs[0] / errs[1]
     ok_c = 3.5 <= ratio <= 4.5 and max(mod_devs) < 1e-10
     ok = ok_a and ok_b and ok_c
@@ -418,7 +417,7 @@ def test_criterion_10_transport_dichotomy(shadow_well):
 
 def test_criterion_11_coupling_functionals(shadow_well):
     sd = shadow_well
-    zero = pde.FieldState(sd.grid, np.zeros(sd.grid.n_points, complex))
+    zero = np.zeros(sd.grid.n_points, complex)
     at_zero = sh.coupling_errors(0.3, 0.06, -0.02, zero, sd)
     ok = all(v == 0.0 for v in at_zero)
 
@@ -426,8 +425,7 @@ def test_criterion_11_coupling_functionals(shadow_well):
     bump = basis.project_c(np.exp(-(sd.grid.x - 0.8) ** 2) * (1 + 0.5j) + 0j)
     vals = []
     for h in (1e-3, 5e-4):
-        r = pde.FieldState(sd.grid, h * bump)
-        vals.append(np.abs(sh.coupling_errors(0.3, 0.06, -0.02, r, sd)))
+        vals.append(np.abs(sh.coupling_errors(0.3, 0.06, -0.02, h * bump, sd)))
     slopes = np.log2(np.array(vals[0]) / np.array(vals[1]))
     ok &= bool(np.all(np.abs(slopes - 1.0) < 0.1))
     assert report(11, ok, f"zero at R=0, ladder slopes "

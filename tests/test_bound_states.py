@@ -45,7 +45,7 @@ class TestSpectralRenormalize:
         sd = delta_s1_L10
         eps = 1e-3
         st = bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 - eps,
-                                     0.05 * sd.psi0.eigenfunction)
+                                     0.05 * sd.psi0)
         # bifurcation from the linear ground state: N ~ eps / int psi0^4
         assert st.n == pytest.approx(eps / sd.a[0, 0, 0, 0], rel=5e-3)
         assert abs(st.asymmetry) < 1e-10
@@ -56,7 +56,7 @@ class TestSpectralRenormalize:
         om = sd.omega0 - 0.5 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
         st = bs.spectral_renormalize(
             _pinned(sd), sd.grid, om,
-            0.1 * (sd.psi0.eigenfunction + 0.3 * sd.psi1.eigenfunction))
+            0.1 * (sd.psi0 + 0.3 * sd.psi1))
         assert st.n < sd.n_cr_fd
         assert abs(st.asymmetry) < 1e-6
 
@@ -67,7 +67,7 @@ class TestSpectralRenormalize:
             om = sd.omega0 - mult * sd.n_cr_fd * sd.a[0, 0, 0, 0]
             st = bs.spectral_renormalize(
                 _pinned(sd), sd.grid, om,
-                0.1 * (sd.psi0.eigenfunction + 0.3 * sd.psi1.eigenfunction))
+                0.1 * (sd.psi0 + 0.3 * sd.psi1))
             assert st.n > sd.n_cr_fd
             asyms.append(abs(st.asymmetry))
         assert asyms[0] > 0.01
@@ -78,7 +78,7 @@ class TestSpectralRenormalize:
         om = sd.omega0 - 2.0 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
         st = bs.spectral_renormalize(
             _pinned(sd), sd.grid, om,
-            0.1 * (sd.psi0.eigenfunction + 0.3 * sd.psi1.eigenfunction))
+            0.1 * (sd.psi0 + 0.3 * sd.psi1))
         assert st.residual <= 1e-8
 
     def test_zero_seed_raises(self, delta_s1_L10):
@@ -90,7 +90,7 @@ class TestSpectralRenormalize:
     def test_phase_fix_positive_maximum(self, delta_s1_L10):
         sd = delta_s1_L10
         st = bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 - 1e-3,
-                                     -0.05 * sd.psi0.eigenfunction)
+                                     -0.05 * sd.psi0)
         assert st.profile[np.argmax(np.abs(st.profile))] > 0
 
     @settings(max_examples=30, deadline=None)
@@ -108,7 +108,7 @@ class TestSpectralRenormalize:
         sd = delta_s1_L10
         grid = sd.grid
         om = sd.omega0 - shift
-        seed = (a0 * sd.psi0.eigenfunction + a1 * sd.psi1.eigenfunction
+        seed = (a0 * sd.psi0 + a1 * sd.psi1
                 + bump * np.exp(-(grid.x - x0) ** 2))
         seed[0] = 0.0
         state = bs.spectral_renormalize(_pinned(sd), grid, om, seed,
@@ -155,14 +155,13 @@ class TestSpectralRenormalize:
         with pytest.raises(IterationDiverged,
                            match="H - Omega is not positive definite"):
             bs.spectral_renormalize(_pinned(sd), sd.grid, sd.omega0 + above,
-                                    0.05 * sd.psi0.eigenfunction)
+                                    0.05 * sd.psi0)
 
 
 class TestContinuation:
     def test_reflection_equivariance(self, delta_s1_L10):
         sd = delta_s1_L10
-        seeds_plus = {"asymmetric": 0.1 * (sd.psi0.eigenfunction
-                                           + 0.3 * sd.psi1.eigenfunction)}
+        seeds_plus = {"asymmetric": 0.1 * (sd.psi0 + 0.3 * sd.psi1)}
         seeds_minus = {"asymmetric": ls.reflect(seeds_plus["asymmetric"])}
         step = 0.2 * sd.n_cr_fd * sd.a[0, 0, 0, 0]
         kw = dict(omega_start=sd.omega0 - 0.25 * step,
@@ -197,7 +196,7 @@ class TestContinuation:
         with pytest.raises(BranchLost) as info:
             bs.continue_in_omega(sd.spec, sd.grid, sd.omega0 + 1.5 * step,
                                  sd.omega0 - step, step,
-                                 {"symmetric": 0.05 * sd.psi0.eigenfunction})
+                                 {"symmetric": 0.05 * sd.psi0})
         assert isinstance(info.value.__cause__, IterationDiverged)
         assert "not positive definite" in str(info.value.__cause__)
 
@@ -215,7 +214,7 @@ class TestContinuation:
         om = sd.omega0 - 0.5 * step
         with pytest.raises(BranchLost) as caught:
             bs.continue_in_omega(sd.spec, sd.grid, om, om - step, step,
-                                 {"symmetric": 0.05 * sd.psi0.eigenfunction})
+                                 {"symmetric": 0.05 * sd.psi0})
         cause = caught.value.__cause__
         assert isinstance(cause, IterationDiverged)
         assert str(cause) == f"{message} at Omega = {om:.17g}"
@@ -307,7 +306,7 @@ class TestThreshold:
         sd = gauss_sigma1_L3
         thr, _ = gauss_threshold
         state = bs.spectral_renormalize(_pinned(sd), sd.grid, thr.omega_star,
-                                        0.1 * sd.psi0.eigenfunction,
+                                        0.1 * sd.psi0,
                                         symmetrize=True)
         assert state.n == pytest.approx(thr.n_star, rel=1e-8)
         lp = ls.pinned_hamiltonian(sd.spec, sd.grid).shifted(

@@ -156,6 +156,17 @@ class TestPhaseplaneCommand:
             assert np.max(np.abs(rows[:, 2])) > 512.0
             assert orbit["stalled_steps"] == 0
 
+    def test_last_row_at_t_end(self, tmp_path):
+        # each orbit file ends with the state at t_end: rows every
+        # dt_record from t = 0, and t = 100 last
+        out = tmp_path / "ppt"
+        assert run(["phaseplane", "--t-end", "100", "--orbits", "1",
+                    "--out", str(out)]) == 0
+        for orbit in json.loads((out / "index.json").read_text())["orbits"]:
+            rows = np.loadtxt(out / orbit["file"], delimiter=",", skiprows=1)
+            assert len(rows) == 201
+            assert rows[-1, 0] == 100.0
+
     def test_jobs_flag(self, tmp_path):
         out = tmp_path / "ppj"
         rc = run(["phaseplane", "--ncr", "0.1", "--n", "0.05",
@@ -217,6 +228,21 @@ class TestEvolveCommand:
         assert rows[-1] == ("0.5,0.99999984246792462,-0.177811459944028,"
                             "1.0450011778635522,0.36802404475601824,2.734375,"
                             "1.5753214052894369e-07")
+
+    def test_crank_nicolson_golden_bits(self, tmp_path):
+        # a short Crank-Nicolson run of a sech on the delta well with five
+        # tail-filter cuts; its last row, as text, pins every bit of the CN
+        # mass, energy and cut path
+        out = tmp_path / "ev"
+        rc = run(["evolve", "--well", "delta", "--points", "1024",
+                  "--init", "sech", "--dt", "1e-3", "--t-end", "0.5",
+                  "--cutoff", "30", "--filter-steps", "100",
+                  "--record-every", "50", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "diagnostics.csv").read_text().strip().split("\n")
+        assert rows[-1] == ("0.5,4.0000000000000053,-1.3350084915085145,"
+                            "-1.3877787807814441e-15,1.4146120990553392,0,"
+                            "1.2250907060356335e-25")
 
     @pytest.mark.parametrize("extra", [
         ["--cutoff", "30", "--filter-steps", "0"],
@@ -289,7 +315,13 @@ class TestConfigHandling:
         (["phaseplane", "--t-end", "0"], "--t-end"),
         (["phaseplane", "--orbits", "0"], "--orbits"),
         (["phaseplane", "--eps1-max", "0"], "--eps1-max"),
+        (["phaseplane", "--ncr", "-0.1"], "--ncr"),
+        (["phaseplane", "--ncr", "0"], "--ncr"),
+        (["phaseplane", "--ncr", "0.2", "--n", "-0.5"], "--n must"),
         (["bifurcate", "--count", "0"], "--count"),
+        (["bifurcate", "--ncr", "0"], "--ncr"),
+        (["bifurcate", "--n-min", "-0.1"], "--n-min"),
+        (["bifurcate", "--n-max", "-0.1"], "--n-max"),
         (["groundstate", "--count", "0"], "--count"),
         (["groundstate", "--omega-step", "-0.01"], "--omega-step"),
         ([*SHADOW_GOLDEN, "--dt", "0"], "--dt"),
@@ -299,7 +331,10 @@ class TestConfigHandling:
          "--amplitude-factor"),
     ], ids=["phaseplane_dt_0", "phaseplane_dt_record_0",
             "phaseplane_t_end_0", "phaseplane_orbits_0",
-            "phaseplane_eps1_max_0", "bifurcate_count_0",
+            "phaseplane_eps1_max_0", "phaseplane_ncr_negative",
+            "phaseplane_ncr_0", "phaseplane_n_below_minus_ncr",
+            "bifurcate_count_0", "bifurcate_ncr_0",
+            "bifurcate_n_min_negative", "bifurcate_n_max_negative",
             "groundstate_count_0", "groundstate_omega_step_negative",
             "shadow_dt_0", "shadow_periods_0", "shadow_periods_1e-5",
             "shadow_below_amplitude_2"])

@@ -41,7 +41,7 @@ def operators(shadow_well, gauss_sigma1_L3):
     h_shadow = ls.pinned_hamiltonian(shadow_well.spec, shadow_well.grid)
     h = ls.pinned_hamiltonian(sd.spec, sd.grid)
     state = bs.spectral_renormalize(h, sd.grid, sd.omega0 - 0.02,
-                                    0.1 * sd.psi0.eigenfunction,
+                                    0.1 * sd.psi0,
                                     symmetrize=True)
     lp = h.shifted(state.omega).shifted(3.0 * state.profile[1:] ** 2)
     (h_even, h_odd), lp_odd = h.blocks(), lp.blocks()[1]

@@ -81,26 +81,27 @@ class TestSplitStep:
         u0 = sech_soliton(sech_grid)
         params = pde.EvolveParams(dt=1e-3, t_end=10.0, scheme="split_step",
                                   record_every=2000)
-        final, diags = pde.evolve(pde.FieldState(sech_grid, u0), params,
+        final, diags = pde.evolve(u0, sech_grid, params,
                                   np.zeros(sech_grid.n_points))
-        assert np.max(np.abs(np.abs(final.values) - np.abs(u0))) < 1e-3
+        assert np.max(np.abs(np.abs(final) - np.abs(u0))) < 1e-3
         # phase advances at +1
         mid = sech_grid.n_points // 2
-        assert np.angle(final.values[mid]) == pytest.approx(
+        assert np.angle(final[mid]) == pytest.approx(
             np.angle(np.exp(1j * 10.0)), abs=1e-2)
 
     def test_zero_data(self, sech_grid):
         u0 = np.zeros(sech_grid.n_points, dtype=complex)
         params = pde.EvolveParams(dt=1e-2, t_end=0.5, scheme="split_step")
-        final, diags = pde.evolve(pde.FieldState(sech_grid, u0), params, None)
-        assert np.all(final.values == 0.0)
+        final, diags = pde.evolve(u0, sech_grid, params,
+                                  np.zeros(sech_grid.n_points))
+        assert np.all(final == 0.0)
         assert np.all(diags.mass == 0.0)
 
     def test_mass_conserved_to_rounding(self, sech_grid):
         u0 = sech_soliton(sech_grid) * np.exp(0.2j * sech_grid.x)
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme="split_step",
                                   record_every=500)
-        _, diags = pde.evolve(pde.FieldState(sech_grid, u0), params,
+        _, diags = pde.evolve(u0, sech_grid, params,
                               np.zeros(sech_grid.n_points))
         assert np.max(np.abs(diags.mass - diags.mass[0])) < 1e-10
 
@@ -112,29 +113,30 @@ class TestSplitStep:
         u0, v = split_data(grid, 0.5, 6.0, 1.0, 3.0, 1.0)
         params = pde.EvolveParams(dt=1e-3, t_end=1.0, scheme="split_step",
                                   record_every=50)
-        final, diags = pde.evolve(pde.FieldState(grid, u0), params, v)
-        assert abs(final.values[0]) > 0.1
+        final, diags = pde.evolve(u0, grid, params, v)
+        assert abs(final[0]) > 0.1
         drift = np.max(np.abs(diags.mass - diags.mass[0]))
         assert drift <= 1e-13 * diags.mass[0]
 
     def test_gauge_covariance(self, sech_grid):
         u0 = sech_soliton(sech_grid)
         params = pde.EvolveParams(dt=1e-3, t_end=1.0, scheme="split_step")
-        f1, _ = pde.evolve(pde.FieldState(sech_grid, u0), params, None)
+        f1, _ = pde.evolve(u0, sech_grid, params, np.zeros(sech_grid.n_points))
         phase = np.exp(0.7j)
-        f2, _ = pde.evolve(pde.FieldState(sech_grid, phase * u0), params, None)
-        assert np.max(np.abs(f2.values - phase * f1.values)) < 1e-10
+        f2, _ = pde.evolve(phase * u0, sech_grid, params,
+                           np.zeros(sech_grid.n_points))
+        assert np.max(np.abs(f2 - phase * f1)) < 1e-10
 
     def test_linear_eigenmode_splitstep(self, gauss_sigma1_L3):
         sd = gauss_sigma1_L3
-        u0 = sd.psi0.eigenfunction.astype(complex)
+        u0 = sd.psi0.astype(complex)
         # nonlinearity disabled: modulus stationary up to O(dx^2)+O(dt^2)
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme="split_step",
                                   nonlinear=False)
         v = ls.potential_samples(sd.spec, sd.grid)
-        final, _ = pde.evolve(pde.FieldState(sd.grid, u0), params, v)
+        final, _ = pde.evolve(u0, sd.grid, params, v)
         # FFT kinetic vs FD eigenvector: O(dx^2) modulus wobble
-        assert np.max(np.abs(np.abs(final.values) - np.abs(u0))) < 5e-4
+        assert np.max(np.abs(np.abs(final) - np.abs(u0))) < 5e-4
 
     @settings(max_examples=60, deadline=None)
     @given(amp=st.floats(0.1, 2.0), center=st.floats(-4.0, 4.0),
@@ -250,25 +252,24 @@ class TestSplitStep:
 class TestCrankNicolson:
     def test_mass_conservation_1e4_steps(self, delta_s1_L10):
         sd = delta_s1_L10
-        u0 = (0.4 * sd.psi0.eigenfunction
-              + 0.25 * sd.psi1.eigenfunction).astype(complex)
+        u0 = (0.4 * sd.psi0 + 0.25 * sd.psi1).astype(complex)
         params = pde.EvolveParams(dt=1e-3, t_end=10.0, scheme="crank_nicolson",
                                   record_every=2500)
-        _, diags = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
+        _, diags = pde.evolve(u0, sd.grid, params, _v(sd))
         rel = np.max(np.abs(diags.mass - diags.mass[0])) / diags.mass[0]
         assert rel <= 1e-8
 
     def test_linear_eigenmode_phase(self, delta_s1_L10):
         sd = delta_s1_L10
-        u0 = sd.psi0.eigenfunction.astype(complex)
+        u0 = sd.psi0.astype(complex)
         params = pde.EvolveParams(dt=1e-3, t_end=3.0, scheme="crank_nicolson",
                                   nonlinear=False, record_every=10**9)
-        final, _ = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
+        final, _ = pde.evolve(u0, sd.grid, params, _v(sd))
         # discrete eigenvector: modulus stationary to roundoff, phase at
         # the discrete eigenvalue up to the CN O(dt^2) bias
-        assert np.max(np.abs(np.abs(final.values) - np.abs(u0))) < 1e-12
+        assert np.max(np.abs(np.abs(final) - np.abs(u0))) < 1e-12
         ref = np.exp(-1j * sd.omega0 * 3.0) * u0
-        assert np.max(np.abs(final.values - ref)) < 1e-6
+        assert np.max(np.abs(final - ref)) < 1e-6
 
     def test_refinement_ratio(self):
         # halving dx and dt divides the deviation from the transcendental
@@ -279,21 +280,22 @@ class TestCrankNicolson:
         for n, dt in ((2048, 2e-3), (4096, 1e-3)):
             grid = Grid.symmetric(40.0, n)
             sd = ls.spectral_data(spec, grid)
-            u0 = sd.psi0.eigenfunction.astype(complex)
+            u0 = sd.psi0.astype(complex)
             params = pde.EvolveParams(dt=dt, t_end=5.0,
                                       scheme="crank_nicolson",
                                       nonlinear=False, record_every=10**9)
-            final, _ = pde.evolve(pde.FieldState(grid, u0), params, spec)
+            final, _ = pde.evolve(u0, grid, params,
+                                  ls.potential_samples(spec, grid))
             ref = np.exp(1j * ke * ke * 5.0) * u0
-            errs.append(norm2(final.values - ref, grid))
+            errs.append(norm2(final - ref, grid))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
     def test_parity_preservation(self, delta_s1_L10):
         sd = delta_s1_L10
-        u0 = sd.psi0.eigenfunction.astype(complex) * 0.5
+        u0 = sd.psi0.astype(complex) * 0.5
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme="crank_nicolson")
-        final, _ = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
-        assert np.max(np.abs(final.values - ls.reflect(final.values))) < 1e-10
+        final, _ = pde.evolve(u0, sd.grid, params, _v(sd))
+        assert np.max(np.abs(final - ls.reflect(final))) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(amp=st.floats(0.05, 1.0), mix=st.floats(0.0, np.pi / 2),
@@ -309,14 +311,14 @@ class TestCrankNicolson:
         sd = shadow_well
         u = _two_mode(sd, amp, mix, phase0, phase1)
         stepper = pde.CrankNicolsonStepper(sd.grid, _v(sd), dt)
-        m0 = pde.mass(pde.FieldState(sd.grid, u))
+        m0 = pde.mass(u, sd.grid)
         phi = np.abs(u) ** 2
         for _ in range(2):
             z = stepper.step(u)
             assert z[0] == 0.0
             res = _relaxation_residual(sd, dt, phi, u, z)
             assert np.max(np.abs(res[1:])) <= 1e-14 * _op_norm(sd, dt) * amp
-            assert abs(pde.mass(pde.FieldState(sd.grid, z)) - m0) <= 1e-14 * m0
+            assert abs(pde.mass(z, sd.grid) - m0) <= 1e-14 * m0
             phi = 2.0 * np.abs(z) ** 2 - phi
             u = z
 
@@ -338,11 +340,10 @@ class TestCrankNicolson:
         masses, energies, hs = [], [], []
         for _ in range(2000):
             phi_next = 2.0 * np.abs(u) ** 2 - phi_prev
-            state = pde.FieldState(grid, u)
-            masses.append(pde.mass(state))
+            masses.append(pde.mass(u, grid))
             energies.append(quadratic_form(u)
                             - 0.5 * dx * float(np.sum(phi_next * phi_prev)))
-            hs.append(pde.hamiltonian(state, sd.spec))
+            hs.append(pde.hamiltonian(u, grid, _v(sd)))
             u = stepper.step(u)
             phi_prev = phi_next
         masses, energies, hs = map(np.array, (masses, energies, hs))
@@ -370,8 +371,8 @@ class TestCrankNicolson:
         keep = np.abs(grid.x) <= 10.0
         u_cut, removed = stepper.cut(u, keep)
         assert np.array_equal(u_cut, np.where(keep, u, 0.0))
-        gone = pde.FieldState(grid, np.where(keep, 0.0, u))
-        assert removed == pytest.approx(pde.mass(gone), rel=1e-14)
+        gone = np.where(keep, 0.0, u)
+        assert removed == pytest.approx(pde.mass(gone, grid), rel=1e-14)
         assert removed > 1e-4
         phi = 2.0 * np.abs(u_cut) ** 2 - np.where(keep, phi_prev, 0.0)
         z = stepper.step(u_cut)
@@ -441,7 +442,7 @@ class TestCrankNicolson:
             return (*out, 7 if calls[0] == 3 else info)
 
         monkeypatch.setattr(pde, "zgtsv", failing)
-        u0 = 0.5 * sd.psi0.eigenfunction.astype(complex)
+        u0 = 0.5 * sd.psi0.astype(complex)
         stepper = pde.CrankNicolsonStepper(sd.grid, _v(sd), 1e-3)
         with pytest.raises(NonlinearIterationDiverged, match="zgtsv info 7") as exc:
             pde.march(u0, stepper, 5, 1, lambda k, u, removed: None)
@@ -455,8 +456,8 @@ def _v(sd):
 def _two_mode(sd, amp, mix, phase0, phase1):
     """amp (cos(mix) e^{i phase0} psi0 + sin(mix) e^{i phase1} psi1), zero
     at the pinned node."""
-    u = amp * (np.cos(mix) * np.exp(1j * phase0) * sd.psi0.eigenfunction
-               + np.sin(mix) * np.exp(1j * phase1) * sd.psi1.eigenfunction)
+    u = amp * (np.cos(mix) * np.exp(1j * phase0) * sd.psi0
+               + np.sin(mix) * np.exp(1j * phase1) * sd.psi1)
     u[0] = 0.0
     return u
 
@@ -480,8 +481,9 @@ def _op_norm(sd, dt):
 
 class TestHamiltonian:
     def test_zero_field(self, sech_grid):
-        st = pde.FieldState(sech_grid, np.zeros(sech_grid.n_points, complex))
-        assert pde.hamiltonian(st, None) == 0.0
+        u = np.zeros(sech_grid.n_points, complex)
+        v = np.zeros(sech_grid.n_points)
+        assert pde.hamiltonian(u, sech_grid, v) == 0.0
 
     def test_sech_value_vs_quadrature(self, sech_grid):
         # H[sqrt(2) sech] = int(2 sech^2 tanh^2 - 2 sech^4) dx, the
@@ -489,21 +491,21 @@ class TestHamiltonian:
         oracle = quad(lambda x: 2 * np.cosh(x) ** -2 * np.tanh(x) ** 2
                       - 2 * np.cosh(x) ** -4, -50, 50)[0]
         assert oracle == pytest.approx(-4.0 / 3.0, abs=1e-10)
-        st = pde.FieldState(sech_grid, sech_soliton(sech_grid))
+        u, v = sech_soliton(sech_grid), np.zeros(sech_grid.n_points)
         # the finite-difference kinetic energy carries O(dx^2) error, the
         # spectral one is exact to rounding for this resolved profile
-        assert pde.hamiltonian(st, None) == pytest.approx(
+        assert pde.hamiltonian(u, sech_grid, v) == pytest.approx(
             oracle, abs=5.0 * sech_grid.dx**2)
-        assert pde.hamiltonian(st, None, "split_step") == pytest.approx(
+        assert pde.hamiltonian(u, sech_grid, v, "split_step") == pytest.approx(
             oracle, abs=1e-12)
 
     def test_delta_contribution(self, delta_s1_L10):
         sd = delta_s1_L10
-        u = sd.psi0.eigenfunction.astype(complex)
-        h = pde.hamiltonian(pde.FieldState(sd.grid, u), sd.spec)
+        u = sd.psi0.astype(complex)
+        h = pde.hamiltonian(u, sd.grid, _v(sd))
         i_left = sd.grid.node_index(-5.0)
         i_right = sd.grid.node_index(5.0)
-        h_free = pde.hamiltonian(pde.FieldState(sd.grid, u), None)
+        h_free = pde.hamiltonian(u, sd.grid, np.zeros(sd.grid.n_points))
         expected = h_free - 1.0 * (abs(u[i_left]) ** 2 + abs(u[i_right]) ** 2)
         assert h == pytest.approx(expected, rel=1e-12)
 
@@ -520,9 +522,9 @@ class TestHamiltonian:
         drifts = []
         for dt in (2e-3, 1e-3):
             params = pde.EvolveParams(dt=dt, t_end=1.0, scheme="split_step")
-            final, _ = pde.evolve(pde.FieldState(sech_grid, u0), params,
+            final, _ = pde.evolve(u0, sech_grid, params,
                                   np.zeros(sech_grid.n_points))
-            drifts.append(abs(conserved(final.values) - conserved(u0)))
+            drifts.append(abs(conserved(final) - conserved(u0)))
         assert 3.0 < drifts[0] / drifts[1] < 5.0
 
     @pytest.mark.parametrize("scheme,well", [
@@ -533,11 +535,10 @@ class TestHamiltonian:
         # it within O(dt^2) of the modified energy it conserves (1.6e-11
         # here), the Strang step to O(dt^2) (1e-10 here)
         sd = request.getfixturevalue(well)
-        u0 = (0.6 * sd.psi0.eigenfunction
-              + 0.3 * sd.psi1.eigenfunction).astype(complex)
+        u0 = (0.6 * sd.psi0 + 0.3 * sd.psi1).astype(complex)
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme=scheme,
                                   record_every=250)
-        _, diags = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
+        _, diags = pde.evolve(u0, sd.grid, params, _v(sd))
         drift = float(np.max(np.abs(diags.hamiltonian - diags.hamiltonian[0])))
         assert drift <= 1e-8
 
@@ -553,11 +554,10 @@ class TestHamiltonian:
             quad_part = float(np.real(np.vdot(u, hu))) * dx
             return quad_part - 0.5 * float(np.sum(np.abs(u) ** 4)) * dx
 
-        u0 = (0.4 * sd.psi0.eigenfunction
-              + 0.25 * sd.psi1.eigenfunction).astype(complex)
+        u0 = (0.4 * sd.psi0 + 0.25 * sd.psi1).astype(complex)
         params = pde.EvolveParams(dt=1e-3, t_end=2.0, scheme="crank_nicolson")
-        final, _ = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
-        assert abs(discrete_energy(final.values) - discrete_energy(u0)) < 1e-8
+        final, _ = pde.evolve(u0, sd.grid, params, _v(sd))
+        assert abs(discrete_energy(final) - discrete_energy(u0)) < 1e-8
 
 
 class TestGridConvergence:
@@ -570,9 +570,9 @@ class TestGridConvergence:
             u0 = (0.6 * np.exp(-((grid.x - 3.0) ** 2))).astype(complex)
             params = pde.EvolveParams(dt=2.5e-4, t_end=1.0,
                                       scheme="crank_nicolson")
-            final, _ = pde.evolve(pde.FieldState(grid, u0), params,
+            final, _ = pde.evolve(u0, grid, params,
                                   ls.potential_samples(spec, grid))
-            sols[n] = final.values
+            sols[n] = final
         e1 = np.max(np.abs(sols[2048][::2] - sols[1024]))
         e2 = np.max(np.abs(sols[4096][::2] - sols[2048]))
         order = np.log2(e1 / e2)
@@ -587,11 +587,11 @@ class TestTailFilter:
         sd = request.getfixturevalue(well)
         # seed mass outside the cutoff so the filter has something to remove
         bump = np.exp(-((sd.grid.x - 33.0) ** 2)).astype(complex)
-        u0 = 0.3 * sd.psi0.eigenfunction.astype(complex) + 0.1 * bump
+        u0 = 0.3 * sd.psi0.astype(complex) + 0.1 * bump
         filt = pde.TailFilter(trigger_steps=100, cutoff_radius=30.0)
         params = pde.EvolveParams(dt=1e-3, t_end=0.5, scheme=scheme,
                                   tail_filter=filt, record_every=100)
-        _, diags = pde.evolve(pde.FieldState(sd.grid, u0), params, sd.spec)
+        _, diags = pde.evolve(u0, sd.grid, params, _v(sd))
         assert diags.removed_mass[-1] > 1e-4
         # mass accounting: remaining + removed = initial
         total = diags.mass[-1] + diags.removed_mass[-1]
@@ -601,15 +601,14 @@ class TestTailFilter:
 class TestDiagnostics:
     def test_center_of_mass_odd_state(self, delta_s1_L10):
         sd = delta_s1_L10
-        right = sd.psi0.eigenfunction + sd.psi1.eigenfunction
-        st = pde.FieldState(sd.grid, right.astype(complex))
-        assert pde.center_of_mass(st) > 1.0
-        st2 = pde.FieldState(sd.grid, sd.psi0.eigenfunction.astype(complex))
-        assert abs(pde.center_of_mass(st2)) < 1e-10
+        right = sd.psi0 + sd.psi1
+        assert pde.center_of_mass(right.astype(complex), sd.grid) > 1.0
+        u = sd.psi0.astype(complex)
+        assert abs(pde.center_of_mass(u, sd.grid)) < 1e-10
 
     def test_snapshot_csv(self, delta_s1_L10):
         sd = delta_s1_L10
-        st = pde.FieldState(sd.grid, sd.psi0.eigenfunction.astype(complex))
-        lines = pde.snapshot_csv(st).strip().split("\n")
+        u = sd.psi0.astype(complex)
+        lines = pde.snapshot_csv(u, sd.grid).strip().split("\n")
         assert lines[0] == "x,re_u,im_u,abs_u"
         assert len(lines) == sd.grid.n_points + 1

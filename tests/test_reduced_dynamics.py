@@ -87,7 +87,7 @@ class TestVectorFields:
         # i rho_j' = <psi_j, (H - |u|^2) u> for u = rho0 psi0 + rho1 psi1
         sd = shadow_well
         h = ls.pinned_hamiltonian(sd.spec, sd.grid)
-        psi = (sd.psi0.eigenfunction, sd.psi1.eigenfunction)
+        psi = (sd.psi0, sd.psi1)
         params = rd.ReducedParams.from_spectral(sd)
         rng = np.random.default_rng(9)
         for _ in range(20):

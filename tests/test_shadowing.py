@@ -28,26 +28,21 @@ from well_tuning import tune_delta_well_for_ncr
 class TestProjection:
     def test_pure_mode(self, shadow_well):
         sd = shadow_well
-        u = pde.FieldState(sd.grid, 2.0 * sd.psi0.eigenfunction + 0j)
-        pr = sh.project(u, sd)
-        assert pr.c0 == pytest.approx(2.0, abs=1e-12)
-        assert pr.c1 == pytest.approx(0.0, abs=1e-12)
-        assert norm2(pr.residual.values, sd.grid) < 1e-12
-        r = pr.residual.values
-        assert abs(inner(sd.psi0.eigenfunction, r, sd.grid)) \
-            + abs(inner(sd.psi1.eigenfunction, r, sd.grid)) < 1e-12
+        c0, c1, r = sh.project(2.0 * sd.psi0 + 0j, sd)
+        assert c0 == pytest.approx(2.0, abs=1e-12)
+        assert c1 == pytest.approx(0.0, abs=1e-12)
+        assert norm2(r, sd.grid) < 1e-12
+        assert abs(inner(sd.psi0, r, sd.grid)) \
+            + abs(inner(sd.psi1, r, sd.grid)) < 1e-12
 
     def test_orthogonal_decomposition(self, shadow_well):
         sd = shadow_well
         basis = sh._Basis(sd)
         rho = basis.project_c(np.exp(-(sd.grid.x - 1.0) ** 2) + 0j)
-        u = pde.FieldState(sd.grid,
-                           sd.psi0.eigenfunction + 1j * sd.psi1.eigenfunction
-                           + rho)
-        pr = sh.project(u, sd)
-        assert pr.c0 == pytest.approx(1.0, abs=1e-10)
-        assert pr.c1 == pytest.approx(1j, abs=1e-10)
-        assert np.max(np.abs(pr.residual.values - rho)) < 1e-10
+        c0, c1, r = sh.project(sd.psi0 + 1j * sd.psi1 + rho, sd)
+        assert c0 == pytest.approx(1.0, abs=1e-10)
+        assert c1 == pytest.approx(1j, abs=1e-10)
+        assert np.max(np.abs(r - rho)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -65,8 +60,8 @@ class TestProjection:
             * np.exp(-(sd.grid.x / width) ** 2)
         size = norm2(f, sd.grid)
         for r in (sh._Basis(sd).project_c(f),
-                  sh.project(pde.FieldState(sd.grid, f), sd).residual.values):
-            for psi in (sd.psi0.eigenfunction, sd.psi1.eigenfunction):
+                  sh.project(f, sd)[2]):
+            for psi in (sd.psi0, sd.psi1):
                 assert abs(inner(psi, r, sd.grid)) <= 1e-15 * size
 
     def test_parseval_split(self, shadow_well):
@@ -76,11 +71,9 @@ class TestProjection:
             u = (rng.normal(size=sd.grid.n_points)
                  + 1j * rng.normal(size=sd.grid.n_points))
             u *= np.exp(-sd.grid.x**2 / 50.0)
-            st = pde.FieldState(sd.grid, u)
-            pr = sh.project(st, sd)
+            c0, c1, r = sh.project(u, sd)
             total = norm2(u, sd.grid) ** 2
-            split = (abs(pr.c0) ** 2 + abs(pr.c1) ** 2
-                     + norm2(pr.residual.values, sd.grid) ** 2)
+            split = abs(c0) ** 2 + abs(c1) ** 2 + norm2(r, sd.grid) ** 2
             assert abs(total - split) < 1e-10
 
 
@@ -125,27 +118,27 @@ class TestInitialData:
         n_level = 0.05
         u0 = sh.build_initial_data(
             rd.CartesianChart(np.sqrt(n_level), 0.0, 0.0), sd)
-        expected = np.sqrt(n_level) * sd.psi0.eigenfunction
-        assert np.max(np.abs(u0.values - expected)) < 1e-14
+        expected = np.sqrt(n_level) * sd.psi0
+        assert np.max(np.abs(u0 - expected)) < 1e-14
 
     def test_asymmetric_point(self, shadow_well):
         sd = shadow_well
         u0 = sh.build_initial_data(
             rd.CartesianChart(np.sqrt(0.125), np.sqrt(0.025), 0.0), sd)
-        pr = sh.project(u0, sd)
-        assert pr.c0 == pytest.approx(np.sqrt(0.125), abs=1e-12)
-        assert pr.c1 == pytest.approx(np.sqrt(0.025), abs=1e-12)
+        c0, c1, _ = sh.project(u0, sd)
+        assert c0 == pytest.approx(np.sqrt(0.125), abs=1e-12)
+        assert c1 == pytest.approx(np.sqrt(0.025), abs=1e-12)
 
     def test_projection_inverse(self, shadow_well):
         sd = shadow_well
         pt = rd.CartesianChart(A=0.31, alpha=0.07, beta=-0.03, theta=0.6)
         u0 = sh.build_initial_data(pt, sd, theta0=pt.theta)
-        pr = sh.project(u0, sd)
-        a, al, be, th = _moving_frame(pr.c0, pr.c1)
+        c0, c1, r = sh.project(u0, sd)
+        a, al, be, th = _moving_frame(c0, c1)
         assert (a, al, be) == pytest.approx((pt.A, pt.alpha, pt.beta),
                                             abs=1e-12)
         assert th == pytest.approx(pt.theta, abs=1e-12)
-        assert norm2(pr.residual.values, sd.grid) < 1e-12
+        assert norm2(r, sd.grid) < 1e-12
 
 
 class TestModeSource:
@@ -156,8 +149,8 @@ class TestModeSource:
         for _ in range(10):
             a_amp, al, be = rng.normal(size=3) * 0.3
             src = sh.mode_source(abs(a_amp), al, be, basis)
-            assert abs(inner(sd.psi0.eigenfunction, src, sd.grid)) < 1e-10
-            assert abs(inner(sd.psi1.eigenfunction, src, sd.grid)) < 1e-10
+            assert abs(inner(sd.psi0, src, sd.grid)) < 1e-10
+            assert abs(inner(sd.psi1, src, sd.grid)) < 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(a_amp=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),
@@ -167,7 +160,7 @@ class TestModeSource:
         # -P_c(bracket) with the bracket assembled on the grid first
         sd = shadow_well
         basis = sh._Basis(sd)
-        p0, p1 = sd.psi0.eigenfunction, sd.psi1.eigenfunction
+        p0, p1 = sd.psi0, sd.psi1
         z = complex(alpha, beta)
         p = alpha * alpha + beta * beta
         bracket = (a_amp**3 * p0**3 + p * z * p1**3
@@ -207,10 +200,8 @@ class TestTildeR:
         assert 0 < np.max(np.abs(fields[-1])) < 1e-2
         for f in fields[1::5]:
             size = norm2(f, sd.grid)
-            assert abs(inner(sd.psi0.eigenfunction, f, sd.grid)) \
-                <= 1e-10 * size
-            assert abs(inner(sd.psi1.eigenfunction, f, sd.grid)) \
-                <= 1e-10 * size
+            assert abs(inner(sd.psi0, f, sd.grid)) <= 1e-10 * size
+            assert abs(inner(sd.psi1, f, sd.grid)) <= 1e-10 * size
         assert all(f[0] == 0.0 for f in fields)    # the pinned node
 
     def test_step_is_exact_exponential(self):
@@ -557,13 +548,13 @@ class TestTildeRLadder:
 class TestCouplingErrors:
     def test_zero_residual(self, shadow_well):
         sd = shadow_well
-        zero = pde.FieldState(sd.grid, np.zeros(sd.grid.n_points, complex))
+        zero = np.zeros(sd.grid.n_points, complex)
         errs = sh.coupling_errors(0.3, 0.05, -0.02, zero, sd)
         assert errs == (0.0, 0.0, 0.0, 0.0)
 
     def test_chart_guard(self, shadow_well):
         sd = shadow_well
-        zero = pde.FieldState(sd.grid, np.zeros(sd.grid.n_points, complex))
+        zero = np.zeros(sd.grid.n_points, complex)
         with pytest.raises(ChartBreakdown):
             sh.coupling_errors(1e-9, 0.0, 0.0, zero, sd)
 
@@ -578,7 +569,7 @@ class TestCouplingErrors:
         for h in (1e-3, 5e-4):
             vals = []
             for hh in (h, 0.5 * h):
-                r = pde.FieldState(sd.grid, hh * bump)
+                r = hh * bump
                 vals.append(sh.coupling_errors(0.3, 0.06, -0.02, r, sd))
             vals = np.abs(np.array(vals))
             slopes.append(np.log2(vals[0] / vals[1]))
@@ -873,7 +864,7 @@ def _run_with_offline_monitors(sd, orb, monkeypatch):
     coupling_errors saw at the samples, and R~ at all of them with the
     run's orbit, step count and tail filter, its source formed in one
     window of the whole run."""
-    seen, rows = {}, []
+    seen, rows = {"k": 0}, []
     reduced_reference, march = sh.reduced_reference, sh.march
     coupling_errors = sh.coupling_errors
 
@@ -883,11 +874,17 @@ def _run_with_offline_monitors(sd, orb, monkeypatch):
 
     def spy_march(*args):
         seen["n_steps"], seen["tail_filter"] = args[2], args[5]
-        return march(*args)
+        on_record = args[4]
+
+        def record(k, *rest):
+            seen["k"] = k            # the step of the sample taken next
+            return on_record(k, *rest)
+
+        return march(*args[:4], record, *args[5:])
 
     def spy_coupling(a_amp, alpha, beta, r, spectral):
         errs = coupling_errors(a_amp, alpha, beta, r, spectral)
-        rows.append((r.time, r.values.copy()))
+        rows.append((seen["k"] * orb.dt_pde, r.copy()))
         return errs
 
     monkeypatch.setattr(sh, "reduced_reference", spy_reference)
