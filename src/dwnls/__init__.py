@@ -2,26 +2,4 @@
 spectra, the two-mode Hamiltonian reduction and its bifurcations, full PDE
 evolution, nonlinear bound-state continuation, and shadowing experiments."""
 
-from . import (  # noqa: F401
-    bifurcation,
-    bound_states,
-    errors,
-    grids,
-    linear_spectrum,
-    pde,
-    reduced_dynamics,
-    shadowing,
-)
-
-__all__ = [
-    "bifurcation",
-    "bound_states",
-    "errors",
-    "grids",
-    "linear_spectrum",
-    "pde",
-    "reduced_dynamics",
-    "shadowing",
-]
-
 __version__ = "0.1.0"

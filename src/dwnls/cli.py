@@ -9,7 +9,10 @@ directory.
     dwnls evolve     --well delta --strength 1 --sep 10 --init twomode ...
     dwnls shadow     --side above --tau 0.05 --gamma 0.8 --periods 5 ...
 
-Options may come from a JSON config (--config); explicit flags win.
+Each command imports the modules it runs as it starts; importing cli loads
+only errors, grids and io_utils of the package (the README lists each
+command's modules). Options may come from a JSON config (--config), an
+object of flag values; explicit flags win.
 phaseplane accepts --jobs for old configs and ignores it: its orbits run
 one after another (threads gave no speed-up under the GIL).
 Exit codes: 2 config error, 3 numeric/solver error, 4 verdict failed.
@@ -24,12 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bifurcation as bif
-from . import bound_states as bst
-from . import linear_spectrum as spec_mod
-from . import pde
-from . import reduced_dynamics as rd
-from . import shadowing as sh
 from .errors import DwnlsError
 from .grids import Grid
 from .io_utils import write_csv, write_gnuplot, write_json
@@ -37,6 +34,9 @@ from .io_utils import write_csv, write_gnuplot, write_json
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERDICT = 4
+
+STEP_RTOL = 1e-9  # phaseplane: --t-end and --dt-record in whole --dt steps
+EPS1_CAP = 0.9    # phaseplane: default --eps1-max <= EPS1_CAP sqrt(ncr + n)
 
 
 class ConfigError(Exception):
@@ -57,15 +57,13 @@ def _grid(opts) -> Grid:
     return Grid.symmetric(float(opts["xmax"]), int(opts["points"]))
 
 
-def _potential(opts) -> spec_mod.PotentialSpec:
-    well = opts["well"]
-    if well == "delta":
-        return spec_mod.PotentialSpec("delta", float(opts["strength"]),
-                                      float(opts["sep"]))
-    if well == "gauss":
-        return spec_mod.PotentialSpec("gauss", float(opts["sigma"]),
-                                      float(opts["sep"]))
-    raise ConfigError(f"unknown well kind {well!r}")
+def _potential(opts):
+    from . import linear_spectrum as spec_mod
+    size = {"delta": "strength", "gauss": "sigma"}.get(opts["well"])
+    if size is None:
+        raise ConfigError(f"unknown well kind {opts['well']!r}")
+    return spec_mod.PotentialSpec(opts["well"], float(opts[size]),
+                                  float(opts["sep"]))
 
 
 def _manifest(out: Path, opts: dict) -> None:
@@ -77,6 +75,7 @@ def _manifest(out: Path, opts: dict) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_spectrum(opts) -> int:
+    from . import linear_spectrum as spec_mod
     out = _outdir(opts)
     grid = _grid(opts)
     data = spec_mod.spectral_data(_potential(opts), grid)
@@ -89,7 +88,20 @@ def cmd_spectrum(opts) -> int:
     return 0
 
 
+def _whole_steps(opts, key: str, dt: float) -> int:
+    """opts[key] in steps of dt: a positive whole number, to a relative
+    STEP_RTOL."""
+    ratio = float(opts[key]) / dt
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > STEP_RTOL * steps:
+        raise ConfigError(
+            f"--{key.replace('_', '-')} must be a whole number of --dt "
+            f"steps (to a relative {STEP_RTOL:g}), not {ratio:.12g}")
+    return steps
+
+
 def cmd_phaseplane(opts) -> int:
+    from . import reduced_dynamics as rd
     out = _outdir(opts)
     ncr = float(opts["ncr"])
     n_offset = float(opts["n"])
@@ -98,37 +110,43 @@ def cmd_phaseplane(opts) -> int:
     for key in ("dt", "dt_record", "t_end", "orbits"):
         if not float(opts[key]) > 0:
             raise ConfigError(f"--{key.replace('_', '-')} must be positive")
-    if opts.get("eps1_max") is not None and not float(opts["eps1_max"]) > 0:
-        raise ConfigError("--eps1-max must be positive")
     if not ncr > 0:
         raise ConfigError("--ncr must be positive")
     if not ncr + n_offset > 0:
         raise ConfigError("--n must exceed -ncr (a positive power ncr + n)")
-    eps_max = float(opts["eps1_max"]) if opts.get("eps1_max") else \
-        1.5 * np.sqrt(abs(n_offset) / 2.0 if n_offset > 0 else ncr / 8.0)
-    ics = []
+    dt = float(opts["dt"])
+    n_steps = _whole_steps(opts, "t_end", dt)
+    every = _whole_steps(opts, "dt_record", dt)
+    # eps1^2 is the power in the odd mode, at most N = ncr + n
+    power = ncr + n_offset
+    if opts.get("eps1_max") is None:
+        eps_max = min(1.5 * np.sqrt(abs(n_offset) / 2.0 if n_offset > 0
+                                    else ncr / 8.0),
+                      EPS1_CAP * np.sqrt(power))
+    else:
+        eps_max = float(opts["eps1_max"])
+        if not (0 < eps_max and eps_max * eps_max <= power):
+            raise ConfigError(
+                f"--eps1-max must be positive with its square at most the "
+                f"power ncr + n = {power:.6g}")
+    # a row every dt_record from t = 0, and the state at t_end last
+    ts = np.append(float(opts["dt_record"]) * np.arange(-(-n_steps // every)),
+                   t_end)
+    index = []
     for i in range(count):
         eps1 = eps_max * (i + 1) / count
         for dth in (0.0, 1.0, 2.0):
-            ics.append((eps1, dth))
-
-    def run_one(idx, eps1, dth):
-        # every dt_record, then t_end once (arange can round up to it)
-        ts = np.arange(0.0, t_end, float(opts["dt_record"]))
-        ts = np.append(ts[ts < t_end - 1e-12], t_end)
-        dt = float(opts["dt"])
-        rows, iterations, stalled = rd.polar_midpoint_orbit(
-            eps1, dth, n_offset, ncr, dt, int(round(t_end / dt)), ts)
-        y = np.array(rows)
-        name = f"orbit_{idx:03d}.csv"
-        write_csv(out / name, ["t", "eps1", "dtheta"],
-                  [ts[:len(rows)], y[:, 0], y[:, 1]])
-        return {"file": name, "eps1_0": eps1, "dtheta_0": dth,
-                "eps1_max": float(np.max(y[:, 0])),
-                "eps1_min": float(np.min(y[:, 0])),
-                "midpoint_iterations": iterations, "stalled_steps": stalled}
-
-    index = [run_one(idx, eps1, dth) for idx, (eps1, dth) in enumerate(ics)]
+            rows, iterations, stalled = rd.polar_midpoint_orbit(
+                eps1, dth, n_offset, ncr, dt, n_steps, every)
+            y = np.array(rows)
+            name = f"orbit_{len(index):03d}.csv"
+            write_csv(out / name, ["t", "eps1", "dtheta"],
+                      [ts, y[:, 0], y[:, 1]])
+            index.append({"file": name, "eps1_0": eps1, "dtheta_0": dth,
+                          "eps1_max": float(np.max(y[:, 0])),
+                          "eps1_min": float(np.min(y[:, 0])),
+                          "midpoint_iterations": iterations,
+                          "stalled_steps": stalled})
     write_json(out / "index.json",
                {"ncr": ncr, "n": n_offset, "orbits": index})
     write_gnuplot(out / "phaseplane.gp", "orbit_000.csv",
@@ -138,6 +156,7 @@ def cmd_phaseplane(opts) -> int:
 
 
 def cmd_bifurcate(opts) -> int:
+    from . import bifurcation as bif
     out = _outdir(opts)
     ncr = float(opts["ncr"])
     if int(opts["count"]) < 1:
@@ -177,6 +196,7 @@ def cmd_bifurcate(opts) -> int:
 
 
 def cmd_groundstate(opts) -> int:
+    from . import bound_states as bst, linear_spectrum as spec_mod
     out = _outdir(opts)
     if int(opts["count"]) < 1:
         raise ConfigError("--count must be positive")
@@ -213,6 +233,7 @@ def cmd_groundstate(opts) -> int:
 
 
 def cmd_evolve(opts) -> int:
+    from . import linear_spectrum as spec_mod, pde, reduced_dynamics as rd
     out = _outdir(opts)
     grid = _grid(opts)
     potential = _potential(opts)
@@ -229,7 +250,7 @@ def cmd_evolve(opts) -> int:
         n_level = float(opts["N"])
         dth = float(opts["dtheta0"])
         params = rd.ReducedParams.from_spectral(data)
-        alpha_eq = sh.equilibrium_alpha(params, n_level)
+        alpha_eq = rd.equilibrium_alpha(params, n_level)
         rho1 = alpha_eq * np.exp(1j * dth)
         rho0 = np.sqrt(n_level - alpha_eq**2)
         u0 = (rho0 * data.psi0 + rho1 * data.psi1).astype(complex)
@@ -255,6 +276,7 @@ def cmd_evolve(opts) -> int:
 
 
 def cmd_shadow(opts) -> int:
+    from . import linear_spectrum as spec_mod, shadowing as sh
     out = _outdir(opts)
     grid = _grid(opts)
     sparams = sh.ShadowParams(
@@ -354,9 +376,18 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config must be a JSON object, not "
+                              f"{json.dumps(loaded)}")
         unknown = set(loaded) - set(opts)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in loaded.items():
+            # what a flag can give, and null where the default is null
+            scalars = (str, int, float, type(opts[key]))
+            if not isinstance(val, scalars):
+                raise ConfigError(f"config key {key!r} cannot be "
+                                  f"{json.dumps(val)}")
         opts.update(loaded)
     for key in opts:
         val = getattr(args, key, None)

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChartBreakdown, NoCrossing, StepFailure
+from .errors import BelowThreshold, ChartBreakdown, NoCrossing, StepFailure
 from .roots import brentq
 
 MODES = "modes"
@@ -74,6 +74,17 @@ def pitchfork_coefficient(a: Optional[np.ndarray]) -> float:
     if a is None:
         return 2.0
     return 3.0 * a[0, 0, 1, 1] - a[0, 0, 0, 0]
+
+
+def equilibrium_alpha(params: ReducedParams, n_level: float) -> float:
+    """alpha of the symmetry-broken equilibrium for unit or tensor tensors."""
+    p = pitchfork_coefficient(params.a)
+    q = p if params.a is None else \
+        3.0 * params.a[0, 0, 1, 1] - params.a[1, 1, 1, 1]
+    alpha2 = (p * n_level - params.omega10) / (p + q)
+    if alpha2 < 0:
+        raise BelowThreshold("no asymmetric equilibrium at this power")
+    return math.sqrt(alpha2)
 
 
 @dataclass
@@ -174,10 +185,10 @@ def vf_polar_reduced(eps1: float, dtheta: float, n: float, n_cr: float):
 
 
 def polar_midpoint_orbit(eps1: float, dtheta: float, n: float, n_cr: float,
-                         dt: float, n_steps: int, record_times):
+                         dt: float, n_steps: int, every: int):
     """The implicit midpoint on vf_polar_reduced from (eps1, dtheta): n_steps
-    steps of dt, recording the state at each of record_times (the first is
-    the start) that the steps reach.
+    steps of dt, recording the start, the state after every `every` steps
+    and the last state.
 
     Returns (rows, iterations, stalled): the recorded (eps1, dtheta) pairs,
     the corrector iterations summed over all steps, and the steps whose
@@ -195,12 +206,9 @@ def polar_midpoint_orbit(eps1: float, dtheta: float, n: float, n_cr: float,
     dt = float(dt)
     e, th = float(eps1), float(dtheta)
     n_tot, m2ncr = n_cr + n, -2.0 * n_cr       # as vf evaluates them first
-    times = [float(t) for t in record_times]
-    n_rows = len(times)
     rows = [(e, th)]
-    row = 1
     iterations = stalled = 0
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         s2 = sin(2.0 * th)
         c2 = cos(2.0 * th)
         z_e = e + dt * (e * (n_tot - e * e) * s2)
@@ -228,11 +236,8 @@ def polar_midpoint_orbit(eps1: float, dtheta: float, n: float, n_cr: float,
         iterations += it
         e = z_e
         th = z_th
-        # from the step count: a running sum of dt drifts past the slack
-        tcur = (k + 1) * dt
-        while row < n_rows and times[row] <= tcur + 1e-12:
+        if k % every == 0 or k == n_steps:
             rows.append((e, th))
-            row += 1
     return rows, iterations, stalled
 
 

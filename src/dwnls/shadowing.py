@@ -54,11 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BelowThreshold,
-    ChartBreakdown,
-    DwnlsError,
-)
+from .errors import ChartBreakdown, DwnlsError
 from .grids import Grid, inner
 from .io_utils import csv_text
 from .linear_spectrum import (SpectralData, pinned_hamiltonian,
@@ -77,6 +73,7 @@ from .reduced_dynamics import (
     Trajectory,
     convert,
     detect_period,  # noqa: F401  (bench/tracer.py wraps it by this name)
+    equilibrium_alpha,
     integrate,
     land_period,
     pitchfork_coefficient,
@@ -578,17 +575,6 @@ def _orbit_initial_state(params: ReducedParams, sparams: ShadowParams,
     a0 = math.sqrt(n_level - alpha0 * alpha0)
     return ModeAmplitudes(complex(a0, 0.0), complex(alpha0, 0.0)), \
         n_level, eq_alpha, abs(alpha0 - eq_alpha)
-
-
-def equilibrium_alpha(params: ReducedParams, n_level: float) -> float:
-    """alpha of the symmetry-broken equilibrium for unit or tensor tensors."""
-    p = pitchfork_coefficient(params.a)
-    q = p if params.a is None else \
-        3.0 * params.a[0, 0, 1, 1] - params.a[1, 1, 1, 1]
-    alpha2 = (p * n_level - params.omega10) / (p + q)
-    if alpha2 < 0:
-        raise BelowThreshold("no asymmetric equilibrium at this power")
-    return math.sqrt(alpha2)
 
 
 def run_shadow_experiment(sparams: ShadowParams, spectral: SpectralData,

@@ -204,7 +204,7 @@ def test_criterion_06_polar_phase_plane():
     def orbit(eps10, offset):
         # phaseplane's midpoint from (eps10, 0): dt 0.02, records every 0.2
         rows, _, _ = rd.polar_midpoint_orbit(eps10, 0.0, offset, ncr, 0.02,
-                                             20000, 0.2 * np.arange(2001))
+                                             20000, 10)
         return np.array(rows)
 
     # trapped orbits for n > 0

@@ -167,6 +167,16 @@ class TestPhaseplaneCommand:
             assert len(rows) == 201
             assert rows[-1, 0] == 100.0
 
+    def test_default_eps1_max_below_power(self, tmp_path):
+        # at n < -0.72 ncr, 1.5 sqrt(ncr/8) exceeds sqrt(N); the default is
+        # capped at 0.9 sqrt(N), so every orbit keeps eps1^2 below N
+        out = tmp_path / "ppc"
+        assert run(["phaseplane", "--ncr", "0.2", "--n", "-0.15",
+                    "--t-end", "5", "--orbits", "2", "--out", str(out)]) == 0
+        orbits = json.loads((out / "index.json").read_text())["orbits"]
+        assert max(o["eps1_0"] for o in orbits) == 0.9 * np.sqrt(0.2 - 0.15)
+        assert all(o["eps1_max"] ** 2 < 0.05 for o in orbits)
+
     def test_jobs_flag(self, tmp_path):
         out = tmp_path / "ppj"
         rc = run(["phaseplane", "--ncr", "0.1", "--n", "0.05",
@@ -315,6 +325,12 @@ class TestConfigHandling:
         (["phaseplane", "--t-end", "0"], "--t-end"),
         (["phaseplane", "--orbits", "0"], "--orbits"),
         (["phaseplane", "--eps1-max", "0"], "--eps1-max"),
+        # eps1^2 above the power N = ncr + n = 0.05
+        (["phaseplane", "--ncr", "0.2", "--n", "-0.15", "--eps1-max",
+          "0.2237"], "--eps1-max"),
+        (["phaseplane", "--t-end", "100.04"], "--t-end"),
+        (["phaseplane", "--dt-record", "0.52"], "--dt-record"),
+        (["phaseplane", "--dt-record", "0.01"], "--dt-record"),
         (["phaseplane", "--ncr", "-0.1"], "--ncr"),
         (["phaseplane", "--ncr", "0"], "--ncr"),
         (["phaseplane", "--ncr", "0.2", "--n", "-0.5"], "--n must"),
@@ -331,7 +347,10 @@ class TestConfigHandling:
          "--amplitude-factor"),
     ], ids=["phaseplane_dt_0", "phaseplane_dt_record_0",
             "phaseplane_t_end_0", "phaseplane_orbits_0",
-            "phaseplane_eps1_max_0", "phaseplane_ncr_negative",
+            "phaseplane_eps1_max_0", "phaseplane_eps1_max_above_power",
+            "phaseplane_t_end_between_steps",
+            "phaseplane_dt_record_between_steps",
+            "phaseplane_dt_record_below_dt", "phaseplane_ncr_negative",
             "phaseplane_ncr_0", "phaseplane_n_below_minus_ncr",
             "bifurcate_count_0", "bifurcate_ncr_0",
             "bifurcate_n_min_negative", "bifurcate_n_max_negative",
@@ -360,6 +379,26 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"nope": 1}))
         assert run(["spectrum", "--config", str(cfg),
                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert run(["spectrum", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: config must be a JSON object, not 5\n"
+
+    @pytest.mark.parametrize("value", [[1], {"n": 1}, None],
+                             ids=["list", "object", "null"])
+    def test_config_value_not_a_flag_value(self, tmp_path, capsys, value):
+        # what no flag can give: an array, an object, or null where the
+        # option has a default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": value}))
+        assert run(["spectrum", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config key 'points' cannot be")
 
     def test_missing_config(self, tmp_path):
         assert run(["spectrum", "--config", str(tmp_path / "gone.json"),
@@ -415,6 +454,13 @@ def _python(code, *args):
     return out.stdout.strip()
 
 
+def test_package_import_loads_no_module():
+    # dwnls/__init__.py imports nothing: each module loads when named
+    code = ("import sys, dwnls; print(sorted(m for m in sys.modules "
+            "if m.startswith('dwnls.')))")
+    assert _python(code) == "[]"
+
+
 def test_import_leaves_heavy_scipy_unloaded():
     # no module imports a scipy package (the two compiled modules load from
     # their files where used), so importing the package loads none of it
@@ -423,16 +469,19 @@ def test_import_leaves_heavy_scipy_unloaded():
     assert _python(code) == "[]"
 
 
-def _run_listing_scipy(argv, tmp_path):
-    """Exit code of the CLI run on argv in a fresh interpreter, and the
-    full names of the scipy modules loaded by its end."""
+def _run_listing_modules(argv, tmp_path):
+    """Exit code of the CLI run on argv in a fresh interpreter, the full
+    names of the scipy modules loaded by its end, and the names of the
+    dwnls modules (without 'dwnls.')."""
     code = ("import sys\nfrom dwnls import cli\n"
             "rc = cli.main(sys.argv[1:])\n"
             "print(rc, *sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] == 'scipy'))\n"
+            "print(*sorted(m[6:] for m in sys.modules "
+            "if m.startswith('dwnls.')))")
     out = _python(code, *argv, "--out", str(tmp_path / "run"))
-    rc, *loaded = out.splitlines()[-1].split()
-    return int(rc), loaded
+    rc, *loaded = out.splitlines()[-2].split()
+    return int(rc), loaded, set(out.splitlines()[-1].split())
 
 
 # the Gaussian well, split step, at the smallest size that has the
@@ -442,26 +491,38 @@ EVOLVE_SPLIT = ["evolve", "--well", "gauss", "--sep", "3", "--init", "twomode",
                 "--t-end", "0.01"]
 
 
-@pytest.mark.parametrize("argv,loads", [
-    (["phaseplane", "--orbits", "2", "--t-end", "50"], []),
-    (["bifurcate", "--count", "5"], []),
-    (["spectrum", "--points", "1024"], ["scipy.linalg._flapack"]),
+# the dwnls modules every command loads, and those of the reduced model
+# and of the grid
+SHARED = {"cli", "errors", "grids", "io_utils"}
+REDUCED = SHARED | {"reduced_dynamics", "roots"}
+GRID = REDUCED | {"linear_spectrum", "lapack"}
+
+
+@pytest.mark.parametrize("argv,loads,modules", [
+    (["phaseplane", "--orbits", "2", "--t-end", "50"], [], REDUCED),
+    (["bifurcate", "--count", "5"], [], REDUCED | {"bifurcation"}),
+    (["spectrum", "--points", "1024"], ["scipy.linalg._flapack"], GRID),
     (["groundstate", "--points", "1024", "--omega-step", "0.01",
-      "--count", "8"], ["scipy.linalg._flapack"]),
-    ([*SHADOW_GOLDEN, "--periods", "1"], ["scipy.linalg._flapack"]),
-    ([*SHADOW_GOLDEN, "--periods", "0.5"], ["scipy.linalg._flapack"]),
+      "--count", "8"], ["scipy.linalg._flapack"], GRID | {"bound_states"}),
+    ([*SHADOW_GOLDEN, "--periods", "1"], ["scipy.linalg._flapack"],
+     GRID | {"pde", "shadowing"}),
+    ([*SHADOW_GOLDEN, "--periods", "0.5"], ["scipy.linalg._flapack"],
+     GRID | {"pde", "shadowing"}),
     (EVOLVE_SPLIT, ["scipy.fft._pocketfft.pypocketfft",
-                    "scipy.linalg._flapack"])],
+                    "scipy.linalg._flapack"], GRID | {"pde"})],
     ids=["phaseplane", "bifurcate", "spectrum", "groundstate", "shadow",
          "shadow_half_period", "evolve"])
-def test_scipy_loads_only_for_a_solve(argv, loads, tmp_path):
+def test_scipy_loads_only_for_a_solve(argv, loads, modules, tmp_path):
     # the reduced-model commands run on numpy alone; the grid commands load
     # scipy's compiled LAPACK module and nothing else of scipy: neither
     # scipy nor scipy.linalg, and no scipy.optimize, since every root find
-    # goes through dwnls.roots.brentq
-    rc, loaded = _run_listing_scipy(argv, tmp_path)
+    # goes through dwnls.roots.brentq. Each command loads only the dwnls
+    # modules it runs: none loads bifurcation but bifurcate, bound_states
+    # but groundstate, or shadowing but shadow
+    rc, loaded, dwnls_loaded = _run_listing_modules(argv, tmp_path)
     assert rc == 0
     assert loaded == loads
+    assert dwnls_loaded == modules
     if argv[0] == "shadow":
         # the annulus is measured around one full reference period at any
         # horizon: half a period reads the one-period golden string

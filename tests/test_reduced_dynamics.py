@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwnls.errors import ChartBreakdown, NoCrossing
+from dwnls.errors import BelowThreshold, ChartBreakdown, NoCrossing
 from dwnls.grids import inner
 from dwnls import linear_spectrum as ls
 from dwnls import reduced_dynamics as rd
@@ -398,8 +398,7 @@ def polar_orbit(eps10, n, ncr, t_end):
     """(eps1, dtheta) rows of phaseplane's midpoint from (eps10, 0) at power
     offset n: steps of 0.02 up to t_end, recorded every 0.2."""
     rows, _, _ = rd.polar_midpoint_orbit(
-        eps10, 0.0, n, ncr, 0.02, int(round(t_end / 0.02)),
-        0.2 * np.arange(int(round(t_end / 0.2)) + 1))
+        eps10, 0.0, n, ncr, 0.02, int(round(t_end / 0.02)), 10)
     return np.array(rows)
 
 
@@ -421,3 +420,29 @@ class TestPhasePlaneDichotomy:
             maxima.append(float(np.max(polar_orbit(eps10, n, ncr, 500.0)[:, 0])))
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert maxima[-1] < 0.05
+
+
+class TestEquilibriumAlpha:
+    def test_unit_matches_closed_form(self):
+        params = rd.ReducedParams.from_ncr(0.1)
+        assert rd.equilibrium_alpha(params, 0.15) == pytest.approx(
+            np.sqrt(0.025), rel=1e-14)
+
+    def test_tensor_is_relative_equilibrium(self, shadow_well):
+        params = rd.ReducedParams.from_spectral(shadow_well)
+        n_level = 0.15
+        al = rd.equilibrium_alpha(params, n_level)
+        a_amp = np.sqrt(n_level - al * al)
+        m = rd.ModeAmplitudes(complex(a_amp, 0.0), complex(al, 0.0))
+        d = rd.chart_field(rd.MODES, params)(*rd.pack(m))
+        d0, d1 = complex(d[0], d[1]), complex(d[2], d[3])
+        # relative equilibrium: both modes rotate at one common rate
+        r0 = d0 / m.rho0
+        r1 = d1 / m.rho1
+        assert abs(r0.real) < 1e-14 and abs(r1.real) < 1e-14
+        assert r0.imag == pytest.approx(r1.imag, rel=1e-12)
+
+    def test_below_threshold_raises(self, shadow_well):
+        params = rd.ReducedParams.from_spectral(shadow_well)
+        with pytest.raises(BelowThreshold):
+            rd.equilibrium_alpha(params, 0.05)

@@ -9,7 +9,6 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from hypothesis import assume, given, settings, strategies as st
 
 from dwnls.errors import (
-    BelowThreshold,
     ChartBreakdown,
     DomainTooSmall,
     NonlinearIterationDiverged,
@@ -528,7 +527,7 @@ class TestTildeRLadder:
             sd = tune_delta_well_for_ncr(tau**gamma, shadow_grid)
             params = rd.ReducedParams.from_spectral(sd)
             n_level = tau**gamma + tau
-            al_eq = sh.equilibrium_alpha(params, n_level)
+            al_eq = rd.equilibrium_alpha(params, n_level)
             al0 = 1.02 * al_eq
             ic = rd.ModeAmplitudes(complex(np.sqrt(n_level - al0**2), 0.0),
                                    complex(al0, 0.0))
@@ -600,32 +599,6 @@ class TestStrichartzMonitor:
                                                          + np.abs(df) ** 2)))
         assert np.max(h1) == pytest.approx(expected, rel=1e-12)
         assert h1 == pytest.approx(np.full(len(times), expected), rel=1e-12)
-
-
-class TestEquilibriumAlpha:
-    def test_unit_matches_closed_form(self):
-        params = rd.ReducedParams.from_ncr(0.1)
-        assert sh.equilibrium_alpha(params, 0.15) == pytest.approx(
-            np.sqrt(0.025), rel=1e-14)
-
-    def test_tensor_is_relative_equilibrium(self, shadow_well):
-        params = rd.ReducedParams.from_spectral(shadow_well)
-        n_level = 0.15
-        al = sh.equilibrium_alpha(params, n_level)
-        a_amp = np.sqrt(n_level - al * al)
-        m = rd.ModeAmplitudes(complex(a_amp, 0.0), complex(al, 0.0))
-        d = rd.chart_field(rd.MODES, params)(*rd.pack(m))
-        d0, d1 = complex(d[0], d[1]), complex(d[2], d[3])
-        # relative equilibrium: both modes rotate at one common rate
-        r0 = d0 / m.rho0
-        r1 = d1 / m.rho1
-        assert abs(r0.real) < 1e-14 and abs(r1.real) < 1e-14
-        assert r0.imag == pytest.approx(r1.imag, rel=1e-12)
-
-    def test_below_threshold_raises(self, shadow_well):
-        params = rd.ReducedParams.from_spectral(shadow_well)
-        with pytest.raises(BelowThreshold):
-            sh.equilibrium_alpha(params, 0.05)
 
 
 class TestAnnulusGeometry:
