@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERDICT = 4
 
-STEP_RTOL = 1e-9  # phaseplane: --t-end and --dt-record in whole --dt steps
+STEP_RTOL = 1e-9  # --t-end (and --dt-record) in whole --dt steps
 EPS1_CAP = 0.9    # phaseplane: default --eps1-max <= EPS1_CAP sqrt(ncr + n)
 
 
@@ -237,6 +238,9 @@ def cmd_evolve(opts) -> int:
     out = _outdir(opts)
     grid = _grid(opts)
     potential = _potential(opts)
+    if not float(opts["dt"]) > 0:
+        raise ConfigError("--dt must be positive")
+    _whole_steps(opts, "t_end", float(opts["dt"]))
     kind = opts["init"]
     if kind == "zero":
         u0 = np.zeros(grid.n_points, dtype=complex)
@@ -393,6 +397,17 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
+    for key, val in opts.items():
+        # a number option (a flag whose default is None parses as a string)
+        if val is None or isinstance(_DEFAULTS[command][key], (bool, str)):
+            continue
+        try:
+            finite = math.isfinite(float(val))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"--{key.replace('_', '-')} must be a finite "
+                              f"number, not {val!r}")
     return opts
 
 

@@ -30,11 +30,13 @@ class Grid:
     x: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.x_max <= 0 or self.x_min != -self.x_max:
+        if not self.x_max > 0:
+            raise ValueError("x_max (--xmax) must be positive")
+        if self.x_min != -self.x_max:
             raise ValueError("grid must be symmetric about 0 (x_min = -x_max)")
         n = self.n_points
         if n < 4 or n & (n - 1):
-            raise ValueError("n_points must be a power of two >= 4")
+            raise ValueError("n_points (--points) must be a power of two >= 4")
         object.__setattr__(self, "x", self.dx * (np.arange(n) - n // 2))
 
     @property

@@ -72,9 +72,11 @@ class TailFilter:
 
     def __post_init__(self):
         if self.trigger_steps < 1:
-            raise ValueError("tail filter trigger_steps must be at least 1")
+            raise ValueError("tail filter trigger_steps (--filter-steps) "
+                             "must be at least 1")
         if not self.cutoff_radius > 0:
-            raise ValueError("tail filter cutoff_radius must be positive")
+            raise ValueError("tail filter cutoff_radius (--cutoff) must be "
+                             "positive")
 
 
 @dataclass
@@ -92,7 +94,8 @@ class EvolveParams:
         if self.scheme not in ("split_step", "crank_nicolson"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+            raise ValueError("record_every (--record-every) must be at "
+                             "least 1")
         if round(self.t_end / self.dt) < 1:
             raise ValueError("t_end shorter than one step")
 
@@ -335,7 +338,8 @@ def march(u: np.ndarray, stepper, n_steps: int, record_every: int,
     if tail_filter is not None:
         grid = stepper.grid
         if tail_filter.cutoff_radius >= grid.x_max:
-            raise ValueError("cutoff_radius must lie inside the domain")
+            raise ValueError("cutoff_radius (--cutoff) must lie inside the "
+                             "domain")
         keep = np.abs(grid.x) <= tail_filter.cutoff_radius
     try:
         for k in range(1, n_steps + 1):

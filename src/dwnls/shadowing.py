@@ -49,7 +49,7 @@ spectral.grid, and the modes psi0 and psi1 real ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -134,24 +134,14 @@ def build_initial_data(point, spectral: SpectralData,
 # driven radiation field
 # ----------------------------------------------------------------------
 
-class _Basis:
-    """The modes and the continuous-spectrum parts of the four cubic mode
-    products p0^3, p1^3, p0 p1^2, p0^2 p1 (rows of `products`), projected
-    once (P_c is linear)."""
-
-    def __init__(self, spectral: SpectralData):
-        p0, p1 = spectral.psi0, spectral.psi1
-        self.psi0, self.psi1, self.grid = p0, p1, spectral.grid
-        self.products = np.array([self.project_c(f) for f in
-                                  (p0**3, p1**3, p0 * p1**2, p0**2 * p1)])
-
-    def project_c(self, f: np.ndarray) -> np.ndarray:
-        f = f - inner(self.psi0, f, self.grid) * self.psi0
-        return f - inner(self.psi1, f, self.grid) * self.psi1
+def mode_products(spectral: SpectralData) -> np.ndarray:
+    """The four cubic mode products p0^3, p1^3, p0 p1^2, p0^2 p1 (rows)."""
+    p0, p1 = spectral.psi0, spectral.psi1
+    return np.array([p0**3, p1**3, p0 * p1**2, p0**2 * p1])
 
 
 def source_coefficients(a_amp, alpha, beta):
-    """The coefficients of the four products of _Basis in the two-mode cubic
+    """The coefficients of the four mode_products in the two-mode cubic
 
         F_b = -(A^3 p0^3 + |z|^2 z p1^3 + (A z^2 + 2 A |z|^2) p0 p1^2
                 + (A^2 conj(z) + 2 A^2 z) p0^2 p1),   z = alpha + i beta,
@@ -165,11 +155,12 @@ def source_coefficients(a_amp, alpha, beta):
 
 
 def mode_source(a_amp: float, alpha: float, beta: float,
-                basis: _Basis) -> np.ndarray:
-    """P_c F_b(sigma): the continuous-spectrum part of the two-mode cubic
-    (source_coefficients), combined from the projected products."""
+                spectral: SpectralData) -> np.ndarray:
+    """P_c F_b(sigma): the continuous-spectrum part (project) of the
+    two-mode cubic, combined from mode_products and source_coefficients."""
     c = source_coefficients(a_amp, alpha, beta)
-    return sum(cj * fj for cj, fj in zip(c, basis.products))
+    f_b = sum(cj * fj for cj, fj in zip(c, mode_products(spectral)))
+    return project(f_b, spectral)[2]
 
 
 class _ReferenceOrbit:
@@ -221,18 +212,19 @@ class _TildeREvolver:
 
         S <- E S + Phi G c_k,   E = e^{-i dt mu},  Phi = (E - 1) / mu,
 
-    where G = V^T (the four projected products of _Basis) and c_k are the
-    four source_coefficients of sigma*((k + 1/2) dt) times e^{i theta}
-    there.  R~ does not depend on the PDE, so it is formed only where it
-    is needed: step(s, m) makes m steps at once in closed form, and
-    advance carries S from S = 0 to each step the run samples in turn,
-    with the tail filter's cuts on the way (it cuts R~ as pde.march cuts
-    the PDE field, so that outgoing radiation does not re-enter); c_k and
-    theta come SOURCE_WINDOW steps at a time (_load).  Only G, to_grid
-    and cut fold or unfold across x = 0: to_grid costs two products (one
-    per block) per few samples, cut two per block with the rows outside
-    the filter.  Ve and Vo cost about 4 n^2 bytes: 4.2 MB at 1,024
-    points, 67 MB at 4,096.
+    where G = V^T (the four mode_products) and c_k are the four
+    source_coefficients of sigma*((k + 1/2) dt) times e^{i theta}
+    there.  V leaves out psi0 and psi1, so V^T P_c = V^T and the products
+    go in unprojected.  R~ does not depend on the PDE, so it is formed
+    only where it is needed: step(s, m) makes m steps at once in closed
+    form, and advance carries S from S = 0 to each step the run samples
+    in turn, with the tail filter's cuts on the way (it cuts R~ as
+    pde.march cuts the PDE field, so that outgoing radiation does not
+    re-enter); c_k and theta come SOURCE_WINDOW steps at a time (_load).
+    Only G, to_grid and cut fold or unfold across x = 0: to_grid costs
+    two products (one per block) per few samples, cut two per block with
+    the rows outside the filter.  Ve and Vo cost about 4 n^2 bytes: 4.2 MB
+    at 1,024 points, 67 MB at 4,096.
     """
 
     def __init__(self, spectral: SpectralData, dt: float,
@@ -250,7 +242,7 @@ class _TildeREvolver:
                    out=self._powers[-2::-1])
         # (E - 1)/mu without the cancellation of E - 1 at small dt mu
         phi = -2j * np.sin(0.5 * dt * mu) * np.exp(-0.5j * dt * mu) / mu
-        products = _Basis(spectral).products[:, 1:]
+        products = mode_products(spectral)[:, 1:]
         mirror = products[:, :c:-1]               # free nodes 2c, ..., c+1
         even = products[:, :c + 1].copy()
         even[:, :c] += mirror
@@ -507,38 +499,20 @@ class ShadowReport:
         return self.truncation is not None
 
     def to_json_dict(self) -> dict:
-        return {
-            "side": self.orbit.side,
-            "tau": self.params.tau,
-            "n_cr": self.n_cr,
-            "n_level": self.n_level,
-            "implied_gamma": self.params.implied_gamma,
-            "period": self.period,
-            "horizon": self.horizon,
-            "orbit_amplitude": self.orbit_amplitude,
-            "sup_eta": self.sup_eta,
-            "eta_bound": self.eta_bound,
-            "eta_bound_ok": self.eta_bound_ok,
-            "annulus_ratio": self.annulus_ratio,
-            "annulus_ok": self.annulus_ok,
-            "com_sign_changes": self.com_sign_changes,
-            "w_sup_h1": self.w_sup_h1,
-            "w_l4_linf": self.w_l4_linf,
-            "tilde_r_sup": self.tilde_r_sup,
-            "parseval_defect": self.parseval_defect,
-            "mass_drift": self.mass_drift,
-            "energy_drift": self.energy_drift,
-            "removed_mass": self.removed_mass,
-            "removed_energy": self.removed_energy,
-            "tilde_r_removed_mass": self.tilde_r_removed_mass,
-            "tilde_r_removed_ratio": (
+        """Every field but the parameter objects and the series (which
+        eta_series.csv holds), and the keys derived from them."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("params", "orbit", "times", "eta",
+                                 "alpha_beta", "reference_alpha_beta",
+                                 "com_series")}
+        out.update(
+            side=self.orbit.side, tau=self.params.tau,
+            implied_gamma=self.params.implied_gamma,
+            horizon_truncated=self.horizon_truncated,
+            tilde_r_removed_ratio=(
                 self.removed_mass / self.tilde_r_removed_mass
-                if self.tilde_r_removed_mass > 0.0 else None),
-            "coupling_sup": list(self.coupling_sup),
-            "pilot_steps": self.pilot_steps,
-            "horizon_truncated": self.horizon_truncated,
-            "truncation": self.truncation,
-        }
+                if self.tilde_r_removed_mass > 0.0 else None))
+        return out
 
     def series_csv(self) -> str:
         return csv_text(

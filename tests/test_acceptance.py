@@ -421,8 +421,8 @@ def test_criterion_11_coupling_functionals(shadow_well):
     at_zero = sh.coupling_errors(0.3, 0.06, -0.02, zero, sd)
     ok = all(v == 0.0 for v in at_zero)
 
-    basis = sh._Basis(sd)
-    bump = basis.project_c(np.exp(-(sd.grid.x - 0.8) ** 2) * (1 + 0.5j) + 0j)
+    bump = sh.project(np.exp(-(sd.grid.x - 0.8) ** 2) * (1 + 0.5j) + 0j,
+                      sd)[2]
     vals = []
     for h in (1e-3, 5e-4):
         vals.append(np.abs(sh.coupling_errors(0.3, 0.06, -0.02, h * bump, sd)))

@@ -272,6 +272,9 @@ def _json_lines(path, keys):
             if line.split(":")[0].strip().strip('"') in keys}
 
 
+# a short run on the default delta well, for the evolve option checks
+EVOLVE_SHORT = ["evolve", "--points", "256", "--t-end", "0.01"]
+
 # the golden shadow inputs, without --periods
 SHADOW_GOLDEN = ["shadow", "--side", "above", "--tau", "0.05", "--ncr", "0.1",
                  "--amplitude-factor", "0.7", "--points", "256",
@@ -293,16 +296,16 @@ class TestGoldenBits:
             "period": '"period": 60.515791329203182',
             "sup_eta": '"sup_eta": 0.01229522818483237',
             "annulus_ratio": '"annulus_ratio": 0.098351377773636395',
-            "w_sup_h1": '"w_sup_h1": 0.0033004520176489532',
-            "w_l4_linf": '"w_l4_linf": 0.00043459974969028514',
-            "tilde_r_sup": '"tilde_r_sup": 0.0024998119663225018',
+            "w_sup_h1": '"w_sup_h1": 0.0033004520176489749',
+            "w_l4_linf": '"w_l4_linf": 0.00043459974969026189',
+            "tilde_r_sup": '"tilde_r_sup": 0.002499811966322543',
             "energy_drift": '"energy_drift": 1.4961271110891516e-09',
             "removed_mass": '"removed_mass": 6.6404458366372744e-06',
             "removed_energy": '"removed_energy": 3.838641650732999e-05',
             "tilde_r_removed_mass":
-                '"tilde_r_removed_mass": 6.4702298028903382e-06',
+                '"tilde_r_removed_mass": 6.4702298028907049e-06',
             "tilde_r_removed_ratio":
-                '"tilde_r_removed_ratio": 1.0263075715905636',
+                '"tilde_r_removed_ratio": 1.0263075715905055',
         }
 
     def test_groundstate_golden_bits(self, tmp_path):
@@ -345,6 +348,16 @@ class TestConfigHandling:
         ([*SHADOW_GOLDEN, "--periods", "1e-5"], "--periods"),
         ([*SHADOW_GOLDEN, "--side", "below", "--amplitude-factor", "2"],
          "--amplitude-factor"),
+        (["evolve", "--well", "delta", "--points", "256", "--init", "sech",
+          "--t-end", "0.0125", "--dt", "0.01", "--record-every", "1"],
+         "--t-end"),
+        ([*EVOLVE_SHORT, "--cutoff", "50"], "--cutoff"),
+        ([*EVOLVE_SHORT, "--cutoff", "30", "--filter-steps", "0"],
+         "--filter-steps"),
+        ([*EVOLVE_SHORT, "--record-every", "0"], "--record-every"),
+        (["spectrum", "--points", "100"], "--points"),
+        (["evolve", "--points", "100"], "--points"),
+        (["spectrum", "--xmax", "-3"], "--xmax"),
     ], ids=["phaseplane_dt_0", "phaseplane_dt_record_0",
             "phaseplane_t_end_0", "phaseplane_orbits_0",
             "phaseplane_eps1_max_0", "phaseplane_eps1_max_above_power",
@@ -356,13 +369,36 @@ class TestConfigHandling:
             "bifurcate_n_min_negative", "bifurcate_n_max_negative",
             "groundstate_count_0", "groundstate_omega_step_negative",
             "shadow_dt_0", "shadow_periods_0", "shadow_periods_1e-5",
-            "shadow_below_amplitude_2"])
+            "shadow_below_amplitude_2", "evolve_t_end_between_steps",
+            "evolve_cutoff_outside", "evolve_filter_steps_0",
+            "evolve_record_every_0", "spectrum_points_100",
+            "evolve_points_100", "spectrum_xmax_negative"])
     def test_bad_value_names_its_option(self, tmp_path, capsys, argv,
                                         option):
         # a config error: exit 2, and the message names the option
         assert run([*argv, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and option in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,key,value", [
+        ("evolve", "dtheta0", "nan"), ("groundstate", "sigma", "nan"),
+        ("spectrum", "xmax", "inf"), ("shadow", "ncr", "-inf")],
+        ids=["evolve_dtheta0", "groundstate_sigma", "spectrum_xmax",
+             "shadow_ncr"])
+    def test_non_finite_value_names_its_option(self, tmp_path, capsys,
+                                               command, key, value, source):
+        # rejected before the command starts, from a flag (shadow's --ncr
+        # parses as a string) or from a config value alike
+        argv = [command, f"--{key}={value}"]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}))
+            argv = [command, "--config", str(cfg)]
+        assert run([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: --{key} must be a finite number, not ")
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

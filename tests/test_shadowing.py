@@ -36,8 +36,7 @@ class TestProjection:
 
     def test_orthogonal_decomposition(self, shadow_well):
         sd = shadow_well
-        basis = sh._Basis(sd)
-        rho = basis.project_c(np.exp(-(sd.grid.x - 1.0) ** 2) + 0j)
+        rho = sh.project(np.exp(-(sd.grid.x - 1.0) ** 2) + 0j, sd)[2]
         c0, c1, r = sh.project(sd.psi0 + 1j * sd.psi1 + rho, sd)
         assert c0 == pytest.approx(1.0, abs=1e-10)
         assert c1 == pytest.approx(1j, abs=1e-10)
@@ -49,19 +48,18 @@ class TestProjection:
            width=st.floats(0.5, 20.0))
     def test_residual_orthogonal_to_modes(self, gauss_edge, seed, scale,
                                           width):
-        # a random field, both projections: its continuous-spectrum part is
-        # orthogonal to psi0 and psi1 in grids.inner to rounding, on a well
-        # whose modes have weight at the domain edge
+        # a random field: its continuous-spectrum part is orthogonal to psi0
+        # and psi1 in grids.inner to rounding, on a well whose modes have
+        # weight at the domain edge
         sd = gauss_edge
         rng = np.random.default_rng(seed)
         n = sd.grid.n_points
         f = scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) \
             * np.exp(-(sd.grid.x / width) ** 2)
         size = norm2(f, sd.grid)
-        for r in (sh._Basis(sd).project_c(f),
-                  sh.project(f, sd)[2]):
-            for psi in (sd.psi0, sd.psi1):
-                assert abs(inner(psi, r, sd.grid)) <= 1e-15 * size
+        r = sh.project(f, sd)[2]
+        for psi in (sd.psi0, sd.psi1):
+            assert abs(inner(psi, r, sd.grid)) <= 1e-15 * size
 
     def test_parseval_split(self, shadow_well):
         sd = shadow_well
@@ -143,11 +141,10 @@ class TestInitialData:
 class TestModeSource:
     def test_projection_orthogonality(self, shadow_well):
         sd = shadow_well
-        basis = sh._Basis(sd)
         rng = np.random.default_rng(3)
         for _ in range(10):
             a_amp, al, be = rng.normal(size=3) * 0.3
-            src = sh.mode_source(abs(a_amp), al, be, basis)
+            src = sh.mode_source(abs(a_amp), al, be, sd)
             assert abs(inner(sd.psi0, src, sd.grid)) < 1e-10
             assert abs(inner(sd.psi1, src, sd.grid)) < 1e-10
 
@@ -155,10 +152,9 @@ class TestModeSource:
     @given(a_amp=st.floats(0.0, 1.0), alpha=st.floats(-1.0, 1.0),
            beta=st.floats(-1.0, 1.0))
     def test_matches_projected_bracket(self, shadow_well, a_amp, alpha, beta):
-        # mode_source combines the products projected once; it must equal
-        # -P_c(bracket) with the bracket assembled on the grid first
+        # mode_source combines mode_products by source_coefficients; it
+        # must equal -P_c(bracket) with the bracket written out on the grid
         sd = shadow_well
-        basis = sh._Basis(sd)
         p0, p1 = sd.psi0, sd.psi1
         z = complex(alpha, beta)
         p = alpha * alpha + beta * beta
@@ -166,14 +162,13 @@ class TestModeSource:
                    + (a_amp * z * z + 2.0 * a_amp * p) * p0 * p1**2
                    + (a_amp**2 * z.conjugate() + 2.0 * a_amp**2 * z)
                    * p0**2 * p1)
-        old = -1.0 * basis.project_c(bracket)
-        new = sh.mode_source(a_amp, alpha, beta, basis)
+        old = -1.0 * sh.project(bracket, sd)[2]
+        new = sh.mode_source(a_amp, alpha, beta, sd)
         assert np.max(np.abs(new - old)) <= 1e-13 * max(np.max(np.abs(old)),
                                                          1e-300)
 
     def test_zero_orbit_zero_source(self, shadow_well):
-        basis = sh._Basis(shadow_well)
-        assert np.all(sh.mode_source(0.0, 0.0, 0.0, basis) == 0.0)
+        assert np.all(sh.mode_source(0.0, 0.0, 0.0, shadow_well) == 0.0)
 
 
 class TestTildeR:
@@ -224,6 +219,20 @@ class TestTildeR:
         assert r1[0] == 0.0
         assert np.max(np.abs(r1[1:] - exact)) <= 1e-13 * np.max(np.abs(r0))
 
+    def test_source_needs_no_projection(self, shadow_well):
+        # V leaves out psi0 and psi1, so V^T P_c f = V^T f: for each mode
+        # product f, V^T f equals V^T of its continuous-spectrum part
+        # (project) to rounding, so R~ takes the raw products
+        sd = shadow_well
+        (_, ve), (_, vo) = ls.pinned_hamiltonian(
+            sd.spec, sd.grid).block_eigenpairs()
+        no_even = np.zeros((vo.shape[1] - 1, ve.shape[0]))    # odd vectors
+        v = np.concatenate((ls.unfold(ve[:, 1:].T, 0),
+                            ls.unfold(no_even, vo[:, 1:].T)))
+        for f in sh.mode_products(sd):
+            g, g_c = v @ f[1:], v @ sh.project(f, sd)[2][1:]
+            assert np.linalg.norm(g - g_c) <= 1e-12 * np.linalg.norm(g_c)
+
     def test_cut_is_projected_zeroing(self, shadow_well):
         # the tail filter in the eigenbasis is P_c of the field zeroed
         # beyond the cutoff on the grid
@@ -236,7 +245,7 @@ class TestTildeR:
         s1, got_removed = stepper.cut(s0, keep)
         r, got = stepper.to_grid(np.array([s0, s1]), [0, 0])
         want, removed = pde.cut_on_grid(sd.grid, r, keep)
-        assert np.max(np.abs(got - sh._Basis(sd).project_c(want))) \
+        assert np.max(np.abs(got - sh.project(want, sd)[2])) \
             <= 1e-12 * np.max(np.abs(r))
         assert got_removed == pytest.approx(removed, rel=1e-12)
 
@@ -264,7 +273,11 @@ class TestTildeR:
         a, al, be = orbit.sample((np.arange(n_steps) + 0.5) * dt)
         m = sd.a[0, 0, 0, 0] * a * a \
             + sd.a[0, 0, 1, 1] * (3.0 * al * al + be * be)
-        basis = sh._Basis(sd)
+        # P_c F_b on the free nodes: P_c is linear, so each step combines
+        # the mode products projected once (project), as mode_source would
+        coef = np.stack(sh.source_coefficients(a, al, be), axis=1)
+        pc_products = np.array([sh.project(f, sd)[2][1:]
+                                for f in sh.mode_products(sd)])
         h = ls.pinned_hamiltonian(sd.spec, sd.grid)
         e = h.off[0]
         c = 0.5j * dt
@@ -275,7 +288,7 @@ class TestTildeR:
             rhs = (2.0 - diag) * r
             rhs[:-1] -= c * e * r[1:]
             rhs[1:] -= c * e * r[:-1]
-            rhs -= 2.0 * c * sh.mode_source(a[k], al[k], be[k], basis)[1:]
+            rhs -= 2.0 * c * (coef[k] @ pc_products)
             *lu, info = zgttrf(off, diag, off)
             r, info = zgttrs(*lu, rhs)
         cn = np.concatenate(([0.0], r))
@@ -561,9 +574,8 @@ class TestCouplingErrors:
         # two-point amplitude ladder: the functionals scale linearly in
         # ||R|| while the quadratic terms stay subdominant
         sd = shadow_well
-        basis = sh._Basis(sd)
-        bump = basis.project_c(
-            np.exp(-(sd.grid.x - 0.8) ** 2) * (1.0 + 0.5j) + 0j)
+        bump = sh.project(
+            np.exp(-(sd.grid.x - 0.8) ** 2) * (1.0 + 0.5j) + 0j, sd)[2]
         slopes = []
         for h in (1e-3, 5e-4):
             vals = []
@@ -693,11 +705,16 @@ class TestReportSerialization:
         sp = sh.ShadowParams(tau=0.05, n_cr=0.1)
         orb = sh.OrbitSpec(side="below", horizon_periods=0.1, dt_pde=4e-3)
         rep = sh.run_shadow_experiment(sp, sd, orb)
-        d = rep.to_json_dict()
-        for key in ("sup_eta", "annulus_ratio", "com_sign_changes",
-                    "w_sup_h1", "tilde_r_sup", "horizon_truncated",
-                    "removed_energy", "pilot_steps"):
-            assert key in d
+        # the exact key set, so that a new series field of the report
+        # cannot slip into shadow_report.json
+        assert set(rep.to_json_dict()) == {
+            "annulus_ok", "annulus_ratio", "com_sign_changes", "coupling_sup",
+            "energy_drift", "eta_bound", "eta_bound_ok", "horizon",
+            "horizon_truncated", "implied_gamma", "mass_drift", "n_cr",
+            "n_level", "orbit_amplitude", "parseval_defect", "period",
+            "pilot_steps", "removed_energy", "removed_mass", "side",
+            "sup_eta", "tau", "tilde_r_removed_mass", "tilde_r_removed_ratio",
+            "tilde_r_sup", "truncation", "w_l4_linf", "w_sup_h1"}
         lines = rep.series_csv().strip().split("\n")
         assert lines[0].startswith("t,eta_A")
         assert len(lines) == len(rep.times) + 1

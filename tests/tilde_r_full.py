@@ -26,7 +26,7 @@ class FullTildeREvolver(sh._TildeREvolver):
         np.cumprod(np.broadcast_to(self.e, (sh.BLOCK, len(mu))), axis=0,
                    out=self._powers[-2::-1])
         phi = -2j * np.sin(0.5 * dt * mu) * np.exp(-0.5j * dt * mu) / mu
-        products = sh._Basis(spectral).products[:, 1:]
+        products = sh.mode_products(spectral)[:, 1:]
         self.g_phi = phi[:, None] * (self.v.T @ products.T)
 
     def to_grid(self, ss, theta):
