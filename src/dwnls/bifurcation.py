@@ -125,7 +125,6 @@ def linear_period(eq: Equilibrium, n_level: float, n_cr: float) -> float:
 
 @dataclass
 class LinearizationReport:
-    b_full: np.ndarray
     b_reduced: np.ndarray
     eigenvalues_closed: tuple
     eigenvalues_numeric: np.ndarray
@@ -147,12 +146,10 @@ def _check_equilibrium(eq: Equilibrium, n_level: float, n_cr: float) -> None:
 def linearize(eq: Equilibrium, n_level: float, n_cr: float) -> LinearizationReport:
     _check_equilibrium(eq, n_level, n_cr)
     bt = b_tilde(eq.alpha, eq.beta, eq.A, n_cr)
-    bf = b_full(eq.alpha, eq.beta, eq.A, n_cr)
     closed = closed_form_eigenvalues(eq, n_level, n_cr)
     numeric = np.linalg.eigvals(bt)
     saddle = bool(np.max(numeric.real) > 1e-8)
     return LinearizationReport(
-        b_full=bf,
         b_reduced=bt,
         eigenvalues_closed=closed,
         eigenvalues_numeric=numeric,
@@ -223,7 +220,6 @@ def linear_flow(eq: Equilibrium, t: float, n_level: float,
 @dataclass
 class MonodromyReport:
     multipliers_full: np.ndarray      # 4 Floquet multipliers of M(T)
-    multipliers_reduced: np.ndarray   # 3 multipliers of the (alpha,beta,A) block
     defect_of_unit_pair: float
     product_defect: float
     period: float
@@ -267,13 +263,11 @@ def monodromy(orbit: Trajectory, params: ReducedParams, period: float,
         raise NotPeriodic(
             f"orbit fails to close after one period (residual {residual:.3e})")
     mults4 = np.linalg.eigvals(m)
-    mults3 = np.linalg.eigvals(m[:3, :3])
     order = np.argsort(np.abs(mults4 - 1.0))
     unit_defect = float(np.sum(np.abs(mults4[order[:2]] - 1.0)))
     product_defect = float(abs(np.linalg.det(m) - 1.0))
     return MonodromyReport(
         multipliers_full=mults4,
-        multipliers_reduced=mults3,
         defect_of_unit_pair=unit_defect,
         product_defect=product_defect,
         period=period,

@@ -12,7 +12,10 @@ directory.
 Each command imports the modules it runs as it starts; importing cli loads
 only errors, grids and io_utils of the package (the README lists each
 command's modules). Options may come from a JSON config (--config), an
-object of flag values; explicit flags win.
+object of flag values; explicit flags win. Each value takes its default's
+type (float where the default is null) and its sign rule once, in
+_resolve, before main makes the run directory; main writes manifest.json
+after the command returns.
 phaseplane accepts --jobs for old configs and ignores it: its orbits run
 one after another (threads gave no speed-up under the GIL).
 Exit codes: 2 config error, 3 numeric/solver error, 4 verdict failed.
@@ -48,14 +51,14 @@ def _outdir(opts) -> Path:
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     existing = [p for p in out.iterdir() if p.is_file()]
-    if existing and not opts.get("force", False):
+    if existing and not opts["force"]:
         raise ConfigError(
             f"output directory {out} is not empty (use --force to overwrite)")
     return out
 
 
 def _grid(opts) -> Grid:
-    return Grid.symmetric(float(opts["xmax"]), int(opts["points"]))
+    return Grid.symmetric(opts["xmax"], opts["points"])
 
 
 def _potential(opts):
@@ -63,21 +66,15 @@ def _potential(opts):
     size = {"delta": "strength", "gauss": "sigma"}.get(opts["well"])
     if size is None:
         raise ConfigError(f"unknown well kind {opts['well']!r}")
-    return spec_mod.PotentialSpec(opts["well"], float(opts[size]),
-                                  float(opts["sep"]))
-
-
-def _manifest(out: Path, opts: dict) -> None:
-    write_json(out / "manifest.json", {k: v for k, v in sorted(opts.items())})
+    return spec_mod.PotentialSpec(opts["well"], opts[size], opts["sep"])
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_spectrum(opts) -> int:
+def cmd_spectrum(opts, out: Path) -> int:
     from . import linear_spectrum as spec_mod
-    out = _outdir(opts)
     grid = _grid(opts)
     data = spec_mod.spectral_data(_potential(opts), grid)
     write_json(out / "spectral.json", data.to_json_dict())
@@ -85,14 +82,13 @@ def cmd_spectrum(opts) -> int:
         spec_mod.eigenfunctions_to_csv(data), encoding="utf-8")
     write_gnuplot(out / "eigenfunctions.gp", "eigenfunctions.csv",
                   "double-well bound states", using="1:2, '' using 1:3")
-    _manifest(out, opts)
     return 0
 
 
-def _whole_steps(opts, key: str, dt: float) -> int:
-    """opts[key] in steps of dt: a positive whole number, to a relative
+def _whole_steps(opts, key: str) -> int:
+    """opts[key] in steps of --dt: a positive whole number, to a relative
     STEP_RTOL."""
-    ratio = float(opts[key]) / dt
+    ratio = opts[key] / opts["dt"]
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > STEP_RTOL * steps:
         raise ConfigError(
@@ -101,39 +97,29 @@ def _whole_steps(opts, key: str, dt: float) -> int:
     return steps
 
 
-def cmd_phaseplane(opts) -> int:
+def cmd_phaseplane(opts, out: Path) -> int:
     from . import reduced_dynamics as rd
-    out = _outdir(opts)
-    ncr = float(opts["ncr"])
-    n_offset = float(opts["n"])
-    t_end = float(opts["t_end"])
-    count = int(opts["orbits"])
-    for key in ("dt", "dt_record", "t_end", "orbits"):
-        if not float(opts[key]) > 0:
-            raise ConfigError(f"--{key.replace('_', '-')} must be positive")
-    if not ncr > 0:
-        raise ConfigError("--ncr must be positive")
-    if not ncr + n_offset > 0:
-        raise ConfigError("--n must exceed -ncr (a positive power ncr + n)")
-    dt = float(opts["dt"])
-    n_steps = _whole_steps(opts, "t_end", dt)
-    every = _whole_steps(opts, "dt_record", dt)
+    ncr, n_offset, dt = opts["ncr"], opts["n"], opts["dt"]
     # eps1^2 is the power in the odd mode, at most N = ncr + n
     power = ncr + n_offset
-    if opts.get("eps1_max") is None:
+    if not power > 0:
+        raise ConfigError("--n must exceed -ncr (a positive power ncr + n)")
+    n_steps = _whole_steps(opts, "t_end")
+    every = _whole_steps(opts, "dt_record")
+    eps_max = opts["eps1_max"]
+    if eps_max is None:
         eps_max = min(1.5 * np.sqrt(abs(n_offset) / 2.0 if n_offset > 0
                                     else ncr / 8.0),
                       EPS1_CAP * np.sqrt(power))
-    else:
-        eps_max = float(opts["eps1_max"])
-        if not (0 < eps_max and eps_max * eps_max <= power):
-            raise ConfigError(
-                f"--eps1-max must be positive with its square at most the "
-                f"power ncr + n = {power:.6g}")
+    elif eps_max * eps_max > power:
+        raise ConfigError(
+            f"--eps1-max must be positive with its square at most the "
+            f"power ncr + n = {power:.6g}")
     # a row every dt_record from t = 0, and the state at t_end last
-    ts = np.append(float(opts["dt_record"]) * np.arange(-(-n_steps // every)),
-                   t_end)
+    ts = np.append(opts["dt_record"] * np.arange(-(-n_steps // every)),
+                   opts["t_end"])
     index = []
+    count = opts["orbits"]
     for i in range(count):
         eps1 = eps_max * (i + 1) / count
         for dth in (0.0, 1.0, 2.0):
@@ -152,23 +138,13 @@ def cmd_phaseplane(opts) -> int:
                {"ncr": ncr, "n": n_offset, "orbits": index})
     write_gnuplot(out / "phaseplane.gp", "orbit_000.csv",
                   "phase plane (eps1, dtheta)", using="3:2")
-    _manifest(out, opts)
     return 0
 
 
-def cmd_bifurcate(opts) -> int:
+def cmd_bifurcate(opts, out: Path) -> int:
     from . import bifurcation as bif
-    out = _outdir(opts)
-    ncr = float(opts["ncr"])
-    if int(opts["count"]) < 1:
-        raise ConfigError("--count must be positive")
-    if not ncr > 0:
-        raise ConfigError("--ncr must be positive")
-    for key in ("n_min", "n_max"):
-        if float(opts[key]) < 0:
-            raise ConfigError(f"--{key.replace('_', '-')} must be >= 0")
-    n_vals = np.linspace(float(opts["n_min"]), float(opts["n_max"]),
-                         int(opts["count"]))
+    ncr = opts["ncr"]
+    n_vals = np.linspace(opts["n_min"], opts["n_max"], opts["count"])
     rows = []
     barrier_rows = []
     for n_level in n_vals:
@@ -192,25 +168,17 @@ def cmd_bifurcate(opts) -> int:
                   [np.array(c) for c in bcols])
     write_gnuplot(out / "bifurcation.gp", "bifurcation.csv",
                   "pitchfork of equilibria", using="1:4")
-    _manifest(out, opts)
     return 0
 
 
-def cmd_groundstate(opts) -> int:
+def cmd_groundstate(opts, out: Path) -> int:
     from . import bound_states as bst, linear_spectrum as spec_mod
-    out = _outdir(opts)
-    if int(opts["count"]) < 1:
-        raise ConfigError("--count must be positive")
-    if opts.get("omega_step") is not None and \
-            not float(opts["omega_step"]) > 0:
-        raise ConfigError("--omega-step must be positive")
     grid = _grid(opts)
     potential = _potential(opts)
     data = spec_mod.spectral_data(potential, grid)
     seeds = bst.default_seeds(data)
-    step = float(opts["omega_step"]) if opts.get("omega_step") else \
-        0.05 * data.n_cr_fd * data.a[0, 0, 0, 0]
-    count = int(opts["count"])
+    step = opts["omega_step"] or 0.05 * data.n_cr_fd * data.a[0, 0, 0, 0]
+    count = opts["count"]
     curve = bst.continue_in_omega(potential, grid, data.omega0 - 0.25 * step,
                                   data.omega0 - count * step, step, seeds)
     (out / "soliton_curve.csv").write_text(curve.to_csv(), encoding="utf-8")
@@ -229,18 +197,14 @@ def cmd_groundstate(opts) -> int:
     })
     write_gnuplot(out / "soliton_curve.gp", "soliton_curve.csv",
                   "power vs frequency", using="1:2")
-    _manifest(out, opts)
     return 0
 
 
-def cmd_evolve(opts) -> int:
+def cmd_evolve(opts, out: Path) -> int:
     from . import linear_spectrum as spec_mod, pde, reduced_dynamics as rd
-    out = _outdir(opts)
     grid = _grid(opts)
     potential = _potential(opts)
-    if not float(opts["dt"]) > 0:
-        raise ConfigError("--dt must be positive")
-    _whole_steps(opts, "t_end", float(opts["dt"]))
+    _whole_steps(opts, "t_end")
     kind = opts["init"]
     if kind == "zero":
         u0 = np.zeros(grid.n_points, dtype=complex)
@@ -251,8 +215,7 @@ def cmd_evolve(opts) -> int:
         u0 = np.sqrt(2.0) / np.cosh(grid.x) + 0.0j
     elif kind == "twomode":
         data = spec_mod.spectral_data(potential, grid)
-        n_level = float(opts["N"])
-        dth = float(opts["dtheta0"])
+        n_level, dth = opts["N"], opts["dtheta0"]
         params = rd.ReducedParams.from_spectral(data)
         alpha_eq = rd.equilibrium_alpha(params, n_level)
         rho1 = alpha_eq * np.exp(1j * dth)
@@ -262,11 +225,11 @@ def cmd_evolve(opts) -> int:
         raise ConfigError(f"unknown init {kind!r}")
     scheme = ("crank_nicolson" if potential.kind == "delta" else "split_step")
     filt = None
-    if opts.get("cutoff"):
-        filt = pde.TailFilter(trigger_steps=int(opts["filter_steps"]),
-                              cutoff_radius=float(opts["cutoff"]))
-    params = pde.EvolveParams(dt=float(opts["dt"]), t_end=float(opts["t_end"]),
-                              scheme=scheme, record_every=int(opts["record_every"]),
+    if opts["cutoff"] is not None:
+        filt = pde.TailFilter(trigger_steps=opts["filter_steps"],
+                              cutoff_radius=opts["cutoff"])
+    params = pde.EvolveParams(dt=opts["dt"], t_end=opts["t_end"],
+                              scheme=scheme, record_every=opts["record_every"],
                               tail_filter=filt)
     v = spec_mod.potential_samples(potential, grid)
     final, diags = pde.evolve(u0, grid, params, v)
@@ -275,35 +238,26 @@ def cmd_evolve(opts) -> int:
                                          encoding="utf-8")
     write_gnuplot(out / "diagnostics.gp", "diagnostics.csv",
                   "center of mass", using="1:4")
-    _manifest(out, opts)
     return 0
 
 
-def cmd_shadow(opts) -> int:
+def cmd_shadow(opts, out: Path) -> int:
     from . import linear_spectrum as spec_mod, shadowing as sh
-    out = _outdir(opts)
     grid = _grid(opts)
-    sparams = sh.ShadowParams(
-        tau=float(opts["tau"]),
-        gamma=float(opts["gamma"]) if opts.get("gamma") is not None else None,
-        n_cr=float(opts["ncr"]) if opts.get("ncr") is not None else None,
-    )
+    sparams = sh.ShadowParams(tau=opts["tau"], gamma=opts["gamma"],
+                              n_cr=opts["ncr"])
     orbit = sh.OrbitSpec(
-        side=opts["side"],
-        amplitude_factor=float(opts["amplitude_factor"]),
-        dtheta0=float(opts["dtheta0"]) if opts.get("dtheta0") is not None else None,
-        horizon_periods=float(opts["periods"]),
-        dt_pde=float(opts["dt"]),
-    )
+        side=opts["side"], amplitude_factor=opts["amplitude_factor"],
+        dtheta0=opts["dtheta0"], horizon_periods=opts["periods"],
+        dt_pde=opts["dt"])
     data = spec_mod.tune_delta_strength_for_ncr(
-        sparams.critical_power, float(opts["sep"]), grid,
-        (float(opts["s_min"]), float(opts["s_max"])))
+        sparams.critical_power, opts["sep"], grid,
+        (opts["s_min"], opts["s_max"]))
     report = sh.run_shadow_experiment(sparams, data, orbit)
     write_json(out / "shadow_report.json", report.to_json_dict())
     (out / "eta_series.csv").write_text(report.series_csv(), encoding="utf-8")
     write_gnuplot(out / "eta_series.gp", "eta_series.csv",
                   "projected orbit", using="5:6")
-    _manifest(out, opts)
     if not (report.eta_bound_ok and report.annulus_ok
             and not report.horizon_truncated):
         print("shadow verdict failed", file=sys.stderr)
@@ -340,6 +294,11 @@ _DEFAULTS = {
                "force": False},
 }
 
+# each number option's sign rule, across the commands
+_SIGN = {**dict.fromkeys(("dt", "dt_record", "t_end", "ncr", "omega_step",
+                          "eps1_max", "sep", "s_min", "s_max"), "positive"),
+         "n_min": ">= 0", "n_max": ">= 0"}
+
 _COMMANDS = {
     "spectrum": cmd_spectrum,
     "phaseplane": cmd_phaseplane,
@@ -366,15 +325,45 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, action="store_true", default=None)
             elif isinstance(val, int):
                 p.add_argument(flag, type=int, default=None)
-            elif isinstance(val, float):
-                p.add_argument(flag, type=float, default=None)
-            else:
+            elif isinstance(val, str):
                 p.add_argument(flag, type=str, default=None)
+            else:  # a float, or null
+                p.add_argument(flag, type=float, default=None)
     return parser
 
 
+def _typed(key: str, val, default):
+    """A given value as its option's type (its default's, float where that
+    is null), checked against the option's rules."""
+    kind = float if default is None else type(default)
+    if val is None and default is None:
+        return None
+    if kind in (bool, str) or type(val) not in (int, float, str):
+        if type(val) is not kind:
+            raise ConfigError(f"config key {key!r} cannot be "
+                              f"{json.dumps(val)}")
+        return val
+    flag = "--" + key.replace("_", "-")
+    try:
+        num = float(val)
+    except ValueError:
+        num = math.nan
+    if not math.isfinite(num):
+        raise ConfigError(f"{flag} must be a finite number, not {val!r}")
+    if kind is int:
+        if not (num.is_integer() and num >= 1):
+            raise ConfigError(f"{flag} must be a whole number of at least 1, "
+                              f"not {val!r}")
+        return int(num)
+    rule = _SIGN.get(key)
+    if rule and not (num > 0 or num == 0 and rule == ">= 0"):
+        raise ConfigError(f"{flag} must be {rule}")
+    return num
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS[command])
+    defaults = _DEFAULTS[command]
+    given = {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -383,44 +372,24 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config must be a JSON object, not "
                               f"{json.dumps(loaded)}")
-        unknown = set(loaded) - set(opts)
+        unknown = set(loaded) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in loaded.items():
-            # what a flag can give, and null where the default is null
-            scalars = (str, int, float, type(opts[key]))
-            if not isinstance(val, scalars):
-                raise ConfigError(f"config key {key!r} cannot be "
-                                  f"{json.dumps(val)}")
-        opts.update(loaded)
-    for key in opts:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    for key, val in opts.items():
-        # a number option (a flag whose default is None parses as a string)
-        if val is None or isinstance(_DEFAULTS[command][key], (bool, str)):
-            continue
-        try:
-            finite = math.isfinite(float(val))
-        except ValueError:
-            finite = False
-        if not finite:
-            raise ConfigError(f"--{key.replace('_', '-')} must be a finite "
-                              f"number, not {val!r}")
-    return opts
+        given.update(loaded)
+    given.update((key, getattr(args, key)) for key in defaults
+                 if getattr(args, key) is not None)
+    return {**defaults, **{key: _typed(key, val, defaults[key])
+                           for key, val in given.items()}}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         opts = _resolve(args.command, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](opts)
+        out = _outdir(opts)
+        code = _COMMANDS[args.command](opts, out)
+        write_json(out / "manifest.json", dict(sorted(opts.items())))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

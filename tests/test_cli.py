@@ -321,64 +321,84 @@ class TestGoldenBits:
         }
 
 
+# bad values that _resolve rejects, before main makes the run directory
+ONE_OPTION = {
+    "phaseplane_dt_0": (["phaseplane", "--dt", "0"], "--dt"),
+    "phaseplane_dt_record_0": (["phaseplane", "--dt-record", "0"],
+                               "--dt-record"),
+    "phaseplane_t_end_0": (["phaseplane", "--t-end", "0"], "--t-end"),
+    "phaseplane_orbits_0": (["phaseplane", "--orbits", "0"], "--orbits"),
+    "phaseplane_eps1_max_0": (["phaseplane", "--eps1-max", "0"],
+                              "--eps1-max"),
+    "phaseplane_ncr_negative": (["phaseplane", "--ncr", "-0.1"], "--ncr"),
+    "phaseplane_ncr_0": (["phaseplane", "--ncr", "0"], "--ncr"),
+    "bifurcate_count_0": (["bifurcate", "--count", "0"], "--count"),
+    "bifurcate_ncr_0": (["bifurcate", "--ncr", "0"], "--ncr"),
+    "bifurcate_n_min_negative": (["bifurcate", "--n-min", "-0.1"], "--n-min"),
+    "bifurcate_n_max_negative": (["bifurcate", "--n-max", "-0.1"], "--n-max"),
+    "groundstate_count_0": (["groundstate", "--count", "0"], "--count"),
+    "groundstate_omega_step_negative": (
+        ["groundstate", "--omega-step", "-0.01"], "--omega-step"),
+    "shadow_dt_0": ([*SHADOW_GOLDEN, "--dt", "0"], "--dt"),
+    "shadow_ncr_negative": ([*SHADOW_GOLDEN, "--ncr", "-0.1"], "--ncr"),
+    "shadow_ncr_0": ([*SHADOW_GOLDEN, "--ncr", "0"], "--ncr"),
+    "shadow_sep_0": ([*SHADOW_GOLDEN, "--sep", "0"], "--sep"),
+    "shadow_s_min_0": ([*SHADOW_GOLDEN, "--s-min", "0"], "--s-min"),
+    "shadow_s_max_negative": ([*SHADOW_GOLDEN, "--s-max", "-9"], "--s-max"),
+    "evolve_filter_steps_0": (
+        [*EVOLVE_SHORT, "--cutoff", "30", "--filter-steps", "0"],
+        "--filter-steps"),
+    "evolve_record_every_0": ([*EVOLVE_SHORT, "--record-every", "0"],
+                              "--record-every"),
+}
+
+# bad values that the command finds once it runs: against another option,
+# or in a check of the library
+WHILE_RUNNING = {
+    # eps1^2 above the power N = ncr + n = 0.05
+    "phaseplane_eps1_max_above_power": (
+        ["phaseplane", "--ncr", "0.2", "--n", "-0.15", "--eps1-max",
+         "0.2237"], "--eps1-max"),
+    "phaseplane_t_end_between_steps": (["phaseplane", "--t-end", "100.04"],
+                                       "--t-end"),
+    "phaseplane_dt_record_between_steps": (
+        ["phaseplane", "--dt-record", "0.52"], "--dt-record"),
+    "phaseplane_dt_record_below_dt": (["phaseplane", "--dt-record", "0.01"],
+                                      "--dt-record"),
+    "phaseplane_n_below_minus_ncr": (
+        ["phaseplane", "--ncr", "0.2", "--n", "-0.5"], "--n must"),
+    "shadow_periods_0": ([*SHADOW_GOLDEN, "--periods", "0"], "--periods"),
+    "shadow_periods_1e-5": ([*SHADOW_GOLDEN, "--periods", "1e-5"],
+                            "--periods"),
+    "shadow_below_amplitude_2": (
+        [*SHADOW_GOLDEN, "--side", "below", "--amplitude-factor", "2"],
+        "--amplitude-factor"),
+    "evolve_t_end_between_steps": (
+        ["evolve", "--well", "delta", "--points", "256", "--init", "sech",
+         "--t-end", "0.0125", "--dt", "0.01", "--record-every", "1"],
+        "--t-end"),
+    "evolve_cutoff_outside": ([*EVOLVE_SHORT, "--cutoff", "50"], "--cutoff"),
+    "spectrum_points_100": (["spectrum", "--points", "100"], "--points"),
+    "evolve_points_100": (["evolve", "--points", "100"], "--points"),
+    "spectrum_xmax_negative": (["spectrum", "--xmax", "-3"], "--xmax"),
+}
+
+
 class TestConfigHandling:
-    @pytest.mark.parametrize("argv,option", [
-        (["phaseplane", "--dt", "0"], "--dt"),
-        (["phaseplane", "--dt-record", "0"], "--dt-record"),
-        (["phaseplane", "--t-end", "0"], "--t-end"),
-        (["phaseplane", "--orbits", "0"], "--orbits"),
-        (["phaseplane", "--eps1-max", "0"], "--eps1-max"),
-        # eps1^2 above the power N = ncr + n = 0.05
-        (["phaseplane", "--ncr", "0.2", "--n", "-0.15", "--eps1-max",
-          "0.2237"], "--eps1-max"),
-        (["phaseplane", "--t-end", "100.04"], "--t-end"),
-        (["phaseplane", "--dt-record", "0.52"], "--dt-record"),
-        (["phaseplane", "--dt-record", "0.01"], "--dt-record"),
-        (["phaseplane", "--ncr", "-0.1"], "--ncr"),
-        (["phaseplane", "--ncr", "0"], "--ncr"),
-        (["phaseplane", "--ncr", "0.2", "--n", "-0.5"], "--n must"),
-        (["bifurcate", "--count", "0"], "--count"),
-        (["bifurcate", "--ncr", "0"], "--ncr"),
-        (["bifurcate", "--n-min", "-0.1"], "--n-min"),
-        (["bifurcate", "--n-max", "-0.1"], "--n-max"),
-        (["groundstate", "--count", "0"], "--count"),
-        (["groundstate", "--omega-step", "-0.01"], "--omega-step"),
-        ([*SHADOW_GOLDEN, "--dt", "0"], "--dt"),
-        ([*SHADOW_GOLDEN, "--periods", "0"], "--periods"),
-        ([*SHADOW_GOLDEN, "--periods", "1e-5"], "--periods"),
-        ([*SHADOW_GOLDEN, "--side", "below", "--amplitude-factor", "2"],
-         "--amplitude-factor"),
-        (["evolve", "--well", "delta", "--points", "256", "--init", "sech",
-          "--t-end", "0.0125", "--dt", "0.01", "--record-every", "1"],
-         "--t-end"),
-        ([*EVOLVE_SHORT, "--cutoff", "50"], "--cutoff"),
-        ([*EVOLVE_SHORT, "--cutoff", "30", "--filter-steps", "0"],
-         "--filter-steps"),
-        ([*EVOLVE_SHORT, "--record-every", "0"], "--record-every"),
-        (["spectrum", "--points", "100"], "--points"),
-        (["evolve", "--points", "100"], "--points"),
-        (["spectrum", "--xmax", "-3"], "--xmax"),
-    ], ids=["phaseplane_dt_0", "phaseplane_dt_record_0",
-            "phaseplane_t_end_0", "phaseplane_orbits_0",
-            "phaseplane_eps1_max_0", "phaseplane_eps1_max_above_power",
-            "phaseplane_t_end_between_steps",
-            "phaseplane_dt_record_between_steps",
-            "phaseplane_dt_record_below_dt", "phaseplane_ncr_negative",
-            "phaseplane_ncr_0", "phaseplane_n_below_minus_ncr",
-            "bifurcate_count_0", "bifurcate_ncr_0",
-            "bifurcate_n_min_negative", "bifurcate_n_max_negative",
-            "groundstate_count_0", "groundstate_omega_step_negative",
-            "shadow_dt_0", "shadow_periods_0", "shadow_periods_1e-5",
-            "shadow_below_amplitude_2", "evolve_t_end_between_steps",
-            "evolve_cutoff_outside", "evolve_filter_steps_0",
-            "evolve_record_every_0", "spectrum_points_100",
-            "evolve_points_100", "spectrum_xmax_negative"])
+    @pytest.mark.parametrize(
+        "argv,option,one_option",
+        [(*case, True) for case in ONE_OPTION.values()]
+        + [(*case, False) for case in WHILE_RUNNING.values()],
+        ids=[*ONE_OPTION, *WHILE_RUNNING])
     def test_bad_value_names_its_option(self, tmp_path, capsys, argv,
-                                        option):
-        # a config error: exit 2, and the message names the option
+                                        option, one_option):
+        # a config error: exit 2, and the message names the option; an
+        # error in one option's own value leaves no run directory
         assert run([*argv, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and option in err
+        if one_option:
+            assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command,key,value", [
@@ -388,8 +408,8 @@ class TestConfigHandling:
              "shadow_ncr"])
     def test_non_finite_value_names_its_option(self, tmp_path, capsys,
                                                command, key, value, source):
-        # rejected before the command starts, from a flag (shadow's --ncr
-        # parses as a string) or from a config value alike
+        # rejected before the command starts, from a flag (shadow's --ncr,
+        # whose default is null, parses as a float) or a config value alike
         argv = [command, f"--{key}={value}"]
         if source == "config":
             cfg = tmp_path / "cfg.json"
@@ -399,6 +419,50 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(
             f"config error: --{key} must be a finite number, not ")
         assert not (tmp_path / "run").exists()
+
+    def test_cutoff_0_from_config_as_from_flag(self, tmp_path, capsys):
+        # a config 0 is a cutoff, as the flag's is: both are refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cutoff": 0}))
+        errors = []
+        for argv in (["--cutoff", "0"], ["--config", str(cfg)]):
+            assert run([*EVOLVE_SHORT, *argv, "--force",
+                        "--out", str(tmp_path / "ev")]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == 2 * ["config error: tail filter cutoff_radius "
+                              "(--cutoff) must be positive\n"]
+
+    @pytest.mark.parametrize("command", list(cli._DEFAULTS))
+    def test_flag_and_config_give_one_typed_value(self, tmp_path,
+                                                  monkeypatch, command):
+        # every option given as a flag, then as a config value: the
+        # manifest echoes each in its default's type (float where that is
+        # null), the same from either source; a number is given as the
+        # JSON int 2, which a float option takes as 2.0
+        monkeypatch.setitem(cli._COMMANDS, command, lambda opts, out: 0)
+        out = tmp_path / "run"
+        given = {key: True if isinstance(default, bool)
+                 else str(out) if key == "out"
+                 else default if isinstance(default, str) else 2
+                 for key, default in cli._DEFAULTS[command].items()}
+        flags = [command]
+        for key, val in given.items():
+            flags.append("--" + key.replace("_", "-"))
+            if val is not True:
+                flags.append(str(val))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(given))
+        manifests = []
+        for argv in (flags, [command, "--config", str(cfg)]):
+            assert run(argv) == 0
+            manifests.append((out / "manifest.json").read_text())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert list(manifest) == sorted(given)
+        for key, default in cli._DEFAULTS[command].items():
+            kind = float if default is None else type(default)
+            assert type(manifest[key]) is kind, key
+            assert manifest[key] == given[key], key
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -424,17 +488,37 @@ class TestConfigHandling:
         assert capsys.readouterr().err == \
             "config error: config must be a JSON object, not 5\n"
 
-    @pytest.mark.parametrize("value", [[1], {"n": 1}, None],
-                             ids=["list", "object", "null"])
-    def test_config_value_not_a_flag_value(self, tmp_path, capsys, value):
-        # what no flag can give: an array, an object, or null where the
-        # option has a default
+    @pytest.mark.parametrize("command,config,message", [
+        ("spectrum", {"points": [1]}, "config key 'points' cannot be [1]"),
+        ("spectrum", {"points": {"n": 1}},
+         "config key 'points' cannot be {\"n\": 1}"),
+        ("spectrum", {"points": None}, "config key 'points' cannot be null"),
+        ("phaseplane", {"orbits": 0.5},
+         "--orbits must be a whole number of at least 1, not 0.5"),
+        ("spectrum", {"points": 256.7},
+         "--points must be a whole number of at least 1, not 256.7"),
+        ("spectrum", {"force": "false"},
+         "config key 'force' cannot be \"false\""),
+        ("spectrum", {"out": 5}, "config key 'out' cannot be 5"),
+    ], ids=["list", "object", "null", "orbits_half", "points_fraction",
+            "force_string", "out_number"])
+    def test_config_value_not_a_flag_value(self, tmp_path, capsys, command,
+                                           config, message):
+        # what no flag can give (an array, an object, null where the option
+        # has a default, a boolean or a string option of another type) or
+        # what the option's type cannot hold is an error, not truncated or
+        # read as true; it leaves the file system as it was: no run
+        # directory, or a non-empty one that "false" must not overwrite
+        out = tmp_path / "run"
+        if "force" in config:
+            out.mkdir()
+            (out / "kept.txt").write_text("kept")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"points": value}))
-        assert run(["spectrum", "--config", str(cfg),
-                    "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: config key 'points' cannot be")
+        cfg.write_text(json.dumps({"out": str(out), **config}))
+        assert run([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == sorted(
+            [cfg, out, out / "kept.txt"] if "force" in config else [cfg])
 
     def test_missing_config(self, tmp_path):
         assert run(["spectrum", "--config", str(tmp_path / "gone.json"),
