@@ -1,5 +1,5 @@
 """Nonlinear bound states (-u'' + V u - |u|^2 u = Omega u) by Newton's
-method, natural-parameter continuation in Omega, and location of the
+method, secant-predictor continuation in Omega, and location of the
 symmetry-breaking threshold on the soliton curve.
 
 A real bound state is a root of F(psi) = (H - Omega) psi - psi^3 on the
@@ -7,13 +7,18 @@ free nodes 1..n-1 (node 0 is the Dirichlet pin).  The Jacobian is the
 linearization L+ = H - Omega - 3 psi^2, tridiagonal like H, so a Newton
 step is one pivoted tridiagonal solve (J. Yang, J. Comput. Phys. 228,
 2009).  Newton converges to the root in whose basin the seed lies, so the
-branches of the continued curve are told apart by warm starts: each point
-starts from the last, and the asymmetric family gets an odd kick so it
-can leave the symmetric state once it may.  The labels place the
-pitchfork only to within a grid step, so the threshold is the Omega where
-the odd eigenvalue of L+ about the symmetric state crosses zero (Kirr,
-Kevrekidis, Shlizerman and Weinstein, SIAM J. Math. Anal. 40, 2008): the
-lowest eigenvalue of L+'s odd block (PinnedHamiltonian.blocks).
+branches of the continued curve are told apart by warm starts.  Until
+the asymmetric family has left the symmetric state, each of its points
+starts from the last plus an odd kick, so that it can leave once it may;
+after that, and on the symmetric family from its third point, each point
+starts from the secant predictor 2 psi_k - psi_{k-1} of the last two
+(Allgower and Georg, Introduction to Numerical Continuation Methods,
+SIAM 2003), whose distance from the root is O(step^2), not the O(step)
+of psi_k.  The labels place the pitchfork only to within a grid step, so
+the threshold is the Omega where the odd eigenvalue of L+ about the
+symmetric state crosses zero (Kirr, Kevrekidis, Shlizerman and Weinstein,
+SIAM J. Math. Anal. 40, 2008): the lowest eigenvalue of L+'s odd block
+(PinnedHamiltonian.blocks).
 """
 
 from __future__ import annotations
@@ -170,13 +175,12 @@ def spectral_renormalize(h: PinnedHamiltonian, grid: Grid, omega: float,
     # phase fix: real and positive at the modulus maximum
     if psi[int(np.argmax(np.abs(psi)))] < 0:
         psi = -psi
-    res = h.apply(psi) - psi**3 - omega * psi
     return BoundState(
         profile=psi,
         omega=omega,
         n=nrm2,
         asymmetry=_asymmetry(psi, grid),
-        residual=float(np.linalg.norm(res) / np.linalg.norm(psi)),
+        residual=(f2 / float(v @ v)) ** 0.5,   # |F| / |psi| at the stop
         iterations=it,
         grid=grid,
     )
@@ -194,13 +198,19 @@ def default_seeds(spectral) -> dict:
 def continue_in_omega(potential: PotentialSpec, grid: Grid,
                       omega_start: float, omega_end: float, step: float,
                       seeds: dict) -> SolitonCurve:
-    """Trace soliton branches from omega_start toward omega_end (downward),
-    reusing each converged profile as the next seed.
+    """Trace soliton branches from omega_start toward omega_end (downward)
+    on the uniform grid omega_start - k step.
 
     seeds maps family names ('symmetric', 'asymmetric') to seed profiles;
     asymmetric-family points are labelled by the sign of their asymmetry
-    once it exceeds _ASYM_FLOOR relative to the power.  The curve keeps
-    each point's Newton steps in iterations.
+    once it exceeds _ASYM_FLOOR relative to the power.  A family other
+    than 'symmetric' whose seed has an odd part seeds each point with the
+    last converged profile psi_k plus 0.3 |psi_k| / |odd| times that odd
+    part, up to and including its first asymmetric-labelled point; the
+    family then carries its own odd part, and every later seed is the
+    secant 2 psi_k - psi_{k-1} of the last two profiles.  Any other family
+    starts its second point from the first and each later one from the
+    secant.  The curve keeps each point's Newton steps in iterations.
     """
     if omega_end >= omega_start:
         raise ValueError("continuation must move toward decreasing omega")
@@ -210,29 +220,37 @@ def continue_in_omega(potential: PotentialSpec, grid: Grid,
     h = pinned_hamiltonian(potential, grid)
     out_omega, out_n, out_asym, out_branch, out_it = [], [], [], [], []
     for family, seed in seeds.items():
+        symmetric = family == "symmetric"
         seed = np.asarray(seed, dtype=float)
-        # odd part of the family seed, re-injected at every step so the
-        # asymmetric family can leave the symmetric state once it may
+        # odd part of the family seed, added to each seed of the asymmetric
+        # family until it has left the symmetric state
         odd = 0.5 * (seed - reflect(seed))
         odd_norm = float(np.linalg.norm(odd))
-        profile = seed
+        kicked = not symmetric and odd_norm > 0
+        profile, last = seed, None
         for om in omegas:
             try:
                 st = spectral_renormalize(h, grid, float(om), profile,
-                                          symmetrize=family == "symmetric")
+                                          symmetrize=symmetric)
             except (IterationDiverged, ConvergedToZero) as exc:
                 raise BranchLost(
                     f"{family} branch lost at omega = {om:.6g}: {exc}") from exc
-            profile = st.profile
-            if family != "symmetric" and odd_norm > 0:
-                kick = 0.3 * float(np.linalg.norm(profile)) / odd_norm
-                profile = profile + kick * odd
-            if family == "symmetric":
+            if symmetric:
                 label = SYMMETRIC
             elif abs(st.asymmetry) <= _ASYM_FLOOR * max(st.n, 1e-300):
                 label = SYMMETRIC
             else:
                 label = ASYM_PLUS if st.asymmetry > 0 else ASYM_MINUS
+            if kicked:
+                kick = 0.3 * float(np.linalg.norm(st.profile)) / odd_norm
+                profile = st.profile + kick * odd
+                kicked = label == SYMMETRIC
+            elif last is None:
+                profile = st.profile
+            else:
+                # the secant predictor on the uniform omega grid
+                profile = 2.0 * st.profile - last
+            last = st.profile
             out_omega.append(st.omega)
             out_n.append(st.n)
             out_asym.append(st.asymmetry)

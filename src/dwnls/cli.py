@@ -15,7 +15,8 @@ command's modules). Options may come from a JSON config (--config), an
 object of flag values; explicit flags win. Each value takes its default's
 type (float where the default is null) and its sign rule once, in
 _resolve, before main makes the run directory; main writes manifest.json
-after the command returns.
+after the command returns, and removes the directories it made if the
+command raises before writing into them.
 phaseplane accepts --jobs for old configs and ignores it: its orbits run
 one after another (threads gave no speed-up under the GIL).
 Exit codes: 2 config error, 3 numeric/solver error, 4 verdict failed.
@@ -47,14 +48,17 @@ class ConfigError(Exception):
     pass
 
 
-def _outdir(opts) -> Path:
+def _outdir(opts) -> tuple[Path, list[Path]]:
+    """The run directory, made if need be, and the directories that making
+    it created, deepest first."""
     out = Path(opts["out"])
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     existing = [p for p in out.iterdir() if p.is_file()]
     if existing and not opts["force"]:
         raise ConfigError(
             f"output directory {out} is not empty (use --force to overwrite)")
-    return out
+    return out, made
 
 
 def _grid(opts) -> Grid:
@@ -386,8 +390,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         opts = _resolve(args.command, args)
-        out = _outdir(opts)
-        code = _COMMANDS[args.command](opts, out)
+        out, made = _outdir(opts)
+        try:
+            code = _COMMANDS[args.command](opts, out)
+        except BaseException:
+            # a failed command leaves no empty directory that main made
+            for path in made:
+                if any(path.iterdir()):
+                    break
+                path.rmdir()
+            raise
         write_json(out / "manifest.json", dict(sorted(opts.items())))
         return code
     except ConfigError as exc:

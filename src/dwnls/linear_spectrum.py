@@ -47,7 +47,6 @@ from .errors import (
 from .grids import Grid, inner, norm2
 from .io_utils import csv_text
 from .lapack import eigh_tridiagonal
-from .reduced_dynamics import pitchfork_coefficient
 from .roots import RTOL_MIN, brentq
 
 _ROOT_TOL = 1e-14
@@ -338,7 +337,7 @@ def critical_power(omega0: float, omega1: float, a: np.ndarray) -> float:
     omega10 = omega1 - omega0
     if omega10 <= 0:
         raise ValueError("requires Omega1 > Omega0")
-    denom = pitchfork_coefficient(a)
+    denom = 3.0 * a[0, 0, 1, 1] - a[0, 0, 0, 0]
     if abs(denom) < 1e-12:
         raise DegenerateDenominator(
             "3 a0011 - a0000 vanishes; general critical power undefined"

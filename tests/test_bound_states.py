@@ -239,6 +239,36 @@ class TestContinuation:
         for i, b in enumerate(curve.branch):
             assert (b == bs.SYMMETRIC) == bool(above[i])
 
+    def test_secant_seeds_reach_the_points_of_plain_warm_starts(
+            self, gauss_sigma1_L3, gauss_curve):
+        # reference: every point re-solved from the previous point's
+        # profile, with the asymmetric family's odd kick at every point;
+        # the secant seeds must reach the same roots, with the same labels
+        sd = gauss_sigma1_L3
+        curve, seeds = gauss_curve
+        h = _pinned(sd)
+        omegas = curve.omega[:len(curve.omega) // len(seeds)]
+        n_ref, labels = [], []
+        for family, seed in seeds.items():
+            odd = 0.5 * (seed - ls.reflect(seed))
+            profile = seed
+            for om in omegas:
+                st = bs.spectral_renormalize(h, sd.grid, float(om), profile,
+                                             symmetrize=family == "symmetric")
+                profile = st.profile
+                if family != "symmetric":
+                    profile = profile + (0.3 * np.linalg.norm(profile)
+                                         / np.linalg.norm(odd)) * odd
+                n_ref.append(st.n)
+                if abs(st.asymmetry) <= bs._ASYM_FLOOR * st.n:
+                    labels.append(bs.SYMMETRIC)
+                else:
+                    labels.append(bs.ASYM_PLUS if st.asymmetry > 0
+                                  else bs.ASYM_MINUS)
+        assert curve.branch == labels
+        assert bs.ASYM_PLUS in labels
+        np.testing.assert_allclose(curve.n, n_ref, rtol=1e-8, atol=0)
+
     def test_csv_layout(self, delta_s1_L10):
         curve, _ = trace_and_detect(delta_s1_L10, n_steps=10)
         lines = curve.to_csv().strip().split("\n")

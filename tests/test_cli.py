@@ -310,14 +310,17 @@ class TestGoldenBits:
 
     def test_groundstate_golden_bits(self, tmp_path):
         # a short Gaussian continuation with its threshold bisection; n_star
-        # pins the bound-state path and n_cr_fd the spectral one
+        # pins the bound-state path, n_cr_fd the spectral one and the
+        # Newton step count the continuation's seeds
         out = tmp_path / "gs"
         rc = run(["groundstate", "--points", "1024", "--count", "30",
                   "--out", str(out)])
         assert rc == 0
-        assert _json_lines(out / "threshold.json", ("n_star", "n_cr_fd")) == {
+        keys = ("n_star", "n_cr_fd", "newton_iterations_total")
+        assert _json_lines(out / "threshold.json", keys) == {
             "n_star": '"n_star": 0.66802882407340725',
             "n_cr_fd": '"n_cr_fd": 0.82995647678609585',
+            "newton_iterations_total": '"newton_iterations_total": 203',
         }
 
 
@@ -385,20 +388,28 @@ WHILE_RUNNING = {
 
 
 class TestConfigHandling:
-    @pytest.mark.parametrize(
-        "argv,option,one_option",
-        [(*case, True) for case in ONE_OPTION.values()]
-        + [(*case, False) for case in WHILE_RUNNING.values()],
-        ids=[*ONE_OPTION, *WHILE_RUNNING])
+    @pytest.mark.parametrize("argv,option",
+                             [*ONE_OPTION.values(), *WHILE_RUNNING.values()],
+                             ids=[*ONE_OPTION, *WHILE_RUNNING])
     def test_bad_value_names_its_option(self, tmp_path, capsys, argv,
-                                        option, one_option):
-        # a config error: exit 2, and the message names the option; an
-        # error in one option's own value leaves no run directory
+                                        option):
+        # a config error: exit 2, the message names the option, and no run
+        # directory is left
         assert run([*argv, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and option in err
-        if one_option:
-            assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_failed_run_removes_only_the_directories_it_made(self, tmp_path):
+        # the command fails before it writes: main removes the empty
+        # directories it made for the run, and keeps one that was there
+        argv = ["spectrum", "--points", "100", "--out"]
+        assert run([*argv, str(tmp_path / "a" / "b" / "run")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "run").mkdir()
+        assert run([*argv, str(tmp_path / "run")]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "run"]
+        assert list((tmp_path / "run").iterdir()) == []
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command,key,value", [
@@ -611,19 +622,22 @@ EVOLVE_SPLIT = ["evolve", "--well", "gauss", "--sep", "3", "--init", "twomode",
                 "--t-end", "0.01"]
 
 
-# the dwnls modules every command loads, and those of the reduced model
-# and of the grid
+# the dwnls modules every command loads, and those of the reduced model,
+# of the linear spectrum and of a grid command that also runs the reduced
+# model
 SHARED = {"cli", "errors", "grids", "io_utils"}
 REDUCED = SHARED | {"reduced_dynamics", "roots"}
-GRID = REDUCED | {"linear_spectrum", "lapack"}
+SPECTRAL = SHARED | {"linear_spectrum", "lapack", "roots"}
+GRID = REDUCED | SPECTRAL
 
 
 @pytest.mark.parametrize("argv,loads,modules", [
     (["phaseplane", "--orbits", "2", "--t-end", "50"], [], REDUCED),
     (["bifurcate", "--count", "5"], [], REDUCED | {"bifurcation"}),
-    (["spectrum", "--points", "1024"], ["scipy.linalg._flapack"], GRID),
+    (["spectrum", "--points", "1024"], ["scipy.linalg._flapack"], SPECTRAL),
     (["groundstate", "--points", "1024", "--omega-step", "0.01",
-      "--count", "8"], ["scipy.linalg._flapack"], GRID | {"bound_states"}),
+      "--count", "8"], ["scipy.linalg._flapack"],
+     SPECTRAL | {"bound_states"}),
     ([*SHADOW_GOLDEN, "--periods", "1"], ["scipy.linalg._flapack"],
      GRID | {"pde", "shadowing"}),
     ([*SHADOW_GOLDEN, "--periods", "0.5"], ["scipy.linalg._flapack"],
@@ -638,7 +652,8 @@ def test_scipy_loads_only_for_a_solve(argv, loads, modules, tmp_path):
     # scipy nor scipy.linalg, and no scipy.optimize, since every root find
     # goes through dwnls.roots.brentq. Each command loads only the dwnls
     # modules it runs: none loads bifurcation but bifurcate, bound_states
-    # but groundstate, or shadowing but shadow
+    # but groundstate, or shadowing but shadow, and spectrum and
+    # groundstate do not load reduced_dynamics
     rc, loaded, dwnls_loaded = _run_listing_modules(argv, tmp_path)
     assert rc == 0
     assert loaded == loads
